@@ -29,18 +29,6 @@ class AFFiltration:
     def dim(self) -> int:
         return self.level_sizes[-1]
 
-    def level_projection(self, i: int) -> np.ndarray:
-        """P_i: orthogonal projection onto the level-i subspace (block averages)."""
-        q = self.level_sizes[i]
-        total = self.dim
-        block = total // q
-        p = np.zeros((total, total), dtype=complex)
-        for x in range(total):
-            for y in range(total):
-                if x % q == y % q:
-                    p[x, y] = 1.0 / block
-        return p
-
     def represent(self, i: int, values: Sequence[complex]) -> np.ndarray:
         """Multiplication operator of a level-i function (values on Z/G_i)."""
         q = self.level_sizes[i]
@@ -68,19 +56,12 @@ def af_filtration(orders: Sequence[int]) -> AFFiltration:
         sizes.append(sizes[-1] * n)
     total = sizes[-1]
 
-    def level_proj(q: int) -> np.ndarray:
-        block = total // q
-        p = np.zeros((total, total), dtype=complex)
-        for x in range(total):
-            for y in range(total):
-                if x % q == y % q:
-                    p[x, y] = 1.0 / block
-        return p
-
     projections = []
     prev = np.zeros((total, total), dtype=complex)
     for q in sizes:
-        p = level_proj(q)
+        # P_q averages over x mod q; with x = q*a + r that is kron(J_b / b, I_q).
+        b = total // q
+        p = np.kron(np.ones((b, b), dtype=complex) / b, np.eye(q))
         projections.append(p - prev)
         prev = p
     return AFFiltration(orders, tuple(sizes), tuple(projections))

@@ -415,7 +415,7 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
     [1 (x) M_l, alpha^n(x)] stays below sum_g ||a_g|| ||[1 (x) M_l, lambda_g]||.
     """
     group = spec.group
-    if group.kind != "free_abelian" or group.rank != 1:
+    if not group.is_free_abelian or group.rank != 1:
         raise ValueError("the iterated-crossed-product check runs over Z")
     theta = p / q
     u = clock_matrix(q, p)

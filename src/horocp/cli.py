@@ -122,7 +122,7 @@ def parse_generators(group: GroupSpec, text: str | None):
     if text is None or text == "standard" or text == "diamond":
         return None
     if text == "hexagonal":
-        if group.kind != "free_abelian" or group.rank != 2:
+        if not group.is_free_abelian or group.rank != 2:
             raise UsageError("hexagonal generators are defined on Z2")
         return hexagonal_generators()
     gens = []
@@ -139,7 +139,7 @@ def parse_generators(group: GroupSpec, text: str | None):
 def parse_element(group: GroupSpec, text: str):
     letters = {"a": (1, 0, 0), "A": (-1, 0, 0), "b": (0, 1, 0), "B": (0, -1, 0),
                "c": (0, 0, 1), "C": (0, 0, -1)}
-    if group.kind == "heisenberg3" and text in letters:
+    if group.is_heisenberg and text in letters:
         return letters[text]
     g = tuple(int(c) for c in text.split(","))
     group.validate(g)
@@ -169,7 +169,7 @@ def build_length(group: GroupSpec, args) -> LengthFunction:
     if table_arg:
         if table_arg.startswith("central:"):
             horizon = int(table_arg.split(":", 1)[1])
-            if group.kind != "free_abelian" or group.rank != 1:
+            if not group.is_free_abelian or group.rank != 1:
                 raise UsageError("the central-length table lives on Z")
             return LengthFunction.explicit_table(group, central_heisenberg_table(horizon))
         raise UsageError(f"unknown table {table_arg!r} (try central:<horizon>)")
@@ -418,7 +418,7 @@ def cmd_verify(args):
         group = parse_group(args.group)
         spec = build_length(group, args)
         rng = np.random.default_rng([seed, 3])
-        if group.kind == "free_abelian" and group.rank == 1:
+        if group.is_free_abelian and group.rank == 1:
             sub = SubgroupSpec.multiples(group, 2)
         else:
             sub = SubgroupSpec.kernel_of(group, (1,) + (0,) * (group.abelianization_rank - 1))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
@@ -44,6 +44,112 @@ H3_B = (0, 1, 0)
 H3_C = (0, 0, 1)
 
 
+# ---------------------------------------------------------------------------
+# Group laws: one object per kind holds all of that kind's arithmetic.  A new
+# kind supplies identity, fits and shape_error (the element check), product,
+# inverse, abelianization, abelianization_rank and, where the default
+# sum |c_i| is wrong, weight.  Each function closes over rank and torsion, and
+# product is the raw product that both GroupSpec.multiply (after checking its
+# operands) and the BFS in LengthFunction call.
+
+# isinstance(c, int) without a generator frame per element: element checks
+# run on every validated product and length lookup.
+_is_int = int.__instancecheck__
+
+
+class _Law:
+    """The arithmetic of one group kind (see the table comment above)."""
+
+    abelian = True
+    finite = False
+
+    def check(self, g: Element) -> None:
+        if not isinstance(g, tuple) or not all(map(_is_int, g)):
+            raise GroupMismatchError(f"element {g!r} is not an integer tuple")
+        if not self.fits(g):
+            raise GroupMismatchError(self.shape_error.format(g=g))
+
+    def weight(self, g: Element) -> int:
+        """Coordinate weight that every reducing generator step lowers."""
+        return sum(abs(c) for c in g)
+
+
+_LATTICE_SUMS = {
+    1: lambda a, b: (a[0] + b[0],),
+    2: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    3: lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2]),
+}
+
+
+class _FreeAbelian(_Law):
+    """Z^m, coordinatewise addition."""
+
+    def __init__(self, rank: int, torsion: int):
+        self.abelianization_rank = rank
+        self.identity = (0,) * rank
+        self.fits = lambda g: len(g) == rank
+        self.shape_error = f"expected {rank} coordinates, got {{g!r}}"
+        self.product = _LATTICE_SUMS.get(rank, lambda a, b: tuple(x + y for x, y in zip(a, b)))
+        self.inverse = lambda g: tuple(-x for x in g)
+        self.abelianization = lambda g: g
+
+
+class _FreeAbelianTimesCyclic(_Law):
+    """Z^m x Z/n, the residue last."""
+
+    def __init__(self, rank: int, torsion: int):
+        n = torsion
+        self.abelianization_rank = rank
+        self.identity = (0,) * (rank + 1)
+        self.fits = lambda g: len(g) == rank + 1 and 0 <= g[-1] < n
+        self.shape_error = "bad Z^m x Z/n element {g!r}"
+        self.product = lambda a, b: (
+            tuple(x + y for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1]) % n,))
+        self.inverse = lambda g: tuple(-x for x in g[:-1]) + ((-g[-1]) % n,)
+        self.abelianization = lambda g: g[:-1]
+        self.weight = lambda g: sum(abs(c) for c in g[:-1]) + min(g[-1], n - g[-1])
+
+
+class _Heisenberg(_Law):
+    """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
+
+    abelian = False
+
+    def __init__(self, rank: int, torsion: int):
+        self.abelianization_rank = 2
+        self.identity = (0, 0, 0)
+        self.fits = lambda g: len(g) == 3
+        self.shape_error = "bad Heisenberg element {g!r}"
+        self.product = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
+        self.inverse = lambda g: (-g[0], -g[1], g[0] * g[1] - g[2])
+        self.abelianization = lambda g: (g[0], g[1])
+
+
+class _FiniteCyclic(_Law):
+    """Z/n."""
+
+    finite = True
+
+    def __init__(self, rank: int, torsion: int):
+        n = torsion
+        self.abelianization_rank = 0
+        self.identity = (0,)
+        self.fits = lambda g: len(g) == 1 and 0 <= g[0] < n
+        self.shape_error = f"bad Z/{n} element {{g!r}}"
+        self.product = lambda a, b: ((a[0] + b[0]) % n,)
+        self.inverse = lambda g: ((-g[0]) % n,)
+        self.abelianization = lambda g: ()
+        self.weight = lambda g: min(g[0], n - g[0])
+
+
+_LAWS = {
+    FREE_ABELIAN: _FreeAbelian,
+    FREE_ABELIAN_TIMES_CYCLIC: _FreeAbelianTimesCyclic,
+    HEISENBERG3: _Heisenberg,
+    FINITE_CYCLIC: _FiniteCyclic,
+}
+
+
 @dataclass(frozen=True)
 class GroupSpec:
     """A concrete finitely generated group with a fixed symmetric generating set."""
@@ -52,6 +158,7 @@ class GroupSpec:
     rank: int = 0
     torsion: int = 0
     generators: tuple[Element, ...] = ()
+    law: _Law = field(init=False, repr=False, compare=False)
 
     # -- constructors ------------------------------------------------------
 
@@ -95,6 +202,7 @@ class GroupSpec:
         return cls(FINITE_CYCLIC, torsion=order, generators=_closed_generators(generators))
 
     def __post_init__(self):
+        object.__setattr__(self, "law", _LAWS[self.kind](self.rank, self.torsion))
         for g in self.generators:
             self.validate(g)
             if g == self.identity():
@@ -104,69 +212,54 @@ class GroupSpec:
             if self.inverse(g) not in gen_set:
                 raise ValueError(f"generating set is not symmetric: missing inverse of {g}")
 
+    def __reduce__(self):
+        # The law holds closures, so pickles carry the fields and rebuild it.
+        return type(self), (self.kind, self.rank, self.torsion, self.generators)
+
     # -- basic structure ---------------------------------------------------
 
     @property
     def abelianization_rank(self) -> int:
-        if self.kind in (FREE_ABELIAN, FREE_ABELIAN_TIMES_CYCLIC):
-            return self.rank
-        if self.kind == HEISENBERG3:
-            return 2
-        return 0
+        return self.law.abelianization_rank
 
     @property
     def is_abelian(self) -> bool:
-        return self.kind != HEISENBERG3
+        return self.law.abelian
 
     @property
     def is_finite(self) -> bool:
-        return self.kind == FINITE_CYCLIC
+        return self.law.finite
+
+    @property
+    def is_free_abelian(self) -> bool:
+        return isinstance(self.law, _FreeAbelian)
+
+    @property
+    def is_heisenberg(self) -> bool:
+        return isinstance(self.law, _Heisenberg)
+
+    def is_torsion(self, g: Element) -> bool:
+        """g has finite order.  In the abelian kinds that is exactly p(g) = 0;
+        H3 is torsion-free although its centre projects to 0."""
+        return self.is_finite or (self.is_abelian and not any(self.abelianization(g)))
 
     def identity(self) -> Element:
-        if self.kind == FREE_ABELIAN:
-            return (0,) * self.rank
-        if self.kind == FREE_ABELIAN_TIMES_CYCLIC:
-            return (0,) * self.rank + (0,)
-        if self.kind == HEISENBERG3:
-            return (0, 0, 0)
-        return (0,)
+        return self.law.identity
 
     def validate(self, g: Element) -> None:
-        if not isinstance(g, tuple) or not all(isinstance(c, int) for c in g):
-            raise GroupMismatchError(f"element {g!r} is not an integer tuple")
-        if self.kind == FREE_ABELIAN and len(g) != self.rank:
-            raise GroupMismatchError(f"expected {self.rank} coordinates, got {g!r}")
-        elif self.kind == FREE_ABELIAN_TIMES_CYCLIC:
-            if len(g) != self.rank + 1 or not 0 <= g[-1] < self.torsion:
-                raise GroupMismatchError(f"bad Z^m x Z/n element {g!r}")
-        elif self.kind == HEISENBERG3 and len(g) != 3:
-            raise GroupMismatchError(f"bad Heisenberg element {g!r}")
-        elif self.kind == FINITE_CYCLIC:
-            if len(g) != 1 or not 0 <= g[0] < self.torsion:
-                raise GroupMismatchError(f"bad Z/{self.torsion} element {g!r}")
+        self.law.check(g)
 
     # -- arithmetic --------------------------------------------------------
 
     def multiply(self, a: Element, b: Element) -> Element:
-        self.validate(a)
-        self.validate(b)
-        if self.kind == FREE_ABELIAN:
-            return tuple(x + y for x, y in zip(a, b))
-        if self.kind == FREE_ABELIAN_TIMES_CYCLIC:
-            return tuple(x + y for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1]) % self.torsion,)
-        if self.kind == HEISENBERG3:
-            return (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-        return ((a[0] + b[0]) % self.torsion,)
+        law = self.law
+        law.check(a)
+        law.check(b)
+        return law.product(a, b)
 
     def inverse(self, a: Element) -> Element:
-        self.validate(a)
-        if self.kind == FREE_ABELIAN:
-            return tuple(-x for x in a)
-        if self.kind == FREE_ABELIAN_TIMES_CYCLIC:
-            return tuple(-x for x in a[:-1]) + ((-a[-1]) % self.torsion,)
-        if self.kind == HEISENBERG3:
-            return (-a[0], -a[1], a[0] * a[1] - a[2])
-        return ((-a[0]) % self.torsion,)
+        self.law.check(a)
+        return self.law.inverse(a)
 
     def power(self, g: Element, n: int) -> Element:
         if n < 0:
@@ -182,33 +275,8 @@ class GroupSpec:
 
     def abelianization(self, g: Element) -> tuple[int, ...]:
         """Projection to the torsion-free part of the abelianization, Z^m."""
-        self.validate(g)
-        if self.kind == FREE_ABELIAN:
-            return g
-        if self.kind == FREE_ABELIAN_TIMES_CYCLIC:
-            return g[:-1]
-        if self.kind == HEISENBERG3:
-            return (g[0], g[1])
-        return ()
-
-    def _fast_multiply(self):
-        # Dispatch-free closure for hot BFS loops.
-        if self.kind == FREE_ABELIAN:
-            m = self.rank
-            if m == 1:
-                return lambda a, b: (a[0] + b[0],)
-            if m == 2:
-                return lambda a, b: (a[0] + b[0], a[1] + b[1])
-            if m == 3:
-                return lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            return lambda a, b: tuple(x + y for x, y in zip(a, b))
-        if self.kind == HEISENBERG3:
-            return lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
-        if self.kind == FINITE_CYCLIC:
-            n = self.torsion
-            return lambda a, b: ((a[0] + b[0]) % n,)
-        n = self.torsion
-        return lambda a, b: tuple(x + y for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1]) % n,)
+        self.law.check(g)
+        return self.law.abelianization(g)
 
 
 def _standard_lattice_generators(rank: int) -> list[Element]:
@@ -283,22 +351,39 @@ class NormSpec:
         return [max(abs(v[i]) for v in verts) for i in range(dim)]
 
 
+def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q: (reduced rows, pivot columns).
+
+    The package's one exact-elimination kernel.  The rank is len(pivots);
+    the pivot columns of the transpose index the greedy (first independent)
+    row basis; a null vector and the solution of a square system are read off
+    the reduced rows.
+    """
+    mat = [[Fraction(c) for c in r] for r in rows]
+    pivots: list[int] = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = mat[top][col]
+        mat[top] = [v / pv for v in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
 def _solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     """Exact rational solve of a square system; None if singular."""
     m = len(rows)
-    aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    for col in range(m):
-        piv = next((r for r in range(col, m) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(m):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[r][m] for r in range(m))
+    mat, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(m)):
+        return None
+    return tuple(r[m] for r in mat)
 
 
 def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
@@ -306,7 +391,7 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     from itertools import combinations
 
     rows = [tuple(Fraction(c) for c in f) for f in functionals]
-    if _rational_rank([list(r) for r in rows]) < dim:
+    if len(rref(rows)[1]) < dim:
         raise ValueError("polytope norm functionals do not span; unit ball is unbounded")
     verts = []
     ones = [Fraction(1)] * dim
@@ -320,27 +405,6 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     if not verts:
         raise ValueError("polytope norm unit ball has no vertices")
     return verts
-
-
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == min(len(mat), ncols):
-            break
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +477,9 @@ class LengthFunction:
             self._dist: dict[Element, int] = {e: 0}
             self._queue: deque[Element] = deque([e])
             self._exhausted = False
-            self._mult = group._fast_multiply()
+            self._mult = group.law.product
         elif kind == self.NORM:
-            if group.kind != FREE_ABELIAN:
+            if not group.is_free_abelian:
                 raise ValueError("norm restrictions are supported on free abelian groups only")
             if norm is None:
                 raise ValueError("norm restriction needs a NormSpec")
@@ -471,7 +535,9 @@ class LengthFunction:
             raise ValueError(f"element {g!r} is outside the tabulated domain") from None
 
     def _expand_one(self):
-        u = self._queue.popleft()
+        queue = self._queue
+        u = queue.popleft()
+        mark = len(queue)
         du = self._dist[u]
         dist = self._dist
         mult = self._mult
@@ -479,12 +545,17 @@ class LengthFunction:
             v = mult(u, s)
             if v not in dist:
                 if len(dist) >= self.cap:
+                    # Undo this expansion so that a later, larger cap resumes
+                    # from an intact frontier and lengths stay exact.
+                    while len(queue) > mark:
+                        del dist[queue.pop()]
+                    queue.appendleft(u)
                     raise BallCapError(
                         f"ball cap {self.cap} exceeded while expanding radius {du + 1}"
                     )
                 dist[v] = du + 1
-                self._queue.append(v)
-        if not self._queue:
+                queue.append(v)
+        if not queue:
             self._exhausted = True
 
     def _ensure_radius(self, r: int):

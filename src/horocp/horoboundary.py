@@ -20,8 +20,8 @@ from .groups import (
     Element,
     GroupSpec,
     LengthFunction,
-    _rational_rank,
     _solve_linear,
+    rref,
 )
 
 
@@ -124,8 +124,7 @@ def facet_functionals(points: Sequence[tuple[Fraction, ...]], m: int
     """Facets of conv(points) for a point set whose hull has 0 in its interior."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     pts = list(dict.fromkeys(pts))
-    rank = _rational_rank([list(p) for p in pts])
-    if rank < m:
+    if len(rref(pts)[1]) < m:
         raise DegeneratePolytopeError(_span_normal(pts, m))
     if m == 1:
         return _facets_1d(pts)
@@ -137,22 +136,7 @@ def facet_functionals(points: Sequence[tuple[Fraction, ...]], m: int
 def _span_normal(pts, m) -> tuple[Fraction, ...]:
     """A non-zero rational vector orthogonal to every point (the points span a
     proper subspace when this is called)."""
-    mat = [list(p) for p in pts]
-    pivots = []
-    row = 0
-    for col in range(m):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        pv = mat[row][col]
-        mat[row] = [v / pv for v in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
+    mat, pivots = rref(pts)
     free = [c for c in range(m) if c not in pivots]
     if not free:
         return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
@@ -248,7 +232,7 @@ class RaySpec:
     @classmethod
     def lattice_direction(cls, group: GroupSpec, direction: Sequence, steps: int) -> "RaySpec":
         """Exact rational direction: denominators cleared so every point is a lattice point."""
-        if group.kind != "free_abelian":
+        if not group.is_free_abelian:
             raise ValueError("lattice rays need a free abelian group")
         v = tuple(Fraction(c) for c in direction)
         if all(c == 0 for c in v):
@@ -267,7 +251,7 @@ class RaySpec:
                                 steps: int, search_cap: int = 200_000) -> "RaySpec":
         """Irrational direction: bounded search for lattice points x_i with
         |x_i - t_i v| < 1/i in the euclidean norm; fails loudly past the cap."""
-        if group.kind != "free_abelian":
+        if not group.is_free_abelian:
             raise ValueError("lattice rays need a free abelian group")
         v = tuple(float(c) for c in direction)
         schedule = [(0.0, group.identity())]

@@ -142,20 +142,32 @@ class ActionSpec:
         if cached is not None:
             return cached
         group = self.group
-        if spec is not None and spec.kind == LengthFunction.WORD:
+        if spec is None or spec.kind != LengthFunction.WORD:
+            return self._coordinate_unitary(g)
+        # W(g) = W_s W(s^-1 g) along geodesic predecessors, walked down to a
+        # cached element and multiplied back up without recursion, so word
+        # length is not bounded by the interpreter's recursion limit.
+        steps = []
+        while cached is None:
             lg = spec.length(g)
             for s in sorted(self.unitaries):
                 prev = group.multiply(group.inverse(s), g)
                 if spec.length(prev) == lg - 1:
-                    w = self.unitaries[s] @ self.unitary(prev, spec)
-                    self._cache[g] = w
-                    return w
-            raise ValueError(f"no geodesic predecessor found for {g!r}")
-        return self._coordinate_unitary(g)
+                    break
+            else:
+                raise ValueError(f"no geodesic predecessor found for {g!r}")
+            steps.append((g, s))
+            g = prev
+            cached = self._cache.get(g)
+        w = cached
+        for g, s in reversed(steps):
+            w = self.unitaries[s] @ w
+            self._cache[g] = w
+        return w
 
     def _coordinate_unitary(self, g: Element) -> np.ndarray:
         group = self.group
-        if not group.is_abelian and group.kind != "finite_cyclic":
+        if not group.is_abelian:
             raise ValueError("non-abelian actions need a word-length function to extend along")
         w = np.eye(self.dim, dtype=complex)
         remaining = g
@@ -168,7 +180,7 @@ class ActionSpec:
             step = None
             for s in sorted(self.unitaries):
                 candidate = group.multiply(group.inverse(s), remaining)
-                if _coordinate_weight(group, candidate) < _coordinate_weight(group, remaining):
+                if group.law.weight(candidate) < group.law.weight(remaining):
                     step = s
                     remaining = candidate
                     break
@@ -202,7 +214,7 @@ class ActionSpec:
             for i, s in enumerate(gens):
                 for t in gens[i + 1:]:
                     pairs.append(((s, t), (t, s)))
-        if group.kind == "finite_cyclic":
+        if group.is_finite:
             n = group.torsion
             pairs.append(((gens[0],) * n, ()))
         for s in gens:
@@ -220,15 +232,6 @@ class ActionSpec:
             residual = float(np.max(np.abs(wl - scalar * wr)))
             reports.append((left, right, complex(scalar), residual))
         return reports
-
-
-def _coordinate_weight(group: GroupSpec, g: Element) -> int:
-    if group.kind == "finite_cyclic":
-        return min(g[0], group.torsion - g[0])
-    if group.kind == "free_abelian_times_cyclic":
-        r = min(g[-1], group.torsion - g[-1])
-        return sum(abs(c) for c in g[:-1]) + r
-    return sum(abs(c) for c in g)
 
 
 # ---------------------------------------------------------------------------
@@ -280,13 +283,6 @@ class CrossedElement:
     def map_coefficients(self, fn: Callable[[Element, np.ndarray], np.ndarray]) -> "CrossedElement":
         return CrossedElement.from_dict(self.group, {g: fn(g, a) for g, a in self.coeffs})
 
-    def translate_right(self, g: Element) -> "CrossedElement":
-        """x * lambda_g: support shifts, coefficients unchanged."""
-        group = self.group
-        return CrossedElement.from_dict(
-            group, {group.multiply(h, g): a for h, a in self.coeffs}
-        )
-
     def restrict(self, predicate: Callable[[Element], bool]) -> "CrossedElement":
         return CrossedElement.from_dict(
             self.group, {g: a for g, a in self.coeffs if predicate(g)}
@@ -333,14 +329,14 @@ class SubgroupSpec:
     @classmethod
     def multiples(cls, group: GroupSpec, n: int) -> "SubgroupSpec":
         """nZ inside Z."""
-        if group.kind != "free_abelian" or group.rank != 1:
+        if not group.is_free_abelian or group.rank != 1:
             raise ValueError("multiples(n) is defined on Z")
         return cls(f"{n}Z", group, lambda g: g[0] % n == 0, lambda g: g[0] % n)
 
     @classmethod
     def heisenberg_center(cls, group: GroupSpec) -> "SubgroupSpec":
         """The center <c> of H3, which is also its commutator subgroup."""
-        if group.kind != "heisenberg3":
+        if not group.is_heisenberg:
             raise ValueError("center subgroup is defined on the Heisenberg group")
         return cls("<c>", group,
                    lambda g: g[0] == 0 and g[1] == 0,

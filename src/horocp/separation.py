@@ -13,13 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .groups import (
-    Element,
-    FREE_ABELIAN,
-    FREE_ABELIAN_TIMES_CYCLIC,
-    GroupSpec,
-    LengthFunction,
-)
+from .groups import Element, GroupSpec, LengthFunction, rref
 from .horoboundary import SupportFunctional, facet_functionals, facets
 
 WITNESS_FACET_SPAN = "facet_span"
@@ -64,11 +58,7 @@ def sublinearity_witness(spec: LengthFunction, g: Element, horizon: int = 10_000
     group = spec.group
     if g == group.identity():
         raise ValueError("need a non-trivial element")
-    is_torsion = group.is_finite or (
-        group.kind == FREE_ABELIAN_TIMES_CYCLIC
-        and all(c == 0 for c in group.abelianization(g))
-    )
-    if is_torsion:
+    if group.is_torsion(g):
         raise ValueError(f"{g!r} is a torsion element; its cyclic subgroup is finite")
     samples = sorted({max(1, horizon // 2**k) for k in range(5)})
     ratios = []
@@ -109,8 +99,8 @@ def separation_certificate(group: GroupSpec, spec: LengthFunction) -> Separation
         return _table_certificate(group, spec)
     else:  # pragma: no cover
         raise ValueError(f"unsupported length kind {spec.kind}")
-    rank, basis = _rational_rank_with_basis([list(f.coefficients) for f in functionals])
-    return SeparationCertificate(group, functionals, rank, rank == m,
+    basis = _greedy_basis(functionals)
+    return SeparationCertificate(group, functionals, len(basis), len(basis) == m,
                                  WITNESS_FACET_SPAN, tuple(basis))
 
 
@@ -141,7 +131,7 @@ def _norm_functionals(group: GroupSpec, spec: LengthFunction):
 
 def _table_certificate(group: GroupSpec, spec: LengthFunction) -> SeparationCertificate:
     m = group.abelianization_rank
-    if group.kind != FREE_ABELIAN:
+    if not group.is_free_abelian:
         raise ValueError("table certificates are supported on free abelian groups only")
 
     # Failure first: a direction with sublinear growth kills separatedness.
@@ -159,8 +149,8 @@ def _table_certificate(group: GroupSpec, spec: LengthFunction) -> SeparationCert
     # restriction of its own stable norm and the hull of x/l(x) is exact.
     points = _homogeneous_unit_points(group, spec)
     functionals = facet_functionals(points, m)
-    rank, basis = _rational_rank_with_basis([list(f.coefficients) for f in functionals])
-    return SeparationCertificate(group, functionals, rank, rank == m,
+    basis = _greedy_basis(functionals)
+    return SeparationCertificate(group, functionals, len(basis), len(basis) == m,
                                  WITNESS_FACET_SPAN, tuple(basis))
 
 
@@ -216,33 +206,7 @@ def _homogeneous_unit_points(group: GroupSpec, spec: LengthFunction):
     return points
 
 
-def _rational_rank_with_basis(rows: list[list[Fraction]]):
-    """Rank by exact elimination plus indices of rows forming a full-rank block."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    chosen: list[int] = []
-    basis_rows: list[list[Fraction]] = []
-    for idx, row in enumerate(mat):
-        trial = basis_rows + [row]
-        if _row_rank(trial) == len(trial):
-            basis_rows.append(row)
-            chosen.append(idx)
-    return len(chosen), chosen
-
-
-def _row_rank(rows: list[list[Fraction]]) -> int:
-    mat = [list(r) for r in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        pv = mat[rank][col]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+def _greedy_basis(functionals) -> list[int]:
+    """Indices of the first functionals that are linearly independent, in order:
+    the pivot columns of the matrix whose columns are the functionals."""
+    return rref(list(zip(*(f.coefficients for f in functionals))))[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import BallTable, Element, GroupSpec, HEISENBERG3, LengthFunction
+from .groups import BallTable, Element, GroupSpec, LengthFunction
 from .horoboundary import SupportFunctional
 
 DEFAULT_HORIZON = 40
@@ -29,7 +29,7 @@ class StableNormResult:
 def _check_power_domain(group: GroupSpec, g: Element) -> None:
     if group.is_abelian:
         return
-    if group.kind == HEISENBERG3 and g[0] == 0 and g[1] == 0:
+    if group.is_heisenberg and g[0] == 0 and g[1] == 0:
         return
     raise ValueError("asymptotic lengths need an abelian group or a central Heisenberg element")
 

@@ -7,6 +7,7 @@ from horocp import (
     ActionSpec,
     CrossedElement,
     SubgroupSpec,
+    af_filtration,
     check_af_triple,
     check_cocycle,
     check_coefficient_bounds,
@@ -187,3 +188,19 @@ def test_default_suite_smoke():
     reports = default_suite(seed=0)
     failures = [r.name for r in reports if not r.passed]
     assert not failures, failures
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2, 2, 2), (4, 4, 4, 4), (3, 2, 5)])
+def test_af_projections_match_block_average_definition(orders):
+    filtration = af_filtration(orders)
+    total = filtration.dim
+    prev = np.zeros((total, total), dtype=complex)
+    for q, proj in zip(filtration.level_sizes, filtration.projections):
+        # P_q[x, y] = 1/(total/q) when x = y mod q: the averaging projection.
+        p = np.zeros((total, total), dtype=complex)
+        for x in range(total):
+            for y in range(total):
+                if x % q == y % q:
+                    p[x, y] = 1.0 / (total // q)
+        assert proj.dtype == p.dtype and np.array_equal(proj, p - prev)
+        prev = p

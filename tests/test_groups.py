@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from horocp import (
     BallCapError,
+    GroupMismatchError,
     GroupSpec,
     LengthFunction,
     NormSpec,
@@ -13,6 +15,7 @@ from horocp import (
     H3_B,
     H3_C,
     central_heisenberg_table,
+    hexagonal_generators,
 )
 
 
@@ -66,6 +69,15 @@ def test_group_axioms(data):
     assert g.multiply(a, e) == a and g.multiply(e, a) == a
     assert g.multiply(a, g.inverse(a)) == e
     assert g.inverse(g.inverse(a)) == a
+
+
+@pytest.mark.parametrize("group", [GroupSpec.free_abelian(2), GroupSpec.heisenberg3(),
+                                   GroupSpec.finite_cyclic(6),
+                                   GroupSpec.free_abelian_times_cyclic(1, 3)])
+def test_group_spec_pickles(group):
+    copy = pickle.loads(pickle.dumps(group))
+    assert copy == group and copy.multiply(group.generators[0], group.generators[-1]) \
+        == group.multiply(group.generators[0], group.generators[-1])
 
 
 def test_word_length_z2_matches_l1_oracle(len_z2):
@@ -175,3 +187,59 @@ def test_generator_validation():
         GroupSpec.free_abelian(2, generators=[(1, 0), (0, 1)])  # not symmetric
     with pytest.raises(ValueError):
         GroupSpec.free_abelian(1, generators=[(0,), (1,), (-1,)])  # identity listed
+
+
+def test_ball_cap_error_keeps_word_lengths_exact():
+    # A cap hit mid-expansion must not drop the rest of that vertex's neighbours.
+    spec = LengthFunction.word(GroupSpec.free_abelian(2), cap=50)
+    with pytest.raises(BallCapError):
+        spec.ball(10)
+    spec.cap = 10**6
+    assert spec.length((-5, 0)) == 5
+    for g in spec.ball(8):
+        assert spec.length(g) == abs(g[0]) + abs(g[1])
+
+
+@given(st.sampled_from([(GroupSpec.free_abelian(2), None),
+                        (GroupSpec.free_abelian(2), hexagonal_generators()),
+                        (GroupSpec.heisenberg3(), None),
+                        (GroupSpec.free_abelian_times_cyclic(1, 3), None),
+                        (GroupSpec.finite_cyclic(12), None)]),
+       st.integers(min_value=1, max_value=120), st.integers(min_value=1, max_value=7))
+@settings(max_examples=60, deadline=None)
+def test_lengths_after_cap_error_match_fresh_instance(case, cap, radius):
+    group, gens = case
+    spec = LengthFunction.word(group, gens, cap=cap)
+    try:
+        spec.ball(radius)
+    except BallCapError:
+        pass
+    spec.cap = 10**6
+    fresh = LengthFunction.word(group, gens).ball(radius)
+    resumed = spec.ball(radius)
+    assert resumed.elements == fresh.elements
+    assert dict(resumed.values) == dict(fresh.values)
+
+
+# For each kind: a wrong coordinate count, a non-integer coordinate, and an
+# out-of-range torsion residue where the kind has one.
+MISMATCHED = [
+    (GroupSpec.free_abelian(2), [(1, 2, 3), (1.0, 2), (1, "2")]),
+    (GroupSpec.free_abelian_times_cyclic(1, 3), [(1,), (1, 2, 0), (0.5, 1), (1, 3), (1, -1)]),
+    (GroupSpec.heisenberg3(), [(1, 2), (1, 2, 3, 4), (1, 2, 3.0)]),
+    (GroupSpec.finite_cyclic(6), [(), (1, 2), (2.0,), (6,), (-1,)]),
+]
+
+
+@pytest.mark.parametrize("group,bad", [(g, b) for g, bads in MISMATCHED for b in bads])
+def test_mismatched_elements_are_rejected(group, bad):
+    good = group.generators[0]
+    spec = LengthFunction.word(group)
+    with pytest.raises(GroupMismatchError):
+        group.multiply(bad, good)
+    with pytest.raises(GroupMismatchError):
+        group.multiply(good, bad)
+    with pytest.raises(GroupMismatchError):
+        group.inverse(bad)
+    with pytest.raises(GroupMismatchError):
+        spec.length(bad)

@@ -187,3 +187,11 @@ def test_lattice_direction_float():
     with pytest.raises(ValueError):
         RaySpec.lattice_direction_float(z2, [1 / math.sqrt(2), 1 / math.sqrt(2)],
                                         8, search_cap=3)
+
+
+def test_degenerate_normal_is_orthogonal_to_generators(z3):
+    gens = ((1, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1), (2, 2, 1), (-2, -2, -1))
+    with pytest.raises(DegeneratePolytopeError) as err:
+        facets(z3, generators=gens)
+    normal = err.value.normal
+    assert any(normal) and all(sum(a * b for a, b in zip(normal, g)) == 0 for g in gens)

@@ -308,3 +308,15 @@ def test_action_rejects_nonunitary(z1):
 def test_dim_cap(len_z2):
     with pytest.raises(ValueError):
         truncate(len_z2, 4, coeff_dim=5000)
+
+
+def test_unitary_along_long_geodesic_word(z1):
+    # l(g) = 1500 lies far inside the dense cap; the walk must not recurse per letter.
+    theta = 0.1
+    w = np.array([[np.exp(1j * theta)]])
+    action = ActionSpec(z1, {(1,): w, (-1,): w.conj()})
+    spec = LengthFunction.word(z1)
+    u = action.unitary((1500,), spec)
+    assert len(spec.ball(1500)) == 3001
+    assert abs(u[0, 0] - np.exp(1500j * theta)) < 1e-9
+    assert np.array_equal(u, w @ action.unitary((1499,), spec))

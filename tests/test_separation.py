@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from horocp import (
@@ -118,3 +119,18 @@ def test_finite_cyclic_trivially_separated():
     c4 = GroupSpec.finite_cyclic(4)
     cert = separation_certificate(c4, LengthFunction.word(c4))
     assert cert.separated and cert.rank == 0 and not cert.functionals
+
+
+@pytest.mark.parametrize("extra", [(), ((1, 1, 0),), ((1, 1, 0), (0, 1, 1), (1, 0, -1))])
+def test_basis_indices_are_the_greedy_independent_rows(extra):
+    group = GroupSpec.free_abelian(3)
+    gens = list(group.generators)
+    for v in extra:
+        gens += [v, tuple(-c for c in v)]
+    cert = separation_certificate(group, LengthFunction.word(group, gens))
+    rows = [[float(c) for c in f.coefficients] for f in cert.functionals]
+    greedy = []
+    for i, row in enumerate(rows):
+        if np.linalg.matrix_rank(np.array([rows[j] for j in greedy] + [row])) == len(greedy) + 1:
+            greedy.append(i)
+    assert list(cert.basis_indices) == greedy and cert.rank == 3
