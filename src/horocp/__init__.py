@@ -45,6 +45,8 @@ from .separation import (
 from .operators import (
     ActionSpec,
     CrossedElement,
+    DenseCapError,
+    NonzeroCapError,
     OpNormConvergenceError,
     SubgroupSpec,
     TruncatedHilbert,

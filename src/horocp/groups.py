@@ -478,6 +478,15 @@ class LengthFunction:
             self._queue: deque[Element] = deque([e])
             self._exhausted = False
             self._mult = group.law.product
+            # A generating set whose abelianization images span less than Q^m
+            # misses whole directions; elements off their span are refused
+            # before the BFS runs out along the ones it has.
+            self._span = None  # (generator images, their rank) when not full rank
+            if not group.is_finite:
+                rows = [group.abelianization(s) for s in self.generators]
+                rank = len(rref(rows)[1])
+                if rank < group.abelianization_rank:
+                    self._span = (rows, rank)
         elif kind == self.NORM:
             if not group.is_free_abelian:
                 raise ValueError("norm restrictions are supported on free abelian groups only")
@@ -522,6 +531,8 @@ class LengthFunction:
             dist = self._dist
             if g in dist:
                 return dist[g]
+            if self._span is not None and self._off_span(g):
+                raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
             while self._queue and g not in dist:
                 self._expand_one()
             if g not in dist:
@@ -533,6 +544,11 @@ class LengthFunction:
             return self.table[g]
         except KeyError:
             raise ValueError(f"element {g!r} is outside the tabulated domain") from None
+
+    def _off_span(self, g: Element) -> bool:
+        """p(g) lies outside the rational span of the generators' images."""
+        rows, rank = self._span
+        return len(rref(rows + [self.group.abelianization(g)])[1]) > rank
 
     def _expand_one(self):
         queue = self._queue

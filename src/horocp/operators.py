@@ -1,8 +1,16 @@
 """Truncated operators on H_A (x) l2(ball).
 
-Everything here is a dense complex matrix over a finite metric ball.  The
-basis is indexed by pairs (alpha, h) with alpha a coefficient-space index and
-h a ball element, alpha-major: flat index = alpha * N + ball_index(h).
+A truncated operator is block-sparse over a finite metric ball.  It holds a
+row-block index t and a column-block index j into the ball for each of its
+blocks (every pair at most once) and a stack of b*d x b*d complex blocks,
+where d is the coefficient dimension and b is 1, or 2 on the doubled space
+of a Dirac operator.  The basis is indexed by pairs (p, h) with p < b*d a
+(copy, coefficient) index and h a ball element, p-major: flat index =
+p * N + ball_index(h), so block k puts its entry [p, q] at
+(p * N + t_k, q * N + j_k).  Translations, coefficient multiplications and
+Dirac operators have a few blocks per column, so norms and commutators run
+on the blocks.  ``.matrix`` is a dense view, materialised on first use for
+the small-N checks and oracles and refused above DIM_CAP rows.
 
 Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
@@ -15,15 +23,30 @@ window is tracked explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .groups import BallTable, Element, GroupSpec, LengthFunction
 
-DIM_CAP = 20_000
+DIM_CAP = 20_000  # rows of a dense matrix (one complex 20,000^2 matrix is 6.4 GB)
+NONZERO_CAP = 20_000_000  # stored block entries of one operator (320 MB complex)
 HERMITIAN_TOL = 1e-12
+
+
+class DenseCapError(ValueError):
+    """A dense matrix would have more than DIM_CAP rows."""
+
+
+class NonzeroCapError(ValueError):
+    """A block-sparse operator would store more than NONZERO_CAP entries."""
+
+
+def _check_nonzeros(count: int) -> None:
+    if count > NONZERO_CAP:
+        raise NonzeroCapError(f"{count} stored entries exceed the nonzero cap {NONZERO_CAP}")
 
 
 class OpNormConvergenceError(RuntimeError):
@@ -46,8 +69,13 @@ class TruncatedHilbert:
     def __post_init__(self):
         if self.coeff_dim < 1:
             raise ValueError("coefficient dimension must be >= 1")
-        if self.dim > DIM_CAP:
-            raise ValueError(f"total dimension {self.dim} exceeds the dense cap {DIM_CAP}")
+        # the sparsest operators here (the identity, M_l) store one block per ball element
+        _check_nonzeros(self.n_ball * self.coeff_dim ** 2)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """Lengths of the ball elements, in ball order."""
+        return np.array([float(self.ball.values[h]) for h in self.ball.elements])
 
     @property
     def n_ball(self) -> int:
@@ -74,17 +102,58 @@ def truncate(spec: LengthFunction, radius: float, coeff_dim: int = 1) -> Truncat
     return TruncatedHilbert(spec.ball(radius), coeff_dim)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    matrix: np.ndarray
+    """Block-sparse operator on C^blocks (x) H (see the module docstring).
+
+    ``dense`` builds ``.matrix`` where scattering the blocks into zeros would
+    not reproduce its bits: the Dirac operators' Kronecker products carry
+    signed zeros off the block diagonal.
+    """
+
     hilbert: TruncatedHilbert
     provenance: str
+    rows: np.ndarray
+    cols: np.ndarray
+    data: np.ndarray
     window_radius: Optional[float] = None
     blocks: int = 1
+    dense: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
+
+    @property
+    def width(self) -> int:
+        """Side of one block, b*d."""
+        return self.blocks * self.hilbert.coeff_dim
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.blocks * self.hilbert.dim
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense view; DenseCapError above DIM_CAP rows."""
+        n = self.dim
+        if n > DIM_CAP:
+            raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
+        if self.dense is not None:
+            return self.dense()
+        mat = np.zeros((n, n), dtype=complex)
+        rows, cols = self._entry_indices()
+        mat[rows, cols] = self.data
+        return mat
+
+    def _entry_indices(self) -> tuple[np.ndarray, np.ndarray]:
+        """Dense row and column of every block entry, broadcastable to data."""
+        offsets = np.arange(self.width) * self.hilbert.n_ball
+        return (offsets[None, :, None] + self.rows[:, None, None],
+                offsets[None, None, :] + self.cols[:, None, None])
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of the nonzero scalar entries."""
+        rows, cols = (np.broadcast_to(i, self.data.shape).ravel() for i in self._entry_indices())
+        values = self.data.ravel()
+        keep = values != 0
+        return rows[keep], cols[keep], values[keep]
 
     def hermitian_residual(self) -> float:
         return float(np.max(np.abs(self.matrix - self.matrix.conj().T), initial=0.0))
@@ -172,11 +241,9 @@ class ActionSpec:
         w = np.eye(self.dim, dtype=complex)
         remaining = g
         e = group.identity()
-        guard = 0
+        # Each step strictly lowers the law's non-negative integer weight, so
+        # the walk ends after at most weight(g) steps.
         while remaining != e:
-            guard += 1
-            if guard > 10_000:
-                raise ValueError(f"could not express {g!r} through the action generators")
             step = None
             for s in sorted(self.unitaries):
                 candidate = group.multiply(group.inverse(s), remaining)
@@ -352,6 +419,13 @@ def conditional_expectation(x: CrossedElement, subgroup: SubgroupSpec) -> Crosse
 # Operator constructors.
 
 
+def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *, blocks: int = 1,
+                    dense: Optional[Callable[[], np.ndarray]] = None) -> TruncatedOperator:
+    idx = np.arange(H.n_ball)
+    return TruncatedOperator(H, provenance, idx, idx, data, window_radius=H.ball.radius,
+                             blocks=blocks, dense=dense)
+
+
 def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     """Compression of the translation lambda_g to the ball (partial isometry)."""
     group = H.group
@@ -359,120 +433,116 @@ def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
         raise ValueError(
             f"lambda({g}) is the zero operator at radius {H.ball.radius}: l(g) > 2R"
         )
-    n, d = H.n_ball, H.coeff_dim
-    mat = np.zeros((H.dim, H.dim), dtype=complex)
     index = H.ball.index
+    rows, cols = [], []
     for j, h in enumerate(H.ball.elements):
         target = index.get(group.multiply(g, h))
-        if target is None:
-            continue
-        for alpha in range(d):
-            mat[alpha * n + target, alpha * n + j] = 1.0
+        if target is not None:
+            rows.append(target)
+            cols.append(j)
+    data = np.repeat(np.eye(H.coeff_dim, dtype=complex)[np.newaxis], len(rows), axis=0)
     window = math.inf if H.exact else H.ball.radius - float(H.spec.length(g))
-    return TruncatedOperator(mat, H, f"lambda({g})", window_radius=window)
+    return TruncatedOperator(H, f"lambda({g})", np.array(rows, dtype=np.intp),
+                             np.array(cols, dtype=np.intp), data, window_radius=window)
 
 
 def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> TruncatedOperator:
     """Covariant coefficient representation: block pi(h^-1 . a) at each h."""
     a = np.atleast_2d(np.asarray(a, dtype=complex))
-    n, d = H.n_ball, H.coeff_dim
+    d = H.coeff_dim
     if a.shape != (d, d):
         raise ValueError(f"coefficient must be {d}x{d}")
-    mat = np.zeros((H.dim, H.dim), dtype=complex)
-    for j, h in enumerate(H.ball.elements):
-        block = action.act_inv(h, a, H.spec)
-        for alpha in range(d):
-            for beta in range(d):
-                mat[alpha * n + j, beta * n + j] = block[alpha, beta]
-    return TruncatedOperator(mat, H, "pi_tilde(a)", window_radius=H.ball.radius)
+    data = np.array([action.act_inv(h, a, H.spec) for h in H.ball.elements])
+    return _block_diagonal(H, data, "pi_tilde(a)")
+
+
+def _diagonal(H: TruncatedHilbert, values, provenance: str) -> TruncatedOperator:
+    """Multiplication by a function on the ball, times the identity on C^d."""
+    values = np.asarray(values, dtype=complex)
+    # eye * value is the product np.kron(eye, diag(values)) forms, zero signs included
+    data = np.eye(H.coeff_dim, dtype=complex)[np.newaxis] * values[:, np.newaxis, np.newaxis]
+    return _block_diagonal(H, data, provenance)
 
 
 def m_ell(H: TruncatedHilbert) -> TruncatedOperator:
     """Diagonal multiplication by the length."""
-    diag = np.array([float(H.ball.values[h]) for h in H.ball.elements], dtype=complex)
-    mat = np.kron(np.eye(H.coeff_dim, dtype=complex), np.diag(diag))
-    return TruncatedOperator(mat, H, "m_ell", window_radius=H.ball.radius)
+    return _diagonal(H, H.lengths, "m_ell")
 
 
 def m_phi(H: TruncatedHilbert, functional: Sequence[int]) -> TruncatedOperator:
     """Diagonal multiplication by an integer homomorphism of the abelianization."""
     vec = tuple(int(c) for c in functional)
     group = H.group
-    diag = np.array(
-        [float(sum(a * b for a, b in zip(vec, group.abelianization(h))))
-         for h in H.ball.elements],
-        dtype=complex,
-    )
-    mat = np.kron(np.eye(H.coeff_dim, dtype=complex), np.diag(diag))
-    return TruncatedOperator(mat, H, f"m_phi({vec})", window_radius=H.ball.radius)
+    values = [float(sum(a * b for a, b in zip(vec, group.abelianization(h))))
+              for h in H.ball.elements]
+    return _diagonal(H, values, f"m_phi({vec})")
 
 
 def m_phi_g(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     """Diagonal multiplication by phi_g(h) = l(h) - l(g^-1 h)."""
     group, spec = H.group, H.spec
     g_inv = group.inverse(g)
-    diag = np.array(
-        [float(spec.length(h)) - float(spec.length(group.multiply(g_inv, h)))
-         for h in H.ball.elements],
-        dtype=complex,
-    )
-    mat = np.kron(np.eye(H.coeff_dim, dtype=complex), np.diag(diag))
-    return TruncatedOperator(mat, H, f"m_phi_g({g})", window_radius=H.ball.radius)
+    values = [float(spec.length(h)) - float(spec.length(group.multiply(g_inv, h)))
+              for h in H.ball.elements]
+    return _diagonal(H, values, f"m_phi_g({g})")
 
 
-def realize(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec) -> TruncatedOperator:
-    """Matrix of sum_g pi_tilde(a_g) lambda_g on the truncated space."""
-    n, d = H.n_ball, H.coeff_dim
+def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec, provenance: str,
+                     weight: Optional[Callable[[Element, Element], float]] = None
+                     ) -> TruncatedOperator:
+    """sum_g (weight(g, gh)) pi_tilde(a_g) lambda_g, block (gh, h) per ball element h.
+
+    Blocks are accumulated into zeros in (term, ball) order, as a dense
+    build adding each term into a zero matrix would.
+    """
+    d = H.coeff_dim
     if x.coeffs and x.coeff_dim != d:
         raise ValueError(f"element coefficients are {x.coeff_dim}x{x.coeff_dim}, space wants {d}")
     r = x.support_radius(H.spec)
     if not H.exact and r > H.ball.radius:
         raise ValueError(f"support radius {r} exceeds ball radius {H.ball.radius}")
-    group = H.group
+    group, spec = H.group, H.spec
     index = H.ball.index
-    mat = np.zeros((H.dim, H.dim), dtype=complex)
+    slots: dict[tuple[int, int], int] = {}
+    terms = []
     for g, a in x.coeffs:
         for j, h in enumerate(H.ball.elements):
             gh = group.multiply(g, h)
             target = index.get(gh)
-            if target is None:
-                continue
-            block = action.act_inv(gh, a, H.spec)
-            for alpha in range(d):
-                for beta in range(d):
-                    mat[alpha * n + target, beta * n + j] += block[alpha, beta]
+            if target is not None:
+                terms.append((slots.setdefault((target, j), len(slots)), g, gh, a))
+    _check_nonzeros(len(slots) * d * d)
+    data = np.zeros((len(slots), d, d), dtype=complex)
+    for k, g, gh, a in terms:
+        block = action.act_inv(gh, a, spec)
+        data[k] += block if weight is None else weight(g, gh) * block
+    pairs = np.array(list(slots), dtype=np.intp).reshape(-1, 2)
     window = math.inf if H.exact else H.ball.radius - r
-    return TruncatedOperator(mat, H, "realize(x)", window_radius=window)
+    return TruncatedOperator(H, provenance, pairs[:, 0], pairs[:, 1], data, window_radius=window)
+
+
+def realize(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec) -> TruncatedOperator:
+    """Operator sum_g pi_tilde(a_g) lambda_g on the truncated space."""
+    return _translation_sum(x, H, action, "realize(x)")
 
 
 def realize_phi_twisted(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec
                         ) -> TruncatedOperator:
-    """Matrix of sum_g (1 (x) phi_g) pi_tilde(a_g) lambda_g."""
-    n, d = H.n_ball, H.coeff_dim
+    """Operator sum_g (1 (x) phi_g) pi_tilde(a_g) lambda_g."""
     group, spec = H.group, H.spec
-    index = H.ball.index
-    mat = np.zeros((H.dim, H.dim), dtype=complex)
-    for g, a in x.coeffs:
-        g_inv = group.inverse(g)
-        for j, h in enumerate(H.ball.elements):
-            gh = group.multiply(g, h)
-            target = index.get(gh)
-            if target is None:
-                continue
-            weight = float(spec.length(gh)) - float(spec.length(group.multiply(g_inv, gh)))
-            block = weight * action.act_inv(gh, a, H.spec)
-            for alpha in range(d):
-                for beta in range(d):
-                    mat[alpha * n + target, beta * n + j] += block[alpha, beta]
-    window = math.inf if H.exact else H.ball.radius - x.support_radius(H.spec)
-    return TruncatedOperator(mat, H, "realize((1(x)phi_g) a_g lambda_g)", window_radius=window)
+
+    def phi_g(g: Element, gh: Element) -> float:
+        return float(spec.length(gh)) - float(spec.length(group.multiply(group.inverse(g), gh)))
+
+    return _translation_sum(x, H, action, "realize((1(x)phi_g) a_g lambda_g)", weight=phi_g)
 
 
 def coset_compress(T: np.ndarray, H: TruncatedHilbert, subgroup: SubgroupSpec) -> np.ndarray:
     """Matrix-level E_H: zero every entry joining different right cosets of H."""
-    keys = [subgroup.coset_key(h) for h in H.ball.elements]
-    n = H.n_ball
-    mask = np.array([[keys[i] == keys[j] for j in range(n)] for i in range(n)], dtype=float)
+    codes: dict[Hashable, int] = {}
+    keys = np.array([codes.setdefault(subgroup.coset_key(h), len(codes))
+                     for h in H.ball.elements])
+    mask = (keys[:, np.newaxis] == keys[np.newaxis, :]).astype(float)
     full = np.tile(mask, (H.coeff_dim, H.coeff_dim))
     return np.asarray(T) * full
 
@@ -481,36 +551,62 @@ def coset_compress(T: np.ndarray, H: TruncatedHilbert, subgroup: SubgroupSpec) -
 # Dirac operators.
 
 
+def _kron_dirac(H: TruncatedHilbert, c: np.ndarray, g: np.ndarray, provenance: str,
+                dense: Callable[[], np.ndarray]) -> TruncatedOperator:
+    """D = C (x) 1_N + G (x) M_l on C^{2d} (x) l2(ball): block C + l(h) G at (h, h)."""
+    _check_nonzeros(H.n_ball * c.size)
+    data = c[np.newaxis] + H.lengths[:, np.newaxis, np.newaxis] * g[np.newaxis]
+    return _block_diagonal(H, data, provenance, blocks=2, dense=dense)
+
+
 def even_dirac(H: TruncatedHilbert, d_a: np.ndarray) -> TruncatedOperator:
-    """Off-diagonal block form on H (+) H: corner blocks D_A (x) 1 -/+ i (x) M_l."""
+    """Off-diagonal block form on H (+) H: corner blocks D_A (x) 1 -/+ i (x) M_l.
+
+    C = [[0, D_A], [D_A, 0]] and G = [[0, -i], [i, 0]] (x) I_d.
+    """
     d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
     if np.max(np.abs(d_a - d_a.conj().T), initial=0.0) > HERMITIAN_TOL:
         raise ValueError("even construction needs a hermitian coefficient operator")
     if d_a.shape != (H.coeff_dim, H.coeff_dim):
         raise ValueError("coefficient Dirac block has the wrong shape")
-    a = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
-    b = m_ell(H).matrix
-    dim = H.dim
-    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mat[:dim, dim:] = a - 1j * b
-    mat[dim:, :dim] = a + 1j * b
-    return TruncatedOperator(mat, H, "even_dirac", window_radius=H.ball.radius, blocks=2)
+    zero, eye = np.zeros_like(d_a), np.eye(H.coeff_dim, dtype=complex)
+
+    def dense() -> np.ndarray:
+        a = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
+        b = m_ell(H).matrix
+        dim = H.dim
+        mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        mat[:dim, dim:] = a - 1j * b
+        mat[dim:, :dim] = a + 1j * b
+        return mat
+
+    return _kron_dirac(H, np.block([[zero, d_a], [d_a, zero]]),
+                       np.block([[zero, -1j * eye], [1j * eye, zero]]), "even_dirac", dense)
 
 
 def odd_dirac(H: TruncatedHilbert, d_a_block: np.ndarray) -> TruncatedOperator:
-    """Graded form: diag blocks +/- 1 (x) M_l, off-diagonal D_A (x) 1 and its adjoint."""
+    """Graded form: diag blocks +/- 1 (x) M_l, off-diagonal D_A (x) 1 and its adjoint.
+
+    C = [[0, K], [K*, 0]] and G = diag(I_d, -I_d).
+    """
     d_a_block = np.atleast_2d(np.asarray(d_a_block, dtype=complex))
     if d_a_block.shape != (H.coeff_dim, H.coeff_dim):
         raise ValueError("coefficient Dirac block has the wrong shape")
-    k = np.kron(d_a_block, np.eye(H.n_ball, dtype=complex))
-    b = m_ell(H).matrix
-    dim = H.dim
-    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mat[:dim, :dim] = b
-    mat[dim:, dim:] = -b
-    mat[:dim, dim:] = k
-    mat[dim:, :dim] = k.conj().T
-    return TruncatedOperator(mat, H, "odd_dirac", window_radius=H.ball.radius, blocks=2)
+    zero, eye = np.zeros_like(d_a_block), np.eye(H.coeff_dim, dtype=complex)
+
+    def dense() -> np.ndarray:
+        k = np.kron(d_a_block, np.eye(H.n_ball, dtype=complex))
+        b = m_ell(H).matrix
+        dim = H.dim
+        mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+        mat[:dim, :dim] = b
+        mat[dim:, dim:] = -b
+        mat[:dim, dim:] = k
+        mat[dim:, :dim] = k.conj().T
+        return mat
+
+    return _kron_dirac(H, np.block([[zero, d_a_block], [d_a_block.conj().T, zero]]),
+                       np.block([[eye, zero], [zero, -eye]]), "odd_dirac", dense)
 
 
 def doubled(T: np.ndarray) -> np.ndarray:
@@ -526,6 +622,22 @@ def doubled(T: np.ndarray) -> np.ndarray:
 # Norms.
 
 
+def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
+    """Row-sorted entries plus the start of each nonempty row."""
+    order = np.argsort(rows, kind="stable")
+    rows, cols, values = rows[order], cols[order], values[order]
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    return rows[starts], starts, cols, values
+
+
+def _csr_apply(csr, v: np.ndarray, n: int) -> np.ndarray:
+    targets, starts, cols, values = csr
+    out = np.zeros((n,) + v.shape[1:], dtype=complex)
+    prod = values.reshape((-1,) + (1,) * (v.ndim - 1)) * v[cols]
+    out[targets] = np.add.reduceat(prod, starts, axis=0)
+    return out
+
+
 def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
     """Largest singular value by block power iteration on T*T.
 
@@ -534,28 +646,51 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
     fails to converge.  The small block keeps clustered leading singular
     values from stalling the iteration.  Values computed from compressions of
     a fixed element are monotone non-decreasing in the ball radius.
+
+    A TruncatedOperator is applied through its nonzero entries; a dense
+    array (DenseCapError above DIM_CAP rows) through matrix products.
     """
-    a = T.matrix if isinstance(T, TruncatedOperator) else np.asarray(T, dtype=complex)
-    n = a.shape[0]
-    if n == 0:
-        return 0.0
-    if n == 1:
-        return float(abs(a[0, 0]))
-    magnitudes = np.abs(a)
-    peak = float(np.max(magnitudes))
-    if peak == 0.0:
-        return 0.0
-    nonzero = magnitudes != 0.0
-    if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
-        # weighted partial permutation: singular values are exactly the entries
-        return peak
-    ah = a.conj().T
+    if isinstance(T, TruncatedOperator):
+        n = T.dim
+        rows, cols, values = T.entries()
+        if values.size == 0:
+            return 0.0
+        peak = float(np.max(np.abs(values)))
+        if np.max(np.bincount(rows)) <= 1 and np.max(np.bincount(cols)) <= 1:
+            # weighted partial permutation: singular values are exactly the entries
+            return peak
+        forward, adjoint = _csr(rows, cols, values), _csr(cols, rows, values.conj())
+
+        def gram(v: np.ndarray) -> np.ndarray:
+            return _csr_apply(adjoint, _csr_apply(forward, v, n), n)
+    else:
+        a = np.asarray(T, dtype=complex)
+        n = a.shape[0]
+        if n > DIM_CAP:
+            raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
+        if n == 0:
+            return 0.0
+        if n == 1:
+            return float(abs(a[0, 0]))
+        magnitudes = np.abs(a)
+        peak = float(np.max(magnitudes))
+        if peak == 0.0:
+            return 0.0
+        nonzero = magnitudes != 0.0
+        if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
+            # weighted partial permutation: singular values are exactly the entries
+            return peak
+        ah = a.conj().T
+
+        def gram(v: np.ndarray) -> np.ndarray:
+            return ah @ (a @ v)
+
     block = min(4, n)
     if max_iter is None:
         max_iter = max(50_000, 100 * n)
 
     def top_ritz(v: np.ndarray):
-        w = ah @ (a @ v)
+        w = gram(v)
         h = v.conj().T @ w
         h = (h + h.conj().T) / 2
         vals, vecs = np.linalg.eigh(h)
@@ -592,13 +727,13 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
                     converged = True
                 lam_checkpoint = lam_new
             if converged:
-                resid = float(np.linalg.norm(ah @ (a @ top_vec) - lam_new * top_vec))
+                resid = float(np.linalg.norm(gram(top_vec) - lam_new * top_vec))
                 return lam_new, resid, it
             v, _ = np.linalg.qr(w)
             prev_delta = delta
             lam = lam_new
         _, lam_new, top_vec = top_ritz(v)
-        resid = float(np.linalg.norm(ah @ (a @ top_vec) - lam_new * top_vec))
+        resid = float(np.linalg.norm(gram(top_vec) - lam_new * top_vec))
         return None, resid, max_iter
 
     start = np.zeros((n, block), dtype=complex)
@@ -643,44 +778,74 @@ def cauchy_gap_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
 
 def window_column_mask(H: TruncatedHilbert, window_radius: float, blocks: int = 1) -> np.ndarray:
     """Boolean mask of columns indexed by ball elements inside the window."""
-    keep = np.array([float(H.ball.values[h]) <= window_radius for h in H.ball.elements])
-    per_block = np.tile(keep, H.coeff_dim)
+    per_block = np.tile(H.lengths <= window_radius, H.coeff_dim)
     return np.tile(per_block, blocks)
+
+
+def _from_dense(H: TruncatedHilbert, mat) -> TruncatedOperator:
+    """Block pairs of a dense operator on C^b (x) H, b = rows / dim H."""
+    mat = np.asarray(mat, dtype=complex)
+    n, dim = H.n_ball, H.dim
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % dim:
+        raise ValueError("operand and Dirac operator live on different spaces")
+    width = mat.shape[0] // n
+    grid = mat.reshape(width, n, width, n).transpose(1, 3, 0, 2)
+    rows, cols = np.nonzero(np.any(grid != 0, axis=(2, 3)))
+    return TruncatedOperator(H, "dense operand", rows, cols, grid[rows, cols],
+                             blocks=mat.shape[0] // dim)
 
 
 def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec] = None,
                        tol: float = 1e-10) -> tuple[float, float]:
     """Certified lower bound for ||[D, x]|| plus the exactness window radius.
 
-    The commutator columns outside the radius-(R - r) window are zeroed before
-    the norm is taken, so the value never exceeds the untruncated seminorm.
-    Accepts a CrossedElement (realized on the Dirac operator's space) or an
-    already-realized TruncatedOperator.
+    The commutator blocks in columns outside the radius-(R - r) window are
+    dropped before the norm is taken, so the value never exceeds the
+    untruncated seminorm.  Accepts a CrossedElement (realized on the Dirac
+    operator's space), an already-realized TruncatedOperator, or a dense
+    matrix (converted to block pairs).  The Dirac operator must be block
+    diagonal over the ball, D = sum_h D_h (x) e_hh, as M_l and the even and
+    odd Dirac operators C (x) 1 + G (x) M_l are; block (t, j) of the
+    commutator is D_t X_tj - X_tj D_j.
     """
     H = dirac.hilbert
     if isinstance(x, CrossedElement):
         if action is None:
             raise ValueError("realizing a crossed element needs an action")
         support_radius = x.support_radius(H.spec)
-        base = realize(x, H, action).matrix
+        base = realize(x, H, action)
     else:
-        base = x.matrix if isinstance(x, TruncatedOperator) else np.asarray(x, dtype=complex)
+        base = x if isinstance(x, TruncatedOperator) else _from_dense(H, x)
         support_radius = 0.0
         if isinstance(x, TruncatedOperator) and x.window_radius is not None \
                 and not math.isinf(x.window_radius):
             support_radius = H.ball.radius - x.window_radius
-    operand = doubled(base) if dirac.blocks == 2 and base.shape[0] == H.dim else base
-    if operand.shape != dirac.matrix.shape:
+    if not np.array_equal(dirac.rows, dirac.cols):
+        raise ValueError("the Dirac operator must be block diagonal over the ball")
+    doubling = dirac.blocks == 2 and base.blocks == 1
+    if base.hilbert.n_ball != H.n_ball or base.width * (2 if doubling else 1) != dirac.width:
         raise ValueError("operand and Dirac operator live on different spaces")
-    comm = dirac.matrix @ operand - operand @ dirac.matrix
     if H.exact:
-        return op_norm(comm, tol=tol), math.inf
-    window = H.ball.radius - support_radius
-    if window < 0:
-        raise ValueError("exactness window is empty: support radius exceeds ball radius")
-    mask = window_column_mask(H, window, blocks=dirac.blocks)
-    comm = comm * mask[np.newaxis, :]
-    return op_norm(comm, tol=tol), window
+        window = math.inf
+        keep = slice(None)
+    else:
+        window = H.ball.radius - support_radius
+        if window < 0:
+            raise ValueError("exactness window is empty: support radius exceeds ball radius")
+        keep = H.lengths[base.cols] <= window
+    rows, cols, blocks = base.rows[keep], base.cols[keep], base.data[keep]
+    _check_nonzeros(len(rows) * dirac.width ** 2)
+    if doubling:
+        # x (+) x: block I_2 (x) X
+        w = base.width
+        single, blocks = blocks, np.zeros((len(rows), 2 * w, 2 * w), dtype=complex)
+        blocks[:, :w, :w] = single
+        blocks[:, w:, w:] = single
+    diag = np.zeros((H.n_ball, dirac.width, dirac.width), dtype=complex)
+    diag[dirac.rows] = dirac.data
+    comm = diag[rows] @ blocks - blocks @ diag[cols]
+    return op_norm(TruncatedOperator(H, "[D, x]", rows, cols, comm, window_radius=window,
+                                     blocks=dirac.blocks), tol=tol), window
 
 
 # ---------------------------------------------------------------------------

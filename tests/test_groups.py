@@ -1,5 +1,6 @@
 import math
 import pickle
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -243,3 +244,16 @@ def test_mismatched_elements_are_rejected(group, bad):
         group.inverse(bad)
     with pytest.raises(GroupMismatchError):
         spec.length(bad)
+
+
+def test_element_off_the_generators_span_is_refused_at_once():
+    # (0, 1) is not in the rational span of the images of (+-1, 0): the length
+    # refuses it before growing the BFS along the x-axis.
+    spec = LengthFunction.word(GroupSpec.free_abelian(2), [(1, 0), (-1, 0)])
+    assert spec.length((3, 0)) == 3
+    cache = dict(spec._dist)
+    started = time.perf_counter()
+    with pytest.raises(GroupMismatchError, match="not generated"):
+        spec.length((0, 1))
+    assert time.perf_counter() - started < 0.1
+    assert spec._dist == cache

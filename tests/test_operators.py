@@ -22,11 +22,19 @@ from horocp import (
     m_phi_g,
     odd_dirac,
     op_norm,
+    pi_tilde,
     realize,
     shift_matrix,
     truncate,
 )
-from horocp.operators import doubled, realize_phi_twisted
+from horocp.operators import (
+    DIM_CAP,
+    DenseCapError,
+    NonzeroCapError,
+    doubled,
+    realize_phi_twisted,
+    window_column_mask,
+)
 
 
 def svd_norm(mat):
@@ -320,3 +328,264 @@ def test_unitary_along_long_geodesic_word(z1):
     assert len(spec.ball(1500)) == 3001
     assert abs(u[0, 0] - np.exp(1500j * theta)) < 1e-9
     assert np.array_equal(u, w @ action.unitary((1499,), spec))
+
+
+def test_coordinate_unitary_has_no_step_limit(z1):
+    # Without a length function the walk reduces the coordinate weight one
+    # generator at a time; 10,001 steps must not hit a step guard.
+    w = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]) @ np.diag([1, 1j])
+    action = ActionSpec(z1, {(1,): w, (-1,): w.conj().T})
+    u = action.unitary((10001,))
+    assert np.max(np.abs(u - np.linalg.matrix_power(w, 10001))) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Block-sparse operators against dense loop builds.  The reference builders
+# below are the dense constructions the block-sparse ones replaced; the dense
+# views must match them bit for bit, signed zeros included.
+
+
+def loop_lambda(H, g):
+    n, d = H.n_ball, H.coeff_dim
+    mat = np.zeros((H.dim, H.dim), dtype=complex)
+    for j, h in enumerate(H.ball.elements):
+        target = H.ball.index.get(H.group.multiply(g, h))
+        if target is None:
+            continue
+        for alpha in range(d):
+            mat[alpha * n + target, alpha * n + j] = 1.0
+    return mat
+
+
+def loop_pi_tilde(H, action, a):
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    n, d = H.n_ball, H.coeff_dim
+    mat = np.zeros((H.dim, H.dim), dtype=complex)
+    for j, h in enumerate(H.ball.elements):
+        block = action.act_inv(h, a, H.spec)
+        for alpha in range(d):
+            for beta in range(d):
+                mat[alpha * n + j, beta * n + j] = block[alpha, beta]
+    return mat
+
+
+def loop_diagonal(H, values):
+    return np.kron(np.eye(H.coeff_dim, dtype=complex), np.diag(np.array(values, dtype=complex)))
+
+
+def loop_realize(x, H, action, twisted=False):
+    n, d = H.n_ball, H.coeff_dim
+    group, spec = H.group, H.spec
+    mat = np.zeros((H.dim, H.dim), dtype=complex)
+    for g, a in x.coeffs:
+        g_inv = group.inverse(g)
+        for j, h in enumerate(H.ball.elements):
+            gh = group.multiply(g, h)
+            target = H.ball.index.get(gh)
+            if target is None:
+                continue
+            block = action.act_inv(gh, a, spec)
+            if twisted:
+                weight = float(spec.length(gh)) - float(spec.length(group.multiply(g_inv, gh)))
+                block = weight * block
+            for alpha in range(d):
+                for beta in range(d):
+                    mat[alpha * n + target, beta * n + j] += block[alpha, beta]
+    return mat
+
+
+def loop_even_dirac(H, d_a):
+    d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
+    a = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
+    b = loop_diagonal(H, [float(H.ball.values[h]) for h in H.ball.elements])
+    dim = H.dim
+    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    mat[:dim, dim:] = a - 1j * b
+    mat[dim:, :dim] = a + 1j * b
+    return mat
+
+
+def loop_odd_dirac(H, k_a):
+    k = np.kron(np.atleast_2d(np.asarray(k_a, dtype=complex)), np.eye(H.n_ball, dtype=complex))
+    b = loop_diagonal(H, [float(H.ball.values[h]) for h in H.ball.elements])
+    dim = H.dim
+    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    mat[:dim, :dim] = b
+    mat[dim:, dim:] = -b
+    mat[:dim, dim:] = k
+    mat[dim:, :dim] = k.conj().T
+    return mat
+
+
+def loop_coset_compress(T, H, subgroup):
+    keys = [subgroup.coset_key(h) for h in H.ball.elements]
+    n = H.n_ball
+    mask = np.array([[keys[i] == keys[j] for j in range(n)] for i in range(n)], dtype=float)
+    return np.asarray(T) * np.tile(mask, (H.coeff_dim, H.coeff_dim))
+
+
+def dense_commutator(x_mat, dirac, window):
+    """[D, x (+) x] from dense products, columns outside the window zeroed."""
+    H = dirac.hilbert
+    op = doubled(x_mat) if dirac.blocks == 2 else x_mat
+    comm = dirac.matrix @ op - op @ dirac.matrix
+    if not math.isinf(window):
+        comm = comm * window_column_mask(H, window, dirac.blocks)[np.newaxis, :]
+    return comm
+
+
+def diagonal_action(group, d, rng):
+    gens = {}
+    for s in group.generators:
+        if s not in gens:
+            phases = np.exp(2j * np.pi * rng.random(d))
+            gens[s] = np.diag(phases)
+            gens[group.inverse(s)] = np.diag(phases.conj())
+    return ActionSpec(group, gens)
+
+
+# (name, group, ball radius, support radius); C5 at infinite radius is exact
+EQUIVALENCE_GROUPS = [
+    ("Z1", GroupSpec.free_abelian(1), 7, 2),
+    ("Z2", GroupSpec.free_abelian(2), 4, 2),
+    ("H3", GroupSpec.heisenberg3(), 3, 1),
+    ("C5", GroupSpec.finite_cyclic(5), math.inf, 2),
+    ("C7", GroupSpec.finite_cyclic(7), 2, 1),
+]
+
+
+def equivalence_cases():
+    for gi, (name, group, radius, support) in enumerate(EQUIVALENCE_GROUPS):
+        for d in (1, 2, 3):
+            for trivial in (True, False):
+                yield pytest.param(gi, d, trivial, id=f"{name}-d{d}-{'trivial' if trivial else 'diagonal'}")
+
+
+def equivalence_setup(gi, d, trivial):
+    name, group, radius, support = EQUIVALENCE_GROUPS[gi]
+    rng = np.random.default_rng([gi, d, trivial])
+    spec = LengthFunction.word(group)
+    action = ActionSpec.trivial(group, d) if trivial else diagonal_action(group, d, rng)
+    ball = spec.ball(support)
+    picks = rng.choice(len(ball), size=min(3, len(ball)), replace=False)
+    # real parts of either sign and exact zeros exercise the signed zeros
+    x = CrossedElement.from_dict(group, {
+        ball.elements[int(i)]: np.round(rng.normal(size=(d, d)), 1)
+        + 1j * np.round(rng.normal(size=(d, d)), 1) * (k % 2)
+        for k, i in enumerate(picks)})
+    return rng, spec, action, x, truncate(spec, radius, d)
+
+
+@pytest.mark.parametrize("gi,d,trivial", list(equivalence_cases()))
+def test_dense_views_match_loop_builds(gi, d, trivial):
+    rng, spec, action, x, H = equivalence_setup(gi, d, trivial)
+    group = H.group
+    g = x.support[-1]
+    a = rng.normal(size=(d, d)) - 1j * rng.normal(size=(d, d))
+    d_a = rng.normal(size=(d, d))
+    d_a = d_a + d_a.T
+    k_a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    functional = (1, -2) if group.abelianization_rank >= 2 else (-1,) * group.abelianization_rank
+    lengths = [float(H.ball.values[h]) for h in H.ball.elements]
+    phi_values = [float(sum(c * v for c, v in zip(functional, group.abelianization(h))))
+                  for h in H.ball.elements]
+    phi_g_values = [float(spec.length(h)) - float(spec.length(group.multiply(group.inverse(g), h)))
+                    for h in H.ball.elements]
+    pairs = [
+        (lambda_op(H, g), loop_lambda(H, g)),
+        (pi_tilde(H, action, a), loop_pi_tilde(H, action, a)),
+        (m_ell(H), loop_diagonal(H, lengths)),
+        (m_phi(H, functional), loop_diagonal(H, phi_values)),
+        (m_phi_g(H, g), loop_diagonal(H, phi_g_values)),
+        (realize(x, H, action), loop_realize(x, H, action)),
+        (realize_phi_twisted(x, H, action), loop_realize(x, H, action, twisted=True)),
+        (even_dirac(H, d_a), loop_even_dirac(H, d_a)),
+        (odd_dirac(H, k_a), loop_odd_dirac(H, k_a)),
+    ]
+    for op, ref in pairs:
+        assert op.matrix.tobytes() == ref.tobytes(), op.provenance
+    if group.is_free_abelian and group.rank == 1:
+        subgroup = SubgroupSpec.multiples(group, 2)
+    elif group.is_heisenberg:
+        subgroup = SubgroupSpec.heisenberg_center(group)
+    else:
+        subgroup = SubgroupSpec.kernel_of(group, functional, modulus=3 if functional else None)
+    x_mat = realize(x, H, action).matrix
+    assert coset_compress(x_mat, H, subgroup).tobytes() == \
+        loop_coset_compress(x_mat, H, subgroup).tobytes()
+
+
+@pytest.mark.parametrize("gi,d,trivial", list(equivalence_cases()))
+def test_structured_norms_match_dense(gi, d, trivial):
+    rng, spec, action, x, H = equivalence_setup(gi, d, trivial)
+    x_op = realize(x, H, action)
+    d_a = rng.normal(size=(d, d))
+    d_a = d_a + d_a.T
+    diracs = [m_ell(H), even_dirac(H, d_a), odd_dirac(H, rng.normal(size=(d, d)))]
+    norms = [(op_norm(x_op), x_op.matrix)]
+    for dirac in diracs:
+        support = x.support_radius(spec)
+        windowed = [(x, support)] if H.exact else [(x, support), (x_op, support),
+                                                   (x_op.matrix, 0.0)]
+        for operand, r in windowed:
+            value, window = lipschitz_seminorm(operand, dirac, action)
+            expected_window = math.inf if H.exact else H.ball.radius - r
+            assert window == expected_window
+            norms.append((value, dense_commutator(x_op.matrix, dirac, window)))
+    radius = 2.0 if H.exact else H.ball.radius
+    norms.append((element_norm(x, spec, action, radius),
+                  realize(x, truncate(spec, radius, d), action).matrix))
+    for value, dense in norms:
+        lapack = float(np.linalg.norm(dense, 2))
+        dense_path = op_norm(dense)
+        # a certified lower bound, and the dense path's number within its tolerance
+        assert value <= lapack * (1 + 1e-12) + 1e-300
+        assert abs(value - dense_path) <= 1e-9 * max(dense_path, 1e-300)
+
+
+def test_lipschitz_seminorm_allocates_no_dense_matrix(len_z2, z2):
+    import tracemalloc
+
+    rng = np.random.default_rng(5)
+    ball = len_z2.ball(3)
+    x = CrossedElement.from_dict(z2, {
+        ball.elements[int(i)]: [[complex(rng.normal(), rng.normal())]]
+        for i in rng.choice(len(ball), size=5, replace=False)})
+    act = ActionSpec.trivial(z2, 1)
+    H = truncate(len_z2, 16)
+    dirac = even_dirac(H, [[1.0]])
+    tracemalloc.start()
+    try:
+        value, window = lipschitz_seminorm(x, dirac, act)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value > 0 and window == 13.0
+    assert peak < 16 * dirac.dim ** 2  # one dense 2N x 2N complex matrix
+
+
+def test_element_norm_beyond_dense_cap(len_z2, z2):
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
+    a = np.array([[1.0, 2.0 - 1j], [0.5j, -1.5]])
+    x = CrossedElement.from_dict(z2, {(1, 0): a})
+    act = ActionSpec.trivial(z2, 2)
+    H = truncate(len_z2, 110, coeff_dim=2)
+    assert H.n_ball == 24_421 and H.dim > DIM_CAP
+    value = element_norm(x, len_z2, act, 110)
+    op = realize(x, H, act)
+    rows, cols, vals = op.entries()
+    mat = sp.csr_matrix((vals, (rows, cols)), shape=(op.dim, op.dim))
+    gram = spla.LinearOperator(mat.shape, matvec=lambda v: mat.conj().T @ (mat @ v), dtype=complex)
+    lam = spla.eigsh(gram, k=1, which="LA", tol=0, ncv=20,
+                     v0=np.ones(op.dim, dtype=complex), return_eigenvectors=False)[0]
+    assert value == pytest.approx(math.sqrt(lam), rel=1e-12)
+    assert value == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+    with pytest.raises(DenseCapError):
+        op.matrix
+
+
+def test_structured_operators_respect_nonzero_cap(len_z2):
+    with pytest.raises(NonzeroCapError):
+        truncate(len_z2, 4, coeff_dim=5000)
