@@ -16,16 +16,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .aftriple import af_filtration
 from .groups import Element, GroupSpec, LengthFunction
-from .horoboundary import cocycle_defect
+from .horoboundary import cocycle_defect, phi
 from .operators import (
+    DIM_CAP,
     ActionSpec,
     CrossedElement,
+    DenseCapError,
     SubgroupSpec,
     clock_matrix,
     coset_compress,
@@ -92,13 +94,21 @@ def random_crossed(rng: np.random.Generator, spec: LengthFunction, support_radiu
 
 
 def random_diagonal_action(rng: np.random.Generator, group: GroupSpec, dim: int) -> ActionSpec:
-    """Random commuting (diagonal-phase) action; exact on abelian relators."""
+    """Random commuting (diagonal-phase) action; exact on abelian relators.
+
+    A generator s of finite order m gets m-th roots of unity, so W_s^m = 1
+    and the phases define an action of the torsion part too.
+    """
     unitaries = {}
     done = set()
     for s in group.generators:
         if s in done:
             continue
-        w = np.diag(np.exp(2j * np.pi * rng.random(dim)))
+        turns = rng.random(dim)
+        if group.is_torsion(s):
+            m = group.torsion // math.gcd(s[-1], group.torsion)
+            turns = np.floor(m * turns) / m
+        w = np.diag(np.exp(2j * np.pi * turns))
         unitaries[s] = w
         inv = group.inverse(s)
         unitaries[inv] = w.conj().T
@@ -329,7 +339,8 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
 
     Checks U pi~(a) U* = pi(a) (x) 1, U nu~(f) U* = 1 (x) nu(f), and
     U lambda~_g U* = lambda_g (x) lambda_g on the interior window of the
-    doubled truncation.
+    doubled truncation.  The doubled space is dense: DenseCapError above
+    DIM_CAP rows, before anything is allocated.
     """
     group = spec.group
     d = action.dim
@@ -337,6 +348,8 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
     n = H.n_ball
     dn = H.dim
     dim = dn * n  # doubled space (H_A (x) l2(ball)) (x) l2(ball)
+    if dim > DIM_CAP:
+        raise DenseCapError(f"dense dimension {dim} exceeds the dense cap {DIM_CAP}")
     f_values = np.asarray(f_values, dtype=complex)
     if f_values.shape != (n,):
         raise ValueError("f must list one value per ball element")
@@ -598,89 +611,152 @@ def check_length_axioms(spec: LengthFunction, radius: float,
 
 
 # ---------------------------------------------------------------------------
-# Default suite.
+# Check families.  One instance generator per family feeds both default_suite
+# and `horocp verify <family>`; instance k of a family draws from the random
+# stream default_rng([seed, stream]) in order.
+
+
+@dataclass(frozen=True)
+class CheckParams:
+    """Instance parameters; the `verify` flags of the same names default to these."""
+
+    radius: float = 8.0
+    count: int = 10
+    support_radius: float = 3.0
+    pairs: int = 100
+    pair_radius: float = 4.0
+
+
+def _axioms(rng, seed, spec, p, k):
+    return check_length_axioms(spec, p.radius)
+
+
+def _cocycle(rng, seed, spec, p, k):
+    ball = spec.ball(p.pair_radius)
+    pairs = []
+    for _ in range(p.pairs):
+        i, j = rng.integers(0, len(ball), size=2)
+        pairs.append((ball.elements[int(i)], ball.elements[int(j)]))
+    return check_cocycle(spec, pairs, p.radius)
+
+
+def _commutator(rng, seed, spec, p, k):
+    d = 1 + k % 3
+    x = random_crossed(rng, spec, p.support_radius, coeff_dim=d, terms=3)
+    action = random_diagonal_action(rng, spec.group, d)
+    return check_commutator_identity(x, spec, action, radius=p.radius)
+
+
+def _conditional_expectation(rng, seed, spec, p, k):
+    group = spec.group
+    if group.is_free_abelian and group.rank == 1:
+        sub = SubgroupSpec.multiples(group, 2)
+    else:
+        sub = SubgroupSpec.kernel_of(group, (1,) + (0,) * (group.abelianization_rank - 1))
+    x = random_crossed(rng, spec, p.support_radius, coeff_dim=2, terms=4)
+    ball = spec.ball(2.0)
+    g = ball.elements[int(rng.integers(0, len(ball)))]
+    d_a = random_hermitian(rng, 2)
+    action = random_diagonal_action(rng, group, 2)
+    return check_conditional_expectation(x, g, sub, d_a, spec, action)
+
+
+def _tail_bound(rng, seed, spec, p, k):
+    # functionals e_1..e_m and the all-ones vector, cycled with N = 1, 2, 3
+    m = spec.group.abelianization_rank
+    functionals = list(dict.fromkeys(
+        [tuple(int(i == j) for j in range(m)) for i in range(m)] + [(1,) * m]))
+    x = random_crossed(rng, spec, p.support_radius, coeff_dim=1, terms=5)
+    n_cut = 1 + k % 3
+    shift = 0.0 if k % 2 == 0 else min(n_cut, max(-n_cut, float(k % 5 - 2) / 2))
+    return check_tail_bound(x, functionals[k % len(functionals)], shift, n_cut, spec,
+                            ActionSpec.trivial(spec.group, 1), radius=p.radius)
+
+
+def _conjugation(rng, seed, spec, p, k):
+    # f = phi_s for the first generator s
+    group = spec.group
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    action = random_diagonal_action(rng, group, 2)
+    ball = spec.ball(p.radius)
+    phi_s = phi(group.generators[0], ball, spec)
+    g = ball.elements[int(rng.integers(1, len(ball)))]
+    return check_unitary_conjugation(a, [float(phi_s(h)) for h in ball.elements], g,
+                                     spec, action, radius=p.radius)
+
+
+def _nctorus(rng, seed, spec, p, k):
+    return check_nctorus_equicontinuity(1, (3, 5, 8)[k], spec, radius=p.radius)
+
+
+def _af_triple(rng, seed, spec, p, k):
+    return check_af_triple([2, 2, 2, 2, 2], [0, 1, 2, 3, 4, 5], seed=seed)
+
+
+def _coefficient_bounds(rng, seed, spec, p, k):
+    x = random_crossed(rng, spec, p.support_radius, coeff_dim=2, terms=3)
+    ball = spec.ball(2.0)
+    g = ball.elements[int(rng.integers(0, len(ball)))]
+    d_a = random_hermitian(rng, 2)
+    action = random_diagonal_action(rng, spec.group, 2)
+    return check_coefficient_bounds(x, g, d_a, spec, action)
+
+
+@dataclass(frozen=True)
+class CheckFamily:
+    """instance(rng, seed, spec, params, k) builds and runs instance k."""
+
+    instance: Callable[..., CheckReport]
+    stream: int = 0  # 0: the family draws nothing
+    size: Optional[int] = None  # instances per run; None takes params.count
+    group: Optional[GroupSpec] = None  # fixed group, for families not run over --group
+
+
+CHECK_FAMILIES = {
+    "axioms": CheckFamily(_axioms, size=1),
+    "cocycle": CheckFamily(_cocycle, stream=1, size=1),
+    "commutator": CheckFamily(_commutator, stream=2),
+    "conditional-expectation": CheckFamily(_conditional_expectation, stream=3),
+    "tail-bound": CheckFamily(_tail_bound, stream=4),
+    "conjugation": CheckFamily(_conjugation, stream=5),
+    "nctorus": CheckFamily(_nctorus, size=3, group=GroupSpec.free_abelian(1)),
+    "af-triple": CheckFamily(_af_triple, size=1, group=GroupSpec.free_abelian(1)),
+    "coefficient-bounds": CheckFamily(_coefficient_bounds, stream=6),
+}
+
+
+def run_family(name: str, seed: int,
+               runs: Sequence[tuple[Sequence[LengthFunction], CheckParams]]) -> list[CheckReport]:
+    """Instances of one family over runs that share one random stream.
+
+    Each run is (length functions, params); instance k, counted across the
+    runs, uses the length functions in turn: specs[k % len(specs)].
+    """
+    family = CHECK_FAMILIES[name]
+    rng = np.random.default_rng([seed, family.stream])
+    reports = []
+    for specs, params in runs:
+        for _ in range(family.size or params.count):
+            k = len(reports)
+            reports.append(family.instance(rng, seed, specs[k % len(specs)], params, k))
+    return reports
 
 
 def default_suite(seed: int = 0) -> list[CheckReport]:
-    """Every check at its documented default parameters; the core regression run."""
-    reports = []
-    z1 = GroupSpec.free_abelian(1)
-    z2 = GroupSpec.free_abelian(2)
-    h3 = GroupSpec.heisenberg3()
-    len_z1 = LengthFunction.word(z1)
-    len_z2 = LengthFunction.word(z2)
-    len_h3 = LengthFunction.word(h3)
-
-    reports.append(check_length_axioms(len_z1, 10))
-    reports.append(check_length_axioms(len_z2, 8))
-    reports.append(check_length_axioms(len_h3, 6))
-
-    rng = np.random.default_rng([seed, 1])
-    for spec, radius, pair_radius in ((len_z2, 10.0, 4.0), (len_h3, 8.0, 3.0)):
-        ball = spec.ball(pair_radius)
-        pairs = []
-        for _ in range(100):
-            i, j = rng.integers(0, len(ball), size=2)
-            pairs.append((ball.elements[int(i)], ball.elements[int(j)]))
-        reports.append(check_cocycle(spec, pairs, radius))
-
-    rng = np.random.default_rng([seed, 2])
-    for idx in range(20):
-        spec = (len_z1, len_z2)[idx % 2]
-        d = 1 + idx % 3
-        x = random_crossed(rng, spec, 2.0, coeff_dim=d, terms=3)
-        action = random_diagonal_action(rng, spec.group, d)
-        reports.append(check_commutator_identity(x, spec, action, radius=6.0))
-
-    rng = np.random.default_rng([seed, 3])
-    for idx in range(20):
-        if idx % 2 == 0:
-            spec, sub = len_z1, SubgroupSpec.multiples(z1, 2)
-        else:
-            spec, sub = len_z2, SubgroupSpec.kernel_of(z2, (1, 0))
-        x = random_crossed(rng, spec, 3.0, coeff_dim=2, terms=4)
-        ball = spec.ball(2.0)
-        g = ball.elements[int(rng.integers(0, len(ball)))]
-        d_a = random_hermitian(rng, 2)
-        action = random_diagonal_action(rng, spec.group, 2)
-        reports.append(check_conditional_expectation(x, g, sub, d_a, spec, action))
-
-    rng = np.random.default_rng([seed, 4])
-    functionals = ((1, 0), (0, 1), (1, 1))
-    for idx in range(12):
-        x = random_crossed(rng, len_z2, 4.0, coeff_dim=1, terms=5)
-        n_cut = 1 + idx % 3
-        vec = functionals[idx % 3]
-        if idx % 2 == 0:
-            shift = 0.0
-        else:
-            shift = min(n_cut, max(-n_cut, float(idx % 5 - 2) / 2))
-        reports.append(check_tail_bound(x, vec, shift, n_cut, len_z2,
-                                        ActionSpec.trivial(z2, 1), radius=8.0))
-
-    rng = np.random.default_rng([seed, 5])
-    for _ in range(10):
-        d = 2
-        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        action = random_diagonal_action(rng, z1, d)
-        ball = len_z1.ball(4.0)
-        f_vals = [float(len_z1.length(h)) - float(len_z1.length((h[0] - 1,)))
-                  for h in ball.elements]
-        g = ball.elements[int(rng.integers(1, len(ball)))]
-        reports.append(check_unitary_conjugation(a, f_vals, g, len_z1, action, radius=4.0))
-
-    for q in (3, 5, 8):
-        reports.append(check_nctorus_equicontinuity(1, q, len_z1, radius=20.0))
-
-    reports.append(check_af_triple([2, 2, 2, 2, 2], [0, 1, 2, 3, 4, 5], seed=seed))
-
-    rng = np.random.default_rng([seed, 6])
-    for _ in range(10):
-        x = random_crossed(rng, len_z1, 3.0, coeff_dim=2, terms=3)
-        ball = len_z1.ball(2.0)
-        g = ball.elements[int(rng.integers(0, len(ball)))]
-        d_a = random_hermitian(rng, 2)
-        action = random_diagonal_action(rng, z1, 2)
-        reports.append(check_coefficient_bounds(x, g, d_a, len_z1, action))
-
-    return reports
+    """Every check family at its documented default parameters; the core regression run."""
+    z1, z2, h3 = (LengthFunction.word(group) for group in (
+        GroupSpec.free_abelian(1), GroupSpec.free_abelian(2), GroupSpec.heisenberg3()))
+    P = CheckParams
+    plan = {
+        "axioms": [((z1,), P(radius=10)), ((z2,), P(radius=8)), ((h3,), P(radius=6))],
+        "cocycle": [((z2,), P(radius=10.0, pair_radius=4.0)),
+                    ((h3,), P(radius=8.0, pair_radius=3.0))],
+        "commutator": [((z1, z2), P(count=20, support_radius=2.0, radius=6.0))],
+        "conditional-expectation": [((z1, z2), P(count=20, support_radius=3.0))],
+        "tail-bound": [((z2,), P(count=12, support_radius=4.0, radius=8.0))],
+        "conjugation": [((z1,), P(count=10, radius=4.0))],
+        "nctorus": [((z1,), P(radius=20.0))],
+        "af-triple": [((z1,), P())],
+        "coefficient-bounds": [((z1,), P(count=10, support_radius=3.0))],
+    }
+    return [r for name, runs in plan.items() for r in run_family(name, seed, runs)]

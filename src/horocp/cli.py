@@ -15,25 +15,19 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 
 from . import __version__
 from .checks import (
+    CHECK_FAMILIES,
+    CheckParams,
     check_af_triple,
-    check_cocycle,
-    check_coefficient_bounds,
-    check_commutator_identity,
-    check_conditional_expectation,
-    check_length_axioms,
     check_nctorus_equicontinuity,
-    check_tail_bound,
-    check_unitary_conjugation,
     default_suite,
-    random_crossed,
-    random_diagonal_action,
-    random_hermitian,
+    run_family,
 )
 from .groups import (
     BallCapError,
@@ -51,7 +45,6 @@ from .horoboundary import (
     check_ray_geodesic,
     facets,
 )
-from .operators import ActionSpec, SubgroupSpec
 from .quantum_metric import StateSpec, cyclic_triple, mk_brute_force, mk_distance
 from .separation import separation_certificate
 from .stable_norm import asymptotic_length, stable_norm_dual
@@ -186,37 +179,37 @@ def build_length(group: GroupSpec, args) -> LengthFunction:
     return LengthFunction.word(group, gens, cap=cap)
 
 
-def apply_config(args, argv):
-    """KEY=VALUE fallbacks; any flag given explicitly on the command line wins."""
-    path = getattr(args, "config", None)
-    if not path:
-        return args
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {line!r} is not KEY=VALUE")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
-    given = {token.split("=", 1)[0] for token in argv if token.startswith("--")}
-    for key, value in values.items():
-        if not hasattr(args, key):
-            raise UsageError(f"config key {key!r} matches no flag")
-        if "--" + key.replace("_", "-") in given:
+def apply_config(parser: argparse.ArgumentParser, argv) -> None:
+    """KEY=VALUE fallbacks, installed as the subcommand's flag defaults before
+    parsing: a config file can supply a required flag, each value goes through
+    its flag's own type, and any flag given on the command line wins."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    command = parser.commands.get(argv[0]) if argv else None
+    if not path or command is None:
+        return
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.dest != "help"}
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        command.error(f"cannot read config file: {exc}")
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
             continue
-        current = getattr(args, key)
-        if isinstance(current, bool):
-            setattr(args, key, value.lower() in ("1", "true", "yes"))
-        elif isinstance(current, int):
-            setattr(args, key, int(value))
-        elif isinstance(current, float):
-            setattr(args, key, float(value))
-        else:
-            setattr(args, key, value)
-    return args
+        if "=" not in line:
+            command.error(f"config line {line!r} is not KEY=VALUE")
+        key, _, value = line.partition("=")
+        action = flags.get(key.strip().replace("-", "_"))
+        if action is None:
+            command.error(f"config key {key.strip()!r} matches no flag")
+        value = value.strip()
+        if action.nargs == 0:  # a switch such as --brute-force
+            value = value.lower() in ("1", "true", "yes")
+        # argparse converts a string default with the flag's type
+        action.default, action.required = value, False
 
 
 # ---------------------------------------------------------------------------
@@ -380,102 +373,16 @@ def cmd_mk_distance(args):
     return result, {"iterations": result_obj.iterations}, 0
 
 
-CHECK_NAMES = (
-    "all", "axioms", "cocycle", "commutator", "conditional-expectation",
-    "tail-bound", "conjugation", "nctorus", "af-triple", "coefficient-bounds",
-)
+CHECK_NAMES = ("all",) + tuple(CHECK_FAMILIES)
 
 
 def cmd_verify(args):
-    seed = args.seed
     if args.check == "all":
-        reports = default_suite(seed=seed)
-    elif args.check == "axioms":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        reports = [check_length_axioms(spec, args.radius)]
-    elif args.check == "cocycle":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 1])
-        ball = spec.ball(args.pair_radius)
-        pairs = []
-        for _ in range(args.pairs):
-            i, j = rng.integers(0, len(ball), size=2)
-            pairs.append((ball.elements[int(i)], ball.elements[int(j)]))
-        reports = [check_cocycle(spec, pairs, args.radius)]
-    elif args.check == "commutator":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 2])
-        reports = []
-        for idx in range(args.count):
-            d = 1 + idx % 3
-            x = random_crossed(rng, spec, args.support_radius, coeff_dim=d, terms=3)
-            action = random_diagonal_action(rng, group, d)
-            reports.append(check_commutator_identity(x, spec, action, radius=args.radius))
-    elif args.check == "conditional-expectation":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 3])
-        if group.is_free_abelian and group.rank == 1:
-            sub = SubgroupSpec.multiples(group, 2)
-        else:
-            sub = SubgroupSpec.kernel_of(group, (1,) + (0,) * (group.abelianization_rank - 1))
-        reports = []
-        for _ in range(args.count):
-            x = random_crossed(rng, spec, args.support_radius, coeff_dim=2, terms=4)
-            ball = spec.ball(2.0)
-            g = ball.elements[int(rng.integers(0, len(ball)))]
-            action = random_diagonal_action(rng, group, 2)
-            reports.append(check_conditional_expectation(
-                x, g, sub, random_hermitian(rng, 2), spec, action))
-    elif args.check == "tail-bound":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 4])
-        m = group.abelianization_rank
-        reports = []
-        for idx in range(args.count):
-            x = random_crossed(rng, spec, args.support_radius, coeff_dim=1, terms=5)
-            vec = tuple(1 if k == idx % m else 0 for k in range(m))
-            reports.append(check_tail_bound(
-                x, vec, 0.0, 1 + idx % 3, spec, ActionSpec.trivial(group, 1),
-                radius=args.radius))
-    elif args.check == "conjugation":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 5])
-        reports = []
-        ball = spec.ball(args.radius)
-        for _ in range(args.count):
-            d = 2
-            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-            action = random_diagonal_action(rng, group, d)
-            f_vals = [float(spec.length(h)) for h in ball.elements]
-            g = ball.elements[int(rng.integers(1, len(ball)))]
-            reports.append(check_unitary_conjugation(a, f_vals, g, spec, action,
-                                                     radius=args.radius))
-    elif args.check == "nctorus":
-        spec = LengthFunction.word(GroupSpec.free_abelian(1), cap=args.cap)
-        reports = [check_nctorus_equicontinuity(1, q, spec, radius=args.radius)
-                   for q in (3, 5, 8)]
-    elif args.check == "af-triple":
-        reports = [check_af_triple([2, 2, 2, 2, 2], [0, 1, 2, 3, 4, 5], seed=seed)]
-    elif args.check == "coefficient-bounds":
-        group = parse_group(args.group)
-        spec = build_length(group, args)
-        rng = np.random.default_rng([seed, 6])
-        reports = []
-        for _ in range(args.count):
-            x = random_crossed(rng, spec, args.support_radius, coeff_dim=2, terms=3)
-            ball = spec.ball(2.0)
-            g = ball.elements[int(rng.integers(0, len(ball)))]
-            action = random_diagonal_action(rng, group, 2)
-            reports.append(check_coefficient_bounds(x, g, random_hermitian(rng, 2),
-                                                    spec, action))
+        reports = default_suite(seed=args.seed)
     else:
-        raise UsageError(f"unknown check {args.check!r}; choose from {CHECK_NAMES}")
+        group = CHECK_FAMILIES[args.check].group or parse_group(args.group)
+        params = CheckParams(**{f.name: getattr(args, f.name) for f in fields(CheckParams)})
+        reports = run_family(args.check, args.seed, [((build_length(group, args),), params)])
     failures = [r.name for r in reports if not r.passed]
     for r in reports:
         marker = "pass" if r.passed else "FAIL"
@@ -500,6 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"horocp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, group_default=None):
         p.add_argument("--group", default=group_default)
@@ -551,11 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a named check or the whole suite")
     p.add_argument("check", choices=CHECK_NAMES)
     common(p, "Z2")
-    p.add_argument("--radius", type=float, default=8.0)
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--pair-radius", dest="pair_radius", type=float, default=4.0)
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--support-radius", dest="support_radius", type=float, default=3.0)
+    defaults = CheckParams()
+    p.add_argument("--radius", type=float, default=defaults.radius)
+    p.add_argument("--pairs", type=int, default=defaults.pairs)
+    p.add_argument("--pair-radius", dest="pair_radius", type=float, default=defaults.pair_radius)
+    p.add_argument("--count", type=int, default=defaults.count)
+    p.add_argument("--support-radius", dest="support_radius", type=float,
+                   default=defaults.support_radius)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("nctorus", help="clock-shift relation and equicontinuity bound")
@@ -592,11 +502,11 @@ def run(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
+        apply_config(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        args = apply_config(args, argv)
         result, diagnostics, code = args.fn(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from horocp import (
     ActionSpec,
     CrossedElement,
+    GroupSpec,
     SubgroupSpec,
     af_filtration,
     check_af_triple,
@@ -23,6 +25,12 @@ from horocp import (
     tail_series_factor,
 )
 from horocp.checks import random_crossed, random_diagonal_action, random_hermitian
+from horocp.cli import render_json, run
+
+
+@pytest.fixture(scope="module")
+def suite0():
+    return default_suite(seed=0)
 
 
 def test_commutator_identity_trivial_cases(len_z1, z1):
@@ -184,8 +192,8 @@ def test_reports_reproducible(len_z2, z2):
     assert build() == build()
 
 
-def test_default_suite_smoke():
-    reports = default_suite(seed=0)
+def test_default_suite_smoke(suite0):
+    reports = suite0
     failures = [r.name for r in reports if not r.passed]
     assert not failures, failures
 
@@ -204,3 +212,33 @@ def test_af_projections_match_block_average_definition(orders):
                     p[x, y] = 1.0 / (total // q)
         assert proj.dtype == p.dtype and np.array_equal(proj, p - prev)
         prev = p
+
+
+@pytest.mark.parametrize("argv, first, stop", [
+    ("axioms --group Z --radius 10", 0, 1),
+    ("cocycle --group Z2 --radius 10 --pair-radius 4", 3, 4),
+    ("commutator --group Z --count 1 --support-radius 2 --radius 6", 5, 6),
+    ("conditional-expectation --group Z --count 1 --support-radius 3", 25, 26),
+    ("tail-bound --group Z2 --count 2 --support-radius 4 --radius 8", 45, 47),
+    ("conjugation --group Z --count 2 --radius 4", 57, 59),
+    ("coefficient-bounds --group Z --count 2 --support-radius 3", 71, 73),
+    ("af-triple", 70, 71),
+])
+def test_verify_family_matches_suite_slice(suite0, capsys, argv, first, stop):
+    # `verify <family>` and default_suite run the same instance generator
+    code = run(["verify"] + argv.split())
+    checks = json.loads(capsys.readouterr().out)["result"]["checks"]
+    assert code == 0
+    assert checks == json.loads(render_json([r.to_dict() for r in suite0[first:stop]]))
+
+
+@pytest.mark.parametrize("group", [GroupSpec.finite_cyclic(6), GroupSpec.finite_cyclic(2),
+                                   GroupSpec.free_abelian_times_cyclic(2, 3)])
+def test_random_diagonal_action_respects_torsion(group):
+    # every torsion generator of these standard generating sets has order n
+    action = random_diagonal_action(np.random.default_rng(5), group, 3)
+    torsion = [s for s in group.generators if group.is_torsion(s)]
+    assert torsion
+    for s in torsion:
+        w = np.linalg.matrix_power(action.unitary(s), group.torsion)
+        assert np.max(np.abs(w - np.eye(3))) < 1e-12

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -138,6 +139,20 @@ def test_config_file(capsys, tmp_path):
     assert json.loads(out)["result"]["count"] == 6
 
 
+def test_config_supplies_required_flag(capsys, tmp_path):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("radius=3\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "group-ball", "--config", str(cfg))
+    assert code == 0
+    assert json.loads(out)["result"]["size"] == 25
+    code, out, _ = run_cli(capsys, "group-ball", "--config", str(cfg), "--radius", "1")
+    assert code == 0
+    assert json.loads(out)["result"]["size"] == 5  # the explicit flag wins
+    cfg.write_text("radius=3\nbogus=1\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "group-ball", "--config", str(cfg))
+    assert code == 2 and "bogus" in err
+
+
 def test_output_file(tmp_path, capsys):
     out_path = tmp_path / "res.json"
     code = run(["facets", "--group", "Z2", "--output", str(out_path)])
@@ -153,3 +168,22 @@ def test_verify_single_checks_deterministic(capsys):
                              "--count", "3", "--seed", "5")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--group", "C6", "--count", "2"),
+    ("--group", "Z2xC3", "--count", "1", "--radius", "2"),
+])
+def test_verify_conjugation_on_torsion_groups(capsys, argv):
+    code, out, _ = run_cli(capsys, "verify", "conjugation", *argv)
+    assert code == 0
+    assert json.loads(out)["result"]["passed"] is True
+
+
+def test_verify_conjugation_dense_cap(capsys):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "conjugation", "--group", "H3",
+                             "--radius", "4", "--count", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == "" and "error: dense dimension" in err
