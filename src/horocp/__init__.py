@@ -4,6 +4,7 @@ separatedness certificates, and truncated crossed-product operators."""
 from .groups import (
     BallCapError,
     BallTable,
+    CoordinateOverflowError,
     DEFAULT_BALL_CAP,
     GroupMismatchError,
     GroupSpec,

@@ -45,6 +45,10 @@ from .operators import (
 
 EQUALITY_TOL = 1e-12
 SLACK_TOL = 1e-9
+# Dense matrices of the doubled space alive at once in check_unitary_conjugation:
+# u, u*, pi_a, nu_f, lam_gg and the three right-hand sides, plus the two
+# products of one residual.
+CONJUGATION_DENSE_MATRICES = 10
 
 
 @dataclass(frozen=True)
@@ -133,13 +137,16 @@ def check_commutator_identity(x: CrossedElement, spec: LengthFunction, action: A
     r = x.support_radius(spec)
     if not H.exact and H.ball.radius - r < 1:
         raise ValueError("window needs radius - support_radius >= 1")
-    x_mat = realize(x, H, action).matrix
-    mell = m_ell(H).matrix
-    lhs = mell @ x_mat - x_mat @ mell
-    rhs = realize_phi_twisted(x, H, action).matrix
+    x_op = realize(x, H, action)
+    rhs = realize_phi_twisted(x, H, action)  # the same block pairs as x_op
     window = math.inf if H.exact else H.ball.radius - r
-    mask = window_column_mask(H, window)
-    residual = _max_abs((lhs - rhs)[:, mask.astype(bool)])
+    lengths = H.lengths
+    keep = lengths[x_op.cols] <= window
+    rows, cols, blocks = x_op.rows[keep], x_op.cols[keep], x_op.data[keep]
+    # block (t, j) of [1 (x) M_l, x] is l_t X_tj - X_tj l_j
+    lhs = (lengths[rows][:, np.newaxis, np.newaxis] * blocks
+           - blocks * lengths[cols][:, np.newaxis, np.newaxis])
+    residual = _max_abs(lhs - rhs.data[keep])
     return CheckReport(
         name="commutator-identity",
         statement="[1 (x) M_l, sum a_g lambda_g] = sum (1 (x) phi_g) a_g lambda_g",
@@ -339,8 +346,10 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
 
     Checks U pi~(a) U* = pi(a) (x) 1, U nu~(f) U* = 1 (x) nu(f), and
     U lambda~_g U* = lambda_g (x) lambda_g on the interior window of the
-    doubled truncation.  The doubled space is dense: DenseCapError above
-    DIM_CAP rows, before anything is allocated.
+    doubled truncation.  The doubled space is dense, and the check holds
+    CONJUGATION_DENSE_MATRICES dim x dim matrices at once: DenseCapError,
+    before anything is allocated, when they would take more than the bytes
+    of one DIM_CAP-row matrix.
     """
     group = spec.group
     d = action.dim
@@ -348,8 +357,10 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
     n = H.n_ball
     dn = H.dim
     dim = dn * n  # doubled space (H_A (x) l2(ball)) (x) l2(ball)
-    if dim > DIM_CAP:
-        raise DenseCapError(f"dense dimension {dim} exceeds the dense cap {DIM_CAP}")
+    if CONJUGATION_DENSE_MATRICES * dim ** 2 > DIM_CAP ** 2:
+        raise DenseCapError(
+            f"dense dimension {dim}: {CONJUGATION_DENSE_MATRICES} complex {dim}x{dim} matrices "
+            f"exceed the bytes of one {DIM_CAP}-row matrix (the dense cap)")
     f_values = np.asarray(f_values, dtype=complex)
     if f_values.shape != (n,):
         raise ValueError("f must list one value per ball element")
@@ -369,23 +380,19 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
     index = H.ball.index
     lam_g_small = lam_blocks[index[g]] if g in index else lambda_op(H, g).matrix
     eye_dn = np.eye(dn, dtype=complex)
-    for k, h in enumerate(H.ball.elements):
-        target = index.get(group.multiply(g, h))
-        if target is None:
-            continue
-        lam_gg[target::n, k::n] = eye_dn
+    targets = H.ball.translate(g)
+    moved = np.flatnonzero(targets >= 0)
+    for k in moved:
+        lam_gg[targets[k]::n, k::n] = eye_dn
 
     rhs_pi = np.kron(pi_tilde(H, action, a).matrix, np.eye(n, dtype=complex))
     rhs_nu = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
     shift_n = np.zeros((n, n), dtype=complex)
-    for k, h in enumerate(H.ball.elements):
-        target = index.get(group.multiply(g, h))
-        if target is not None:
-            shift_n[target, k] = 1.0
+    shift_n[targets[moved], moved] = 1.0
     rhs_lam = np.kron(lam_g_small, shift_n)
 
     lg = float(spec.length(g))
-    ball_vals = np.array([float(H.ball.values[h]) for h in H.ball.elements])
+    ball_vals = H.lengths
     pair_ok = ball_vals[:, None] + ball_vals[None, :] <= H.ball.radius  # (h, k)
     pair_ok_g = ball_vals[:, None] + ball_vals[None, :] <= H.ball.radius - lg
     col_mask = np.tile(pair_ok, (d, 1)).reshape(dim)

@@ -17,10 +17,16 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Optional, Sequence
 
+import numpy as np
+
 DEFAULT_BALL_CAP = 5_000_000
+# Largest |coordinate| in the int64 arrays of ball translation: a Heisenberg
+# product z + z' + x y' of two such elements stays below 2**63.
+COORD_LIMIT = 2**31 - 1
 
 FREE_ABELIAN = "free_abelian"
 FREE_ABELIAN_TIMES_CYCLIC = "free_abelian_times_cyclic"
@@ -38,6 +44,10 @@ class GroupMismatchError(ValueError):
     """An element is not in canonical form for the group it was used with."""
 
 
+class CoordinateOverflowError(ValueError):
+    """Coordinates or ball keys would not fit the int64 arrays of ball translation."""
+
+
 # Standard Heisenberg generators and the central commutator a^-1 b^-1 a b.
 H3_A = (1, 0, 0)
 H3_B = (0, 1, 0)
@@ -47,10 +57,12 @@ H3_C = (0, 0, 1)
 # ---------------------------------------------------------------------------
 # Group laws: one object per kind holds all of that kind's arithmetic.  A new
 # kind supplies identity, fits and shape_error (the element check), product,
-# inverse, abelianization, abelianization_rank and, where the default
-# sum |c_i| is wrong, weight.  Each function closes over rank and torsion, and
-# product is the raw product that both GroupSpec.multiply (after checking its
-# operands) and the BFS in LengthFunction call.
+# inverse, abelianization, abelianization_rank, translate and, where the
+# default sum |c_i| is wrong, weight.  Each function closes over rank and
+# torsion, and product is the raw product that both GroupSpec.multiply (after
+# checking its operands) and the BFS in LengthFunction call.  translate(g, h)
+# is the same product vectorised over the rows of an int64 array h: the left
+# translates g h of a ball's coordinates (BallTable.translate).
 
 # isinstance(c, int) without a generator frame per element: element checks
 # run on every validated product and length lookup.
@@ -92,6 +104,7 @@ class _FreeAbelian(_Law):
         self.product = _LATTICE_SUMS.get(rank, lambda a, b: tuple(x + y for x, y in zip(a, b)))
         self.inverse = lambda g: tuple(-x for x in g)
         self.abelianization = lambda g: g
+        self.translate = lambda g, h: h + g
 
 
 class _FreeAbelianTimesCyclic(_Law):
@@ -109,6 +122,13 @@ class _FreeAbelianTimesCyclic(_Law):
         self.abelianization = lambda g: g[:-1]
         self.weight = lambda g: sum(abs(c) for c in g[:-1]) + min(g[-1], n - g[-1])
 
+        def translate(g, h):
+            out = h + g
+            out[:, -1] %= n
+            return out
+
+        self.translate = translate
+
 
 class _Heisenberg(_Law):
     """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x*y')."""
@@ -123,6 +143,13 @@ class _Heisenberg(_Law):
         self.product = lambda a, b: (a[0] + b[0], a[1] + b[1], a[2] + b[2] + a[0] * b[1])
         self.inverse = lambda g: (-g[0], -g[1], g[0] * g[1] - g[2])
         self.abelianization = lambda g: (g[0], g[1])
+
+        def translate(g, h):
+            out = h + g
+            out[:, 2] += g[0] * h[:, 1]
+            return out
+
+        self.translate = translate
 
 
 class _FiniteCyclic(_Law):
@@ -140,6 +167,7 @@ class _FiniteCyclic(_Law):
         self.inverse = lambda g: ((-g[0]) % n,)
         self.abelianization = lambda g: ()
         self.weight = lambda g: min(g[0], n - g[0])
+        self.translate = lambda g, h: (h + g) % n
 
 
 _LAWS = {
@@ -431,6 +459,59 @@ class BallTable:
 
     def __contains__(self, g: Element) -> bool:
         return g in self.index
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """int64 coordinates of the elements, one row each, in ball order."""
+        return _int64_coordinates(self.elements, self.group)
+
+    @cached_property
+    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(low corner, high corner, strides, sorted keys, ball index of each key).
+
+        A key is the mixed-radix position of an element in the ball's
+        bounding box, exact in int64 or refused.
+        """
+        coords = self.coords
+        lo, hi = coords.min(axis=0), coords.max(axis=0)
+        strides, size = [], 1
+        for span in reversed((hi - lo + 1).tolist()):
+            strides.append(size)
+            size *= span
+        if size > np.iinfo(np.int64).max:
+            raise CoordinateOverflowError(
+                f"ball bounding box of {size} points does not fit int64 keys")
+        strides = np.array(strides[::-1], dtype=np.int64)
+        keys = (coords - lo) @ strides
+        order = np.argsort(keys)
+        return lo, hi, strides, keys[order], order
+
+    def translate(self, g: Element) -> np.ndarray:
+        """Ball index of g h for every ball element h, in ball order; -1 where
+        g h lies outside the ball."""
+        self.group.validate(g)
+        lo, hi, strides, keys, order = self._lookup
+        moved = self.group.law.translate(_int64_coordinates([g], self.group)[0], self.coords)
+        inside = np.flatnonzero(np.all((moved >= lo) & (moved <= hi), axis=1))
+        codes = (moved[inside] - lo) @ strides
+        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
+        hit = keys[pos] == codes
+        out = np.full(len(self.elements), -1, dtype=np.intp)
+        out[inside[hit]] = order[pos[hit]]
+        return out
+
+
+def _int64_coordinates(elements: Sequence[Element], group: GroupSpec) -> np.ndarray:
+    """Rows of int64 coordinates; CoordinateOverflowError beyond COORD_LIMIT."""
+    if group.torsion > COORD_LIMIT:
+        raise CoordinateOverflowError(f"torsion order {group.torsion} exceeds {COORD_LIMIT}")
+    try:
+        coords = np.array(elements, dtype=np.int64)
+    except OverflowError:
+        coords = None
+    if coords is None or np.any((coords > COORD_LIMIT) | (coords < -COORD_LIMIT)):
+        raise CoordinateOverflowError(f"a coordinate exceeds the translation limit {COORD_LIMIT}")
+    return coords
 
 
 @dataclass(frozen=True)

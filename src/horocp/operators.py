@@ -12,6 +12,14 @@ Dirac operators have a few blocks per column, so norms and commutators run
 on the blocks.  ``.matrix`` is a dense view, materialised on first use for
 the small-N checks and oracles and refused above DIM_CAP rows.
 
+Construction is array-native: the block pairs of a translation by g come
+from one ``BallTable.translate(g)`` (the ball index of g h for every ball
+element h, through the group law's vectorised product and a sorted key
+lookup), and the coefficient blocks W(h)* a W(h) from one stack of the
+action's unitaries over the ball, through batched matrix products.  The
+power iteration in ``op_norm`` applies the nonzero entries into buffers
+reused across its steps.
+
 Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
 truncation is a certified lower bound of the untruncated norm.  Operators
@@ -206,12 +214,19 @@ class ActionSpec:
         return self._trivial
 
     def unitary(self, g: Element, spec: Optional[LengthFunction] = None) -> np.ndarray:
-        """W(g) along a geodesic word for g (deterministic choice of word)."""
+        """W(g) along a geodesic word for g (deterministic choice of word).
+
+        The word runs through the length function's generators.  On an
+        abelian group whose length function uses generators without a
+        unitary (or that has no word length), W extends along the coordinate
+        walk through the action's generators instead.
+        """
         cached = self._cache.get(g)
         if cached is not None:
             return cached
         group = self.group
-        if spec is None or spec.kind != LengthFunction.WORD:
+        if spec is None or spec.kind != LengthFunction.WORD or (
+                group.is_abelian and not set(spec.generators) <= self.unitaries.keys()):
             return self._coordinate_unitary(g)
         # W(g) = W_s W(s^-1 g) along geodesic predecessors, walked down to a
         # cached element and multiplied back up without recursion, so word
@@ -428,22 +443,15 @@ def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *, b
 
 def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     """Compression of the translation lambda_g to the ball (partial isometry)."""
-    group = H.group
     if not H.exact and float(H.spec.length(g)) > 2 * H.ball.radius:
         raise ValueError(
             f"lambda({g}) is the zero operator at radius {H.ball.radius}: l(g) > 2R"
         )
-    index = H.ball.index
-    rows, cols = [], []
-    for j, h in enumerate(H.ball.elements):
-        target = index.get(group.multiply(g, h))
-        if target is not None:
-            rows.append(target)
-            cols.append(j)
-    data = np.repeat(np.eye(H.coeff_dim, dtype=complex)[np.newaxis], len(rows), axis=0)
+    targets = H.ball.translate(g)
+    cols = np.flatnonzero(targets >= 0)
+    data = np.repeat(np.eye(H.coeff_dim, dtype=complex)[np.newaxis], len(cols), axis=0)
     window = math.inf if H.exact else H.ball.radius - float(H.spec.length(g))
-    return TruncatedOperator(H, f"lambda({g})", np.array(rows, dtype=np.intp),
-                             np.array(cols, dtype=np.intp), data, window_radius=window)
+    return TruncatedOperator(H, f"lambda({g})", targets[cols], cols, data, window_radius=window)
 
 
 def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> TruncatedOperator:
@@ -452,8 +460,23 @@ def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> Truncate
     d = H.coeff_dim
     if a.shape != (d, d):
         raise ValueError(f"coefficient must be {d}x{d}")
-    data = np.array([action.act_inv(h, a, H.spec) for h in H.ball.elements])
+    data = np.array(_act_inv_blocks(_unitary_stack(H, action), a, np.arange(H.n_ball)))
     return _block_diagonal(H, data, "pi_tilde(a)")
+
+
+def _unitary_stack(H: TruncatedHilbert, action: ActionSpec) -> Optional[np.ndarray]:
+    """W(h) for every ball element h, in ball order; None for a trivial action."""
+    if action.is_trivial:
+        return None
+    return np.array([action.unitary(h, H.spec) for h in H.ball.elements])
+
+
+def _act_inv_blocks(stack: Optional[np.ndarray], a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """alpha_{h^-1}(a) = W(h)* a W(h) for the ball elements idx, as act_inv forms it."""
+    if stack is None:
+        return np.broadcast_to(a, (len(idx),) + a.shape)
+    w = stack[idx]
+    return w.conj().transpose(0, 2, 1) @ a @ w
 
 
 def _diagonal(H: TruncatedHilbert, values, provenance: str) -> TruncatedOperator:
@@ -488,12 +511,13 @@ def m_phi_g(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
 
 
 def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec, provenance: str,
-                     weight: Optional[Callable[[Element, Element], float]] = None
-                     ) -> TruncatedOperator:
-    """sum_g (weight(g, gh)) pi_tilde(a_g) lambda_g, block (gh, h) per ball element h.
+                     twisted: bool = False) -> TruncatedOperator:
+    """sum_g w pi_tilde(a_g) lambda_g, block (gh, h) per ball element h.
 
-    Blocks are accumulated into zeros in (term, ball) order, as a dense
-    build adding each term into a zero matrix would.
+    The weight w is 1, or phi_g(gh) = l(gh) - l(h) when twisted (g^-1 gh = h).
+    Block pairs are numbered by first appearance in (term, ball) order and
+    accumulated into zeros term by term, as a dense build adding each term
+    into a zero matrix would.
     """
     d = H.coeff_dim
     if x.coeffs and x.coeff_dim != d:
@@ -501,24 +525,27 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
     r = x.support_radius(H.spec)
     if not H.exact and r > H.ball.radius:
         raise ValueError(f"support radius {r} exceeds ball radius {H.ball.radius}")
-    group, spec = H.group, H.spec
-    index = H.ball.index
-    slots: dict[tuple[int, int], int] = {}
-    terms = []
-    for g, a in x.coeffs:
-        for j, h in enumerate(H.ball.elements):
-            gh = group.multiply(g, h)
-            target = index.get(gh)
-            if target is not None:
-                terms.append((slots.setdefault((target, j), len(slots)), g, gh, a))
-    _check_nonzeros(len(slots) * d * d)
-    data = np.zeros((len(slots), d, d), dtype=complex)
-    for k, g, gh, a in terms:
-        block = action.act_inv(gh, a, spec)
-        data[k] += block if weight is None else weight(g, gh) * block
-    pairs = np.array(list(slots), dtype=np.intp).reshape(-1, 2)
+    n = H.n_ball
+    targets = [H.ball.translate(g) for g, _ in x.coeffs]
+    cols = [np.flatnonzero(t >= 0) for t in targets]
+    codes = np.concatenate([t[c] * n + c for t, c in zip(targets, cols)] + [np.zeros(0, np.intp)])
+    pairs, first, slots = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    slots, pairs = np.argsort(order)[slots], pairs[order]
+    _check_nonzeros(len(pairs) * d * d)
+    data = np.zeros((len(pairs), d, d), dtype=complex)
+    stack = _unitary_stack(H, action)
+    lengths = H.lengths
+    start = 0
+    for (_, a), t, c in zip(x.coeffs, targets, cols):
+        rows = t[c]
+        blocks = _act_inv_blocks(stack, a, rows)
+        if twisted:
+            blocks = (lengths[rows] - lengths[c])[:, np.newaxis, np.newaxis] * blocks
+        data[slots[start:start + len(c)]] += blocks
+        start += len(c)
     window = math.inf if H.exact else H.ball.radius - r
-    return TruncatedOperator(H, provenance, pairs[:, 0], pairs[:, 1], data, window_radius=window)
+    return TruncatedOperator(H, provenance, pairs // n, pairs % n, data, window_radius=window)
 
 
 def realize(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec) -> TruncatedOperator:
@@ -529,12 +556,7 @@ def realize(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec) -> Trunc
 def realize_phi_twisted(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec
                         ) -> TruncatedOperator:
     """Operator sum_g (1 (x) phi_g) pi_tilde(a_g) lambda_g."""
-    group, spec = H.group, H.spec
-
-    def phi_g(g: Element, gh: Element) -> float:
-        return float(spec.length(gh)) - float(spec.length(group.multiply(group.inverse(g), gh)))
-
-    return _translation_sum(x, H, action, "realize((1(x)phi_g) a_g lambda_g)", weight=phi_g)
+    return _translation_sum(x, H, action, "realize((1(x)phi_g) a_g lambda_g)", twisted=True)
 
 
 def coset_compress(T: np.ndarray, H: TruncatedHilbert, subgroup: SubgroupSpec) -> np.ndarray:
@@ -622,20 +644,37 @@ def doubled(T: np.ndarray) -> np.ndarray:
 # Norms.
 
 
-def _csr(rows: np.ndarray, cols: np.ndarray, values: np.ndarray):
-    """Row-sorted entries plus the start of each nonempty row."""
-    order = np.argsort(rows, kind="stable")
-    rows, cols, values = rows[order], cols[order], values[order]
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    return rows[starts], starts, cols, values
+class _Entries:
+    """Row-sorted nonzero entries of an operator, applied into reused buffers.
 
+    Fresh gather and product temporaries of nnz x block values on every
+    power-iteration step would be mapped and faulted in anew each time.
+    apply returns its output buffer, valid until the next call on a vector
+    of the same shape.
+    """
 
-def _csr_apply(csr, v: np.ndarray, n: int) -> np.ndarray:
-    targets, starts, cols, values = csr
-    out = np.zeros((n,) + v.shape[1:], dtype=complex)
-    prod = values.reshape((-1,) + (1,) * (v.ndim - 1)) * v[cols]
-    out[targets] = np.add.reduceat(prod, starts, axis=0)
-    return out
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int):
+        order = np.argsort(rows, kind="stable")
+        rows, self.cols, self.values = rows[order], cols[order], values[order]
+        self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        self.targets = rows[self.starts]
+        self.n = n
+        self._buffers: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        tail = v.shape[1:]
+        buffers = self._buffers.get(tail)
+        if buffers is None:
+            buffers = self._buffers[tail] = (
+                np.empty((len(self.cols),) + tail, dtype=complex),
+                np.empty((len(self.starts),) + tail, dtype=complex),
+                np.zeros((self.n,) + tail, dtype=complex))
+        prod, sums, out = buffers
+        np.take(v, self.cols, axis=0, out=prod, mode="clip")
+        np.multiply(self.values.reshape((-1,) + (1,) * len(tail)), prod, out=prod)
+        np.add.reduceat(prod, self.starts, axis=0, out=sums)
+        out[self.targets] = sums
+        return out
 
 
 def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
@@ -659,10 +698,10 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
         if np.max(np.bincount(rows)) <= 1 and np.max(np.bincount(cols)) <= 1:
             # weighted partial permutation: singular values are exactly the entries
             return peak
-        forward, adjoint = _csr(rows, cols, values), _csr(cols, rows, values.conj())
+        forward, adjoint = _Entries(rows, cols, values, n), _Entries(cols, rows, values.conj(), n)
 
         def gram(v: np.ndarray) -> np.ndarray:
-            return _csr_apply(adjoint, _csr_apply(forward, v, n), n)
+            return adjoint.apply(forward.apply(v))
     else:
         a = np.asarray(T, dtype=complex)
         n = a.shape[0]

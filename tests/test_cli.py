@@ -187,3 +187,26 @@ def test_verify_conjugation_dense_cap(capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == "" and "error: dense dimension" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutator", "--group", "Z2", "--gens", "hexagonal", "--count", "2"),
+    ("conjugation", "--group", "Z2", "--gens", "hexagonal", "--radius", "2", "--count", "2"),
+])
+def test_verify_with_generators_outside_the_action(capsys, argv):
+    # the action has unitaries for +-e1, +-e2 only; +-(e1 + e2) words extend
+    # W along the coordinate walk
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 0, err
+    assert json.loads(out)["result"]["passed"] is True
+
+
+def test_verify_conjugation_counts_every_dense_matrix(capsys):
+    # dim 14,450 is below DIM_CAP, but the check's ten dense matrices of that
+    # dimension would take 33 GB; refused before anything is allocated
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "conjugation", "--group", "Z2",
+                             "--radius", "6", "--count", "1")
+    assert time.perf_counter() - started < 1.0
+    assert code == 2
+    assert out == "" and "error: dense dimension 14450" in err

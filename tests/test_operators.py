@@ -8,6 +8,7 @@ from horocp import (
     CrossedElement,
     GroupSpec,
     LengthFunction,
+    NormSpec,
     SubgroupSpec,
     cauchy_gap_norm,
     clock_matrix,
@@ -27,10 +28,13 @@ from horocp import (
     shift_matrix,
     truncate,
 )
+from horocp.checks import check_commutator_identity
+from horocp.groups import COORD_LIMIT, CoordinateOverflowError
 from horocp.operators import (
     DIM_CAP,
     DenseCapError,
     NonzeroCapError,
+    _Entries,
     doubled,
     realize_phi_twisted,
     window_column_mask,
@@ -444,27 +448,35 @@ def diagonal_action(group, d, rng):
     return ActionSpec(group, gens)
 
 
-# (name, group, ball radius, support radius); C5 at infinite radius is exact
+def l2_length(group):
+    return LengthFunction.norm_restriction(group, NormSpec.l2())
+
+
+# (name, group, ball radius, support radius[, length function of the group;
+# word length by default]); C5 at infinite radius is exact, Z2-l2 is a
+# norm-restriction ball with irrational lengths
 EQUIVALENCE_GROUPS = [
     ("Z1", GroupSpec.free_abelian(1), 7, 2),
     ("Z2", GroupSpec.free_abelian(2), 4, 2),
     ("H3", GroupSpec.heisenberg3(), 3, 1),
     ("C5", GroupSpec.finite_cyclic(5), math.inf, 2),
     ("C7", GroupSpec.finite_cyclic(7), 2, 1),
+    ("Z2xC3", GroupSpec.free_abelian_times_cyclic(2, 3), 3, 2),
+    ("Z2-l2", GroupSpec.free_abelian(2), 3.5, 1.5, l2_length),
 ]
 
 
 def equivalence_cases():
-    for gi, (name, group, radius, support) in enumerate(EQUIVALENCE_GROUPS):
+    for gi, (name, *_) in enumerate(EQUIVALENCE_GROUPS):
         for d in (1, 2, 3):
             for trivial in (True, False):
                 yield pytest.param(gi, d, trivial, id=f"{name}-d{d}-{'trivial' if trivial else 'diagonal'}")
 
 
 def equivalence_setup(gi, d, trivial):
-    name, group, radius, support = EQUIVALENCE_GROUPS[gi]
+    name, group, radius, support, *length = EQUIVALENCE_GROUPS[gi]
     rng = np.random.default_rng([gi, d, trivial])
-    spec = LengthFunction.word(group)
+    spec = (length[0] if length else LengthFunction.word)(group)
     action = ActionSpec.trivial(group, d) if trivial else diagonal_action(group, d, rng)
     ball = spec.ball(support)
     picks = rng.choice(len(ball), size=min(3, len(ball)), replace=False)
@@ -589,3 +601,112 @@ def test_element_norm_beyond_dense_cap(len_z2, z2):
 def test_structured_operators_respect_nonzero_cap(len_z2):
     with pytest.raises(NonzeroCapError):
         truncate(len_z2, 4, coeff_dim=5000)
+
+
+@pytest.mark.parametrize("gi", range(len(EQUIVALENCE_GROUPS)),
+                         ids=[entry[0] for entry in EQUIVALENCE_GROUPS])
+def test_empty_element_and_translates_leaving_the_box(gi):
+    rng, spec, action, x, H = equivalence_setup(gi, 2, False)
+    group, ball = H.group, H.ball
+    empty = CrossedElement.from_dict(group, {})
+    for op, ref in [(realize(empty, H, action), loop_realize(empty, H, action)),
+                    (realize_phi_twisted(empty, H, action),
+                     loop_realize(empty, H, action, twisted=True))]:
+        assert op.rows.size == op.cols.size == op.data.shape[0] == 0
+        assert op.matrix.tobytes() == ref.tobytes()
+        assert op_norm(op) == 0.0
+    assert lipschitz_seminorm(empty, m_ell(H), action)[0] == 0.0
+    # translates by elements up to three times the ball's reach, most of
+    # whose images leave its bounding box, against dict lookups
+    far = spec.ball(3 * (2.0 if H.exact else H.ball.radius))
+    for g in far.elements[::3]:
+        expected = [ball.index.get(group.multiply(g, h), -1) for h in ball.elements]
+        assert ball.translate(g).tolist() == expected
+        if H.exact or float(spec.length(g)) <= 2 * ball.radius:
+            assert lambda_op(H, g).matrix.tobytes() == loop_lambda(H, g).tobytes()
+
+
+def test_ball_translation_refuses_int64_overflow(h3, z3):
+    # H3 coordinates at the limit: the product's x y' term is near 2**62 and
+    # must come out exact, not wrapped
+    top = COORD_LIMIT
+    table = {(top, 0, 0): 1, (0, top, 0): 1, (top, top, 0): 1, (1, 1, 0): 1}
+    ball = LengthFunction.explicit_table(h3, table).ball(1)
+    for g in ball.elements:
+        expected = [ball.index.get(h3.multiply(g, h), -1) for h in ball.elements]
+        assert ball.translate(g).tolist() == expected
+    with pytest.raises(CoordinateOverflowError):
+        ball.translate((top + 1, 0, 0))
+    wide = LengthFunction.explicit_table(h3, {(top + 1, 0, 0): 1}).ball(1)
+    with pytest.raises(CoordinateOverflowError):
+        wide.translate((0, 0, 0))
+    # a bounding box of more than 2**63 points has no exact int64 key
+    corners = {(-top, -top, -top): 1, (top, top, top): 1}
+    with pytest.raises(CoordinateOverflowError):
+        LengthFunction.explicit_table(z3, corners).ball(1).translate((0, 0, 0))
+
+
+def dense_commutator_residual(x, spec, action, radius):
+    """check_commutator_identity's residual from the dense loop builds."""
+    H = truncate(spec, radius, x.coeff_dim)
+    x_mat = loop_realize(x, H, action)
+    mell = loop_diagonal(H, [float(H.ball.values[h]) for h in H.ball.elements])
+    lhs = mell @ x_mat - x_mat @ mell
+    rhs = loop_realize(x, H, action, twisted=True)
+    window = math.inf if H.exact else H.ball.radius - x.support_radius(spec)
+    mask = window_column_mask(H, window).astype(bool)
+    return float(np.max(np.abs((lhs - rhs)[:, mask]), initial=0.0))
+
+
+@pytest.mark.parametrize("gi,d,trivial", [
+    case for case in equivalence_cases()
+    if EQUIVALENCE_GROUPS[case.values[0]][0] in ("Z1", "Z2", "H3", "C5", "Z2xC3")])
+def test_commutator_residual_matches_dense_build(gi, d, trivial):
+    rng, spec, action, x, H = equivalence_setup(gi, d, trivial)
+    report = check_commutator_identity(x, spec, action, H.ball.radius)
+    assert report.residual == dense_commutator_residual(x, spec, action, H.ball.radius)
+
+
+def test_structured_op_norm_is_repeatable(len_z2, z2):
+    # the matvec buffers are reused across iterations and across vector
+    # shapes (the 1-D residual check); repeated calls give the same float
+    rng = np.random.default_rng(11)
+    ball = len_z2.ball(3)
+    x = CrossedElement.from_dict(z2, {
+        ball.elements[int(i)]: [[complex(rng.normal(), rng.normal())]]
+        for i in rng.choice(len(ball), size=5, replace=False)})
+    op = realize(x, truncate(len_z2, 12), diagonal_action(z2, 1, rng))
+    first = op_norm(op)
+    assert [op_norm(op) for _ in range(3)] == [first] * 3
+    assert first == pytest.approx(svd_norm(op), rel=1e-9)
+
+
+def test_buffered_entries_match_fresh_products(len_z2, z2):
+    rng = np.random.default_rng(13)
+    x = CrossedElement.from_dict(z2, {(1, 0): [[1.5 - 0.5j]], (0, -1): [[0.25j]],
+                                      (1, 1): [[-2.0]]})
+    op = realize(x, truncate(len_z2, 6), ActionSpec.trivial(z2, 1))
+    rows, cols, values = op.entries()
+    n = op.dim
+    entries = _Entries(rows, cols, values, n)
+
+    def fresh(v):
+        # the unbuffered gather / multiply / reduceat
+        order = np.argsort(rows, kind="stable")
+        r, c, val = rows[order], cols[order], values[order]
+        starts = np.flatnonzero(np.diff(r, prepend=-1))
+        out = np.zeros((n,) + v.shape[1:], dtype=complex)
+        out[r[starts]] = np.add.reduceat(val.reshape((-1,) + (1,) * (v.ndim - 1)) * v[c],
+                                         starts, axis=0)
+        return out
+
+    block = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
+    kept = entries.apply(block).copy()
+    assert kept.tobytes() == fresh(block).tobytes()
+    vector = block[:, 0].copy()
+    first = entries.apply(vector)
+    assert first.tobytes() == fresh(vector).tobytes()
+    # a call of the other shape leaves this one's buffer alone
+    again = entries.apply(block)
+    assert again.tobytes() == kept.tobytes()
+    assert first.tobytes() == fresh(vector).tobytes()
