@@ -16,9 +16,14 @@ Construction is array-native: the block pairs of a translation by g come
 from one ``BallTable.translate(g)`` (the ball index of g h for every ball
 element h, through the group law's vectorised product and a sorted key
 lookup), and the coefficient blocks W(h)* a W(h) from one stack of the
-action's unitaries over the ball, through batched matrix products.  The
-power iteration in ``op_norm`` applies the nonzero entries into buffers
-reused across its steps.
+action's unitaries over the ball, grown one sphere at a time, through
+batched matrix products.
+
+Norms of block-sparse operators are two-sided: ``op_norm_certified`` runs
+Krylov-Schur Lanczos on T*T over the nonzero entries and reports an attained
+lower bound ||T y|| (y a unit Ritz vector) with the Schur upper bound
+sqrt(||T||_1 ||T||_inf); ``op_norm`` returns the lower bound.  Dense arrays
+keep ``op_norm``'s block power iteration.
 
 Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
@@ -225,8 +230,7 @@ class ActionSpec:
         if cached is not None:
             return cached
         group = self.group
-        if spec is None or spec.kind != LengthFunction.WORD or (
-                group.is_abelian and not set(spec.generators) <= self.unitaries.keys()):
+        if not self._walks_geodesics(spec):
             return self._coordinate_unitary(g)
         # W(g) = W_s W(s^-1 g) along geodesic predecessors, walked down to a
         # cached element and multiplied back up without recursion, so word
@@ -248,6 +252,11 @@ class ActionSpec:
             w = self.unitaries[s] @ w
             self._cache[g] = w
         return w
+
+    def _walks_geodesics(self, spec: Optional[LengthFunction]) -> bool:
+        """Whether unitary(g, spec) extends W along geodesic words of spec."""
+        return spec is not None and spec.kind == LengthFunction.WORD and not (
+            self.group.is_abelian and not set(spec.generators) <= self.unitaries.keys())
 
     def _coordinate_unitary(self, g: Element) -> np.ndarray:
         group = self.group
@@ -465,10 +474,46 @@ def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> Truncate
 
 
 def _unitary_stack(H: TruncatedHilbert, action: ActionSpec) -> Optional[np.ndarray]:
-    """W(h) for every ball element h, in ball order; None for a trivial action."""
+    """W(h) for every ball element h, in ball order; None for a trivial action.
+
+    Along geodesic words the stack grows one sphere of the ball at a time:
+    each uncached h takes the first s, in sorted order, whose s^-1 h lies on
+    the sphere below (one ``translate`` per generator), and W(h) = W_s W(s^-1 h)
+    for the whole sphere in one batched product.  That is the predecessor and
+    the product ``ActionSpec.unitary`` forms, so every block is bit for bit
+    its W(h); the new ones are cached on the action as it would.
+    """
     if action.is_trivial:
         return None
-    return np.array([action.unitary(h, H.spec) for h in H.ball.elements])
+    spec, ball = H.spec, H.ball
+    if not action._walks_geodesics(spec):
+        return np.array([action.unitary(h, spec) for h in ball.elements])
+    group, cache, lengths = action.group, action._cache, H.lengths
+    gens = sorted(action.unitaries)
+    known = [cache.get(h) for h in ball.elements]
+    stack = np.empty((H.n_ball, action.dim, action.dim), dtype=complex)
+    missing = np.array([w is None for w in known])
+    for i in np.flatnonzero(~missing):
+        stack[i] = known[i]
+    step = np.full(H.n_ball, -1)
+    pred = np.full(H.n_ball, -1)
+    for k, s in enumerate(gens):
+        prev = ball.translate(group.inverse(s))
+        hit = (step < 0) & (prev >= 0) & (lengths[prev] == lengths - 1)
+        step[hit], pred[hit] = k, prev[hit]
+    w_gens = np.array([action.unitaries[s] for s in gens])
+    # ball order is (length, lex): spheres are contiguous runs of equal length
+    bounds = np.flatnonzero(np.diff(lengths, prepend=-1.0, append=math.inf))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        todo = lo + np.flatnonzero(missing[lo:hi])
+        if todo.size == 0:
+            continue
+        lost = todo[step[todo] < 0]
+        if lost.size:
+            raise ValueError(f"no geodesic predecessor found for {ball.elements[lost[0]]!r}")
+        stack[todo] = w_gens[step[todo]] @ stack[pred[todo]]
+    cache.update((ball.elements[i], stack[i]) for i in np.flatnonzero(missing))
+    return stack
 
 
 def _act_inv_blocks(stack: Optional[np.ndarray], a: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -645,12 +690,12 @@ def doubled(T: np.ndarray) -> np.ndarray:
 
 
 class _Entries:
-    """Row-sorted nonzero entries of an operator, applied into reused buffers.
+    """Row-sorted nonzero entries of an operator, applied to 1-D vectors.
 
-    Fresh gather and product temporaries of nnz x block values on every
-    power-iteration step would be mapped and faulted in anew each time.
-    apply returns its output buffer, valid until the next call on a vector
-    of the same shape.
+    Fresh gather and product temporaries of nnz values on every Lanczos step
+    would be mapped and faulted in anew each time, so apply writes into
+    buffers allocated once and returns its output buffer, valid until the
+    next call.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray, n: int):
@@ -658,71 +703,156 @@ class _Entries:
         rows, self.cols, self.values = rows[order], cols[order], values[order]
         self.starts = np.flatnonzero(np.diff(rows, prepend=-1))
         self.targets = rows[self.starts]
-        self.n = n
-        self._buffers: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._prod = np.empty(len(self.cols), dtype=complex)
+        self._sums = np.empty(len(self.starts), dtype=complex)
+        self._out = np.zeros(n, dtype=complex)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        tail = v.shape[1:]
-        buffers = self._buffers.get(tail)
-        if buffers is None:
-            buffers = self._buffers[tail] = (
-                np.empty((len(self.cols),) + tail, dtype=complex),
-                np.empty((len(self.starts),) + tail, dtype=complex),
-                np.zeros((self.n,) + tail, dtype=complex))
-        prod, sums, out = buffers
-        np.take(v, self.cols, axis=0, out=prod, mode="clip")
-        np.multiply(self.values.reshape((-1,) + (1,) * len(tail)), prod, out=prod)
-        np.add.reduceat(prod, self.starts, axis=0, out=sums)
-        out[self.targets] = sums
-        return out
+        np.take(v, self.cols, out=self._prod, mode="clip")
+        np.multiply(self.values, self._prod, out=self._prod)
+        np.add.reduceat(self._prod, self.starts, out=self._sums)
+        self._out[self.targets] = self._sums
+        return self._out
+
+
+# Krylov-Schur Lanczos on T*T (Stewart, SIAM J. Matrix Anal. Appl. 23, 2001).
+# At most 25 basis vectors keep LAPACK's Hermitian eigensolver on QR
+# iteration; its divide-and-conquer branch above 25 maps about 0.7 MB more
+# library code into a process that otherwise never runs it.
+LANCZOS_BASIS = 24      # basis vectors before a restart; LAPACK at N <= this
+LANCZOS_KEEP = 8        # Ritz vectors kept across a restart
+LANCZOS_RESTARTS = 500  # restarts before the best Ritz vector is returned unconverged
+LANCZOS_SEED = 20010    # start vector
+INVARIANT_TOL = 1e-13   # beta <= INVARIANT_TOL * ||T*T||: the basis spans an invariant subspace
+
+
+@dataclass(frozen=True)
+class OpNormResult:
+    """A two-sided operator norm, lower <= ||T|| <= upper.
+
+    ``lower`` is attained: ||T y|| for a unit vector y (or exact, for the
+    empty, weighted-permutation and LAPACK paths).  ``upper`` is the Schur
+    bound sqrt(||T||_1 ||T||_inf) of the entries.  ``method`` is "empty",
+    "permutation", "lapack" or "lanczos"; ``iterations`` counts products with
+    T*T; ``residual`` is the relative Ritz residual ||T*T y - theta y|| / theta
+    (0 on the exact paths).
+    """
+
+    lower: float
+    upper: float
+    method: str
+    iterations: int
+    residual: float
+
+
+def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
+    """Largest singular value of a block-sparse operator, bracketed.
+
+    Thick-restart Lanczos in Krylov-Schur form on T*T over the nonzero
+    entries: a seeded random start, full (twice-iterated classical
+    Gram-Schmidt) reorthogonalisation, LANCZOS_KEEP Ritz vectors kept at
+    each restart of a LANCZOS_BASIS-vector basis.  It stops when the top Ritz
+    pair's relative residual is at most tol, or when the basis spans an
+    invariant subspace.  The basis of (LANCZOS_BASIS + 1) * N entries is
+    counted against NONZERO_CAP before it is allocated.
+    """
+    n = T.dim
+    rows, cols, values = T.entries()
+    if values.size == 0:
+        return OpNormResult(0.0, 0.0, "empty", 0, 0.0)
+    magnitudes = np.abs(values)
+    if np.max(np.bincount(rows)) <= 1 and np.max(np.bincount(cols)) <= 1:
+        # weighted partial permutation: singular values are exactly the entries
+        peak = float(np.max(magnitudes))
+        return OpNormResult(peak, peak, "permutation", 0, 0.0)
+    upper = math.sqrt(float(np.max(np.bincount(cols, magnitudes)))
+                      * float(np.max(np.bincount(rows, magnitudes))))
+    if n <= LANCZOS_BASIS:
+        return OpNormResult(float(np.linalg.norm(T.matrix, 2)), upper, "lapack", 0, 0.0)
+    _check_nonzeros((LANCZOS_BASIS + 1) * n)
+    forward, adjoint = _Entries(rows, cols, values, n), _Entries(cols, rows, values.conj(), n)
+    m = LANCZOS_BASIS
+    basis = np.empty((m + 1, n), dtype=complex)
+    # A V[:m] = V[:m] H[:m] + V[m] H[m], with basis vectors as rows of V
+    h = np.zeros((m + 1, m), dtype=complex)
+    rng = np.random.default_rng(LANCZOS_SEED)
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    basis[0] = start / np.linalg.norm(start)
+    first, products, scale = 0, 0, 0.0
+    for restart in range(LANCZOS_RESTARTS + 1):
+        size, invariant = m, False
+        for j in range(first, m):
+            w = basis[j + 1]
+            w[:] = adjoint.apply(forward.apply(basis[j]))
+            products += 1
+            scale = max(scale, float(np.linalg.norm(w)))
+            prev = basis[:j + 1]
+            coeffs = (prev @ w.conj()).conj()
+            w -= coeffs @ prev
+            again = (prev @ w.conj()).conj()
+            w -= again @ prev
+            beta = float(np.linalg.norm(w))
+            h[:j + 1, j] = coeffs + again
+            h[j + 1, j] = beta
+            if beta <= INVARIANT_TOL * scale:
+                size, invariant = j + 1, True
+                break
+            w /= beta
+        rayleigh = h[:size, :size]
+        theta, y = np.linalg.eigh((rayleigh + rayleigh.conj().T) / 2)
+        theta, y = theta[::-1], y[:, ::-1]
+        residual = float(abs(h[size, :size] @ y[:, 0])) / max(float(theta[0]), 1e-300)
+        if invariant or residual <= tol or restart == LANCZOS_RESTARTS:
+            break
+        keep = LANCZOS_KEEP
+        coupling = h[m, :m] @ y[:, :keep]
+        basis[:keep] = y[:, :keep].T @ basis[:m]
+        basis[keep] = basis[m]
+        h[:] = 0.0
+        h[np.arange(keep), np.arange(keep)] = theta[:keep]
+        h[keep, :keep] = coupling
+        first = keep
+    ritz = y[:, 0] @ basis[:size]
+    ritz /= np.linalg.norm(ritz)
+    lower = float(np.linalg.norm(forward.apply(ritz)))
+    return OpNormResult(lower, upper, "lanczos", products, residual)
 
 
 def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
-    """Largest singular value by block power iteration on T*T.
+    """Largest singular value; a certified lower bound that is attained.
 
-    Deterministic start block (all-ones plus leading coordinate vectors), one
-    seeded random restart on stagnation, error with the residual if that also
-    fails to converge.  The small block keeps clustered leading singular
-    values from stalling the iteration.  Values computed from compressions of
-    a fixed element are monotone non-decreasing in the ball radius.
-
-    A TruncatedOperator is applied through its nonzero entries; a dense
-    array (DenseCapError above DIM_CAP rows) through matrix products.
+    A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos,
+    tol its relative Ritz residual) and returns its attained ``lower``.  A
+    dense array (DenseCapError above DIM_CAP rows) runs a block power
+    iteration on T*T with matrix products: a deterministic start block
+    (all-ones plus leading coordinate vectors), one seeded random restart on
+    stagnation, and an error with the residual if that also fails to
+    converge; it can stop below the largest singular value on a clustered
+    top of the spectrum.  Values computed from compressions of a fixed
+    element are monotone non-decreasing in the ball radius.
     """
     if isinstance(T, TruncatedOperator):
-        n = T.dim
-        rows, cols, values = T.entries()
-        if values.size == 0:
-            return 0.0
-        peak = float(np.max(np.abs(values)))
-        if np.max(np.bincount(rows)) <= 1 and np.max(np.bincount(cols)) <= 1:
-            # weighted partial permutation: singular values are exactly the entries
-            return peak
-        forward, adjoint = _Entries(rows, cols, values, n), _Entries(cols, rows, values.conj(), n)
+        return op_norm_certified(T, tol).lower
+    a = np.asarray(T, dtype=complex)
+    n = a.shape[0]
+    if n > DIM_CAP:
+        raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(abs(a[0, 0]))
+    magnitudes = np.abs(a)
+    peak = float(np.max(magnitudes))
+    if peak == 0.0:
+        return 0.0
+    nonzero = magnitudes != 0.0
+    if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
+        # weighted partial permutation: singular values are exactly the entries
+        return peak
+    ah = a.conj().T
 
-        def gram(v: np.ndarray) -> np.ndarray:
-            return adjoint.apply(forward.apply(v))
-    else:
-        a = np.asarray(T, dtype=complex)
-        n = a.shape[0]
-        if n > DIM_CAP:
-            raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
-        if n == 0:
-            return 0.0
-        if n == 1:
-            return float(abs(a[0, 0]))
-        magnitudes = np.abs(a)
-        peak = float(np.max(magnitudes))
-        if peak == 0.0:
-            return 0.0
-        nonzero = magnitudes != 0.0
-        if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
-            # weighted partial permutation: singular values are exactly the entries
-            return peak
-        ah = a.conj().T
-
-        def gram(v: np.ndarray) -> np.ndarray:
-            return ah @ (a @ v)
+    def gram(v: np.ndarray) -> np.ndarray:
+        return ah @ (a @ v)
 
     block = min(4, n)
     if max_iter is None:
