@@ -495,8 +495,9 @@ def _unitary_stack(H: TruncatedHilbert, action: ActionSpec) -> Optional[np.ndarr
     missing = np.array([w is None for w in known])
     for i in np.flatnonzero(~missing):
         stack[i] = known[i]
-    step = np.full(H.n_ball, -1)
-    pred = np.full(H.n_ball, -1)
+    if not missing.any():
+        return stack
+    step, pred = np.full(H.n_ball, -1), np.full(H.n_ball, -1)
     for k, s in enumerate(gens):
         prev = ball.translate(group.inverse(s))
         hit = (step < 0) & (prev >= 0) & (lengths[prev] == lengths - 1)
