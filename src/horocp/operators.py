@@ -810,7 +810,7 @@ def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
         basis[:keep] = y[:, :keep].T @ basis[:m]
         basis[keep] = basis[m]
         h[:] = 0.0
-        h[np.arange(keep), np.arange(keep)] = theta[:keep]
+        h[:keep, :keep] = np.diag(theta[:keep])
         h[keep, :keep] = coupling
         first = keep
     ritz = y[:, 0] @ basis[:size]
@@ -828,9 +828,10 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
     iteration on T*T with matrix products: a deterministic start block
     (all-ones plus leading coordinate vectors), one seeded random restart on
     stagnation, and an error with the residual if that also fails to
-    converge; it can stop below the largest singular value on a clustered
-    top of the spectrum.  Values computed from compressions of a fixed
-    element are monotone non-decreasing in the ball radius.
+    converge within max_iter steps; it can stop below the largest singular
+    value on a clustered top of the spectrum.  Values computed from
+    compressions of a fixed element are monotone non-decreasing in the ball
+    radius.
     """
     if isinstance(T, TruncatedOperator):
         return op_norm_certified(T, tol).lower

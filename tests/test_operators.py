@@ -30,9 +30,9 @@ from horocp import (
     shift_matrix,
     truncate,
 )
+from horocp import operators
 from horocp.checks import check_commutator_identity
 from horocp.groups import COORD_LIMIT, CoordinateOverflowError
-from horocp import operators
 from horocp.operators import (
     DIM_CAP,
     DenseCapError,
