@@ -8,7 +8,12 @@ Elements are plain tuples in a canonical form fixed by the group kind:
 * finite cyclic Z/n       -> (k,) with 0 <= k < n
 
 All group arithmetic is exact integer arithmetic; word lengths are exact
-breadth-first distances in the Cayley graph.
+breadth-first distances in the Cayley graph.  The BFS cache inserts elements
+in non-decreasing length and records where each sphere ends, so a word ball
+is a prefix of the cache with each sphere sorted, sharing the cache's tuples.
+Loops over a ball gather lengths instead of asking one element at a time:
+the law translates the ball's int64 coordinates (BallTable.left_translates)
+and LengthFunction.lengths looks the rows up in the cache.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -414,6 +419,39 @@ def _solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
     return tuple(r[m] for r in mat)
 
 
+def _integer_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
+    """Echelon basis of the integer lattice the rows span: (pivot column, row)
+    pairs in increasing column order, each row zero before its positive pivot."""
+    rows = [list(r) for r in rows]
+    basis = []
+    for col in range(len(rows[0]) if rows else 0):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            # Euclid down the column: reduce every row by the smallest entry
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [a - q * b for a, b in zip(r, p)]
+            live = [r for r in live if r[col]]
+        if live:
+            p = live[0]
+            rows = [r for r in rows if r is not p]
+            basis.append((col, tuple(p) if p[col] > 0 else tuple(-c for c in p)))
+    return basis
+
+
+def _in_lattice(basis: Sequence[tuple[int, tuple[int, ...]]], v: Sequence[int]) -> bool:
+    """v is an integer combination of the rows of an _integer_echelon basis."""
+    v = list(v)
+    for col, row in basis:
+        q, rem = divmod(v[col], row[col])
+        if rem:
+            return False
+        v = [a - q * b for a, b in zip(v, row)]
+    return not any(v)
+
+
 def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     """Vertices of {x : sigma(x) <= 1 for all sigma}; errors if unbounded."""
     from itertools import combinations
@@ -486,12 +524,16 @@ class BallTable:
         order = np.argsort(keys)
         return lo, hi, strides, keys[order], order
 
+    def left_translates(self, g: Element) -> np.ndarray:
+        """int64 coordinates of g h for every ball element h, in ball order."""
+        self.group.validate(g)
+        return self.group.law.translate(_int64_coordinates([g], self.group)[0], self.coords)
+
     def translate(self, g: Element) -> np.ndarray:
         """Ball index of g h for every ball element h, in ball order; -1 where
         g h lies outside the ball."""
-        self.group.validate(g)
+        moved = self.left_translates(g)
         lo, hi, strides, keys, order = self._lookup
-        moved = self.group.law.translate(_int64_coordinates([g], self.group)[0], self.coords)
         inside = np.flatnonzero(np.all((moved >= lo) & (moved <= hi), axis=1))
         codes = (moved[inside] - lo) @ strides
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
@@ -531,8 +573,10 @@ class LengthFunction:
     """A (pseudo-)length on a group: word length, norm restriction, or table.
 
     Word lengths run an incremental breadth-first search from the identity and
-    memoize every distance computed so far; balls are materialized views of
-    that cache.  Values are exact integers for word lengths.
+    memoize every distance computed so far, in BFS order with the end of each
+    sphere recorded; balls are sorted prefixes of that cache, and `lengths`
+    gathers cached lengths for whole coordinate arrays.  Values are exact
+    integers for word lengths.
     """
 
     WORD = "word"
@@ -556,18 +600,22 @@ class LengthFunction:
                     raise ValueError("word-length generating set must be symmetric")
             e = group.identity()
             self._dist: dict[Element, int] = {e: 0}
+            # _ends[k] = number of elements of length <= k, known from the
+            # first expansion of a length-k element on
+            self._ends: list[int] = []
             self._queue: deque[Element] = deque([e])
             self._exhausted = False
             self._mult = group.law.product
-            # A generating set whose abelianization images span less than Q^m
-            # misses whole directions; elements off their span are refused
-            # before the BFS runs out along the ones it has.
-            self._span = None  # (generator images, their rank) when not full rank
-            if not group.is_finite:
-                rows = [group.abelianization(s) for s in self.generators]
-                rank = len(rref(rows)[1])
-                if rank < group.abelianization_rank:
-                    self._span = (rows, rank)
+            # Elements the generators do not reach are refused at once rather
+            # than after the BFS has grown to the cap.  In the abelian kinds
+            # that is exact: g must lie in the integer span of the generators
+            # and the torsion relation.  On H3 it is necessary only: p(g) must
+            # lie in the integer span of the p(s).
+            self._image = group.law.abelianization if not group.is_abelian else tuple
+            relations = [self._image(s) for s in self.generators]
+            if group.torsion:
+                relations.append((0,) * (len(e) - 1) + (group.torsion,))
+            self._lattice = _integer_echelon(relations)
         elif kind == self.NORM:
             if not group.is_free_abelian:
                 raise ValueError("norm restrictions are supported on free abelian groups only")
@@ -612,7 +660,7 @@ class LengthFunction:
             dist = self._dist
             if g in dist:
                 return dist[g]
-            if self._span is not None and self._off_span(g):
+            if not _in_lattice(self._lattice, self._image(g)):
                 raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
             while self._queue and g not in dist:
                 self._expand_one()
@@ -626,10 +674,36 @@ class LengthFunction:
         except KeyError:
             raise ValueError(f"element {g!r} is outside the tabulated domain") from None
 
-    def _off_span(self, g: Element) -> bool:
-        """p(g) lies outside the rational span of the generators' images."""
-        rows, rank = self._span
-        return len(rref(rows + [self.group.abelianization(g)])[1]) > rank
+    def lengths(self, points) -> np.ndarray:
+        """Exact lengths of the elements given as the rows of an int64
+        coordinate array (BallTable.left_translates) or as canonical tuples
+        (BallTable.elements), in order.
+
+        Word lengths are C-level lookups in the BFS cache; rows outside it
+        take the `length` path, which grows the BFS just as far as they need
+        and raises its errors.  Norm and table lengths evaluate each row as
+        `length` does.  Word lengths come back as int64, others as objects.
+        """
+        return self._gather(points)[0]
+
+    def _gather(self, points, skip_errors: bool = False) -> tuple[np.ndarray, list[int]]:
+        """(lengths, failed rows); with skip_errors a row whose length raises
+        ValueError or BallCapError is listed in failed with length 0."""
+        rows = list(map(tuple, points.tolist())) if isinstance(points, np.ndarray) else points
+        cache = self._dist if self.kind == self.WORD else self.table if self.kind == self.TABLE else {}
+        found = list(map(cache.get, rows))
+        failed = []
+        if None in found:
+            for i, v in enumerate(found):
+                if v is None:
+                    try:
+                        found[i] = self.length(rows[i])
+                    except (ValueError, BallCapError):
+                        if not skip_errors:
+                            raise
+                        found[i] = 0
+                        failed.append(i)
+        return np.array(found, dtype=np.int64 if self.kind == self.WORD else object), failed
 
     def _expand_one(self):
         queue = self._queue
@@ -637,6 +711,9 @@ class LengthFunction:
         mark = len(queue)
         du = self._dist[u]
         dist = self._dist
+        if du == len(self._ends):
+            # u is the first of its sphere to expand, so the sphere is complete
+            self._ends.append(len(dist))
         mult = self._mult
         for s in self.generators:
             v = mult(u, s)
@@ -674,24 +751,42 @@ class LengthFunction:
                     raise ValueError("infinite radius needs a finite group")
                 while self._queue:
                     self._expand_one()
-                items = list(self._dist.items())
             else:
                 self._ensure_radius(int(math.floor(radius)))
-                items = [(g, d) for g, d in self._dist.items() if d <= radius]
-            complete = self._exhausted and (
-                math.isinf(radius) or all(d <= radius for d in self._dist.values())
-            )
-        elif self.kind == self.NORM:
-            items = self._norm_ball_items(radius)
-            complete = False
+            elements, values = self._sorted_spheres(radius)
+            complete = self._exhausted and len(values) == len(self._dist)
         else:
-            items = [(g, v) for g, v in self.table.items() if v <= radius]
-            complete = self.group.is_finite and len(items) == self.group.torsion
-        table = _build_ball(self.group, radius, items, complete, self)
+            if self.kind == self.NORM:
+                items = self._norm_ball_items(radius)
+                complete = False
+            else:
+                items = [(g, v) for g, v in self.table.items() if v <= radius]
+                complete = self.group.is_finite and len(items) == self.group.torsion
+            values = dict(items)
+            e = self.group.identity()
+            elements = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
+        index = {g: i for i, g in enumerate(elements)}
+        table = BallTable(self.group, radius, elements, values, index, complete, self)
         if len(table) > self.cap:
             raise BallCapError(f"ball at radius {radius} has {len(table)} > cap {self.cap} elements")
         self._ball_cache[radius] = table
         return table
+
+    def _sorted_spheres(self, radius: float) -> tuple[tuple[Element, ...], dict[Element, int]]:
+        """The cached elements of length <= radius, sphere by sphere in tuple
+        order, and their lengths: (length, lexicographic) order without a key."""
+        dist, ends = self._dist, self._ends
+        keys = iter(dist)
+        elements: list[Element] = []
+        values: dict[Element, int] = {}
+        k = 0
+        while k <= radius and len(elements) < len(dist):
+            end = ends[k] if k < len(ends) else len(dist)
+            sphere = sorted(islice(keys, end - len(elements)))
+            elements += sphere
+            values.update(dict.fromkeys(sphere, k))
+            k += 1
+        return tuple(elements), values
 
     def _norm_ball_items(self, radius):
         m = self.group.rank
@@ -722,28 +817,19 @@ class LengthFunction:
                 symmetry = max(symmetry, abs(float(self.length(g)) - float(self.length(self.group.inverse(g)))))
             except (ValueError, BallCapError):
                 skipped += 1
+        # l(gh) - l(g) - l(h) for one g against the whole half ball at a time
+        lengths = np.array([float(half.values[h]) for h in half.elements])
+        coords = half.coords
         subadd = 0.0
         checked = 0
-        for g in half:
-            lg = float(half.values[g])
-            for h in half:
-                try:
-                    lgh = float(self.length(self.group.multiply(g, h)))
-                except (ValueError, BallCapError):
-                    skipped += 1
-                    continue
-                checked += 1
-                subadd = max(subadd, lgh - lg - float(half.values[h]))
+        for g, lg in zip(coords, lengths):
+            lgh, failed = self._gather(self.group.law.translate(g, coords), skip_errors=True)
+            slack = lgh.astype(float) - lg - lengths
+            slack[failed] = -math.inf
+            skipped += len(failed)
+            checked += len(slack) - len(failed)
+            subadd = max(subadd, float(slack.max()))
         return AxiomReport(identity_violation, symmetry, max(0.0, subadd), checked, skipped)
-
-
-def _build_ball(group, radius, items, complete, spec) -> BallTable:
-    e = group.identity()
-    values = {g: v for g, v in items}
-    rest = sorted((g for g in values if g != e), key=lambda g: (values[g], g))
-    elements = (e, *rest)
-    index = {g: i for i, g in enumerate(elements)}
-    return BallTable(group, radius, elements, values, index, complete, spec)
 
 
 def central_heisenberg_table(horizon: int) -> dict[Element, int]:

@@ -5,6 +5,11 @@ horofunction compactification; this module evaluates it on balls, estimates
 Busemann-point limits along almost geodesic rays, and enumerates the exact
 rational facet support functionals of the generator polytope
 conv(p(S)) in the torsion-free abelianization.
+
+phi and cocycle_defect work on whole balls at once: the group law translates
+the ball's int64 coordinates and LengthFunction.lengths gathers the lengths
+of the translates, exact int64 for word lengths, the length's own objects
+(floats, Fractions) otherwise, in the arithmetic the per-element formulas use.
 """
 
 from __future__ import annotations
@@ -54,29 +59,24 @@ class PhiFunction:
 
 def phi(g: Element, ball: BallTable, spec: Optional[LengthFunction] = None) -> PhiFunction:
     spec = spec or ball.spec
-    group = ball.group
-    g_inv = group.inverse(g)
-    values = {h: spec.length(h) - spec.length(group.multiply(g_inv, h)) for h in ball}
-    return PhiFunction(g, ball, values)
+    values = spec.lengths(ball.elements) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
+    return PhiFunction(g, ball, dict(zip(ball.elements, values.tolist())))
 
 
 def cocycle_defect(g: Element, h: Element, ball: BallTable,
                    spec: Optional[LengthFunction] = None) -> float:
-    """max over the ball of |phi_{gh} - (g.phi_h + phi_g)|; 0 for any length."""
+    """max over the ball of |phi_{gh} - (g.phi_h + phi_g)|; 0 for any length.
+
+    With (g.phi_h)(x) = phi_h(g^-1 x) = l(g^-1 x) - l(h^-1 g^-1 x) and
+    h^-1 g^-1 = (gh)^-1, two translates of the ball give every term.
+    """
     spec = spec or ball.spec
     group = ball.group
-    gh_inv = group.inverse(group.multiply(g, h))
-    g_inv = group.inverse(g)
-    h_inv = group.inverse(h)
-    worst = 0.0
-    for x in ball:
-        lx = spec.length(x)
-        gx = group.multiply(g_inv, x)
-        phi_gh = lx - spec.length(group.multiply(gh_inv, x))
-        phi_g = lx - spec.length(gx)
-        phi_h_at = spec.length(gx) - spec.length(group.multiply(h_inv, gx))
-        worst = max(worst, abs(float(phi_gh - phi_h_at - phi_g)))
-    return worst
+    lx = spec.lengths(ball.elements)
+    l_gx = spec.lengths(ball.left_translates(group.inverse(g)))
+    l_ghx = spec.lengths(ball.left_translates(group.inverse(group.multiply(g, h))))
+    defect = (lx - l_ghx) - (l_gx - l_ghx) - (lx - l_gx)
+    return max(map(abs, map(float, defect.tolist())))
 
 
 # ---------------------------------------------------------------------------

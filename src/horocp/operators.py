@@ -549,11 +549,8 @@ def m_phi(H: TruncatedHilbert, functional: Sequence[int]) -> TruncatedOperator:
 
 def m_phi_g(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     """Diagonal multiplication by phi_g(h) = l(h) - l(g^-1 h)."""
-    group, spec = H.group, H.spec
-    g_inv = group.inverse(g)
-    values = [float(spec.length(h)) - float(spec.length(group.multiply(g_inv, h)))
-              for h in H.ball.elements]
-    return _diagonal(H, values, f"m_phi_g({g})")
+    shifted = H.spec.lengths(H.ball.left_translates(H.group.inverse(g)))
+    return _diagonal(H, H.lengths - shifted.astype(float), f"m_phi_g({g})")
 
 
 def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec, provenance: str,

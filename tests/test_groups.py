@@ -257,3 +257,141 @@ def test_element_off_the_generators_span_is_refused_at_once():
         spec.length((0, 1))
     assert time.perf_counter() - started < 0.1
     assert spec._dist == cache
+
+
+# Elements in the rational span of the generators but not in their integer
+# span (with the torsion relation): refused at once, not after the BFS has
+# grown to the cap.  On H3 the test runs on p(g); (1, 0, 0) has p = (1, 0)
+# outside 2Z x Z.
+OFF_LATTICE = [
+    (GroupSpec.free_abelian(1), [(2,), (-2,)], (1,)),
+    (GroupSpec.free_abelian_times_cyclic(1, 3), [(1, 0), (-1, 0)], (0, 1)),
+    (GroupSpec.free_abelian(2), [(2, 0), (-2, 0), (0, 1), (0, -1)], (1, 0)),
+    (GroupSpec.heisenberg3(), [(2, 0, 0), (-2, 0, 0), H3_B, (0, -1, 0)], H3_A),
+]
+
+
+@pytest.mark.parametrize("group,gens,g", OFF_LATTICE, ids=["Z-2", "ZxC3", "Z2-2e1", "H3-a2"])
+def test_element_outside_the_integer_span_is_refused_at_once(group, gens, g):
+    spec = LengthFunction.word(group, gens, cap=200_000)
+    assert spec.length(gens[0]) == 1
+    cache = dict(spec._dist)
+    started = time.perf_counter()
+    with pytest.raises(GroupMismatchError, match="not generated"):
+        spec.length(g)
+    assert time.perf_counter() - started < 0.1
+    assert spec._dist == cache
+
+
+def lattice_bfs(gens, torsion, target, cap=20_000):
+    """Independent oracle: is target reached from 0 by the generator steps?"""
+    def step(u, s):
+        w = [a + b for a, b in zip(u, s)]
+        if torsion:
+            w[-1] %= torsion
+        return tuple(w)
+
+    origin = (0,) * len(target)
+    seen, frontier = {origin}, [origin]
+    while frontier and target not in seen and len(seen) < cap:
+        nxt = []
+        for u in frontier:
+            for s in gens:
+                v = step(u, s)
+                if v not in seen:
+                    seen.add(v)
+                    nxt.append(v)
+        frontier = nxt
+    return target in seen
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=3),
+       st.sampled_from([0, 2, 3, 4]), st.tuples(st.integers(-4, 4), st.integers(-4, 4)))
+@settings(max_examples=60, deadline=None)
+def test_integer_span_check_matches_reachability(steps, torsion, target):
+    # Z^2 (torsion 0) or Z x Z/n with the residue last
+    if torsion:
+        steps = [(a, b % torsion) for a, b in steps]
+        target = (target[0], target[1] % torsion)
+        group = GroupSpec.free_abelian_times_cyclic(1, torsion)
+    else:
+        group = GroupSpec.free_abelian(2)
+    gens = {s for s in steps if any(s)} | {group.inverse(s) for s in steps if any(s)}
+    gens.discard(group.identity())
+    if not gens:
+        return
+    spec = LengthFunction.word(group, sorted(gens), cap=10**6)
+    if lattice_bfs(gens, torsion, target):
+        assert spec.length(target) >= 0
+    else:
+        with pytest.raises(GroupMismatchError, match="not generated"):
+            spec.length(target)
+
+
+def reference_ball(group, gens, radius):
+    """Independent BFS, sphere by sphere: {element: length} up to floor(radius)."""
+    dist = {group.identity(): 0}
+    frontier = [group.identity()]
+    k = 0
+    while frontier and k + 1 <= radius:
+        k += 1
+        nxt = []
+        for u in frontier:
+            for s in gens:
+                v = group.multiply(u, s)
+                if v not in dist:
+                    dist[v] = k
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+BALL_ORDER_CASES = [(GroupSpec.free_abelian(2), None),
+                    (GroupSpec.free_abelian(2), hexagonal_generators()),
+                    (GroupSpec.heisenberg3(), None),
+                    (GroupSpec.free_abelian_times_cyclic(1, 3), None),
+                    (GroupSpec.finite_cyclic(12), None)]
+
+ball_ops = st.lists(st.one_of(
+    st.tuples(st.just("ball"), st.integers(0, 28).map(lambda q: q / 4)),
+    st.tuples(st.just("length"), st.integers(0, 10**6)),
+    st.tuples(st.just("cap"), st.integers(1, 120), st.integers(1, 7))), max_size=8)
+
+
+@given(st.sampled_from(BALL_ORDER_CASES), ball_ops)
+@settings(max_examples=60, deadline=None)
+def test_ball_is_sorted_prefix_of_the_cache(case, ops):
+    # Lazy lengths, cap errors and balls at fractional radii in any order: every
+    # ball is the (length, element)-sorted reference ball, and index[g] is g's
+    # position in it.
+    group, gens = case
+    gens = gens or group.generators
+    spec = LengthFunction.word(group, gens)
+    ref = reference_ball(group, gens, 7)
+
+    def check_ball(radius):
+        ball = spec.ball(radius)
+        expect = sorted((g for g, d in ref.items() if d <= radius), key=lambda g: (ref[g], g))
+        assert ball.elements == tuple(expect)
+        assert dict(ball.values) == {g: ref[g] for g in expect}
+        assert all(ball.index[g] == i for i, g in enumerate(expect))
+        assert len(ball.index) == len(expect)
+
+    far = sorted(ref, key=lambda g: (ref[g], g))
+    for op in ops:
+        if op[0] == "ball":
+            check_ball(op[1])
+        elif op[0] == "length":
+            g = far[op[1] % len(far)]
+            assert spec.length(g) == ref[g]
+        else:
+            spec.cap = op[1]
+            try:
+                spec.ball(op[2] + 0.5)
+            except BallCapError:
+                pass
+            spec.cap = 10**6
+    for radius in (0, 2.5, 7):
+        check_ball(radius)
+    if group.is_finite:
+        check_ball(math.inf)

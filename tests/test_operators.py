@@ -1,18 +1,22 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from horocp import (
     ActionSpec,
+    BallCapError,
     CrossedElement,
     GroupSpec,
     LengthFunction,
     NormSpec,
     SubgroupSpec,
+    TruncatedHilbert,
     TruncatedOperator,
     cauchy_gap_norm,
     clock_matrix,
+    cocycle_defect,
     conditional_expectation,
     coset_compress,
     element_norm,
@@ -25,6 +29,7 @@ from horocp import (
     odd_dirac,
     op_norm,
     op_norm_certified,
+    phi,
     pi_tilde,
     realize,
     shift_matrix,
@@ -32,7 +37,7 @@ from horocp import (
 )
 from horocp import operators
 from horocp.checks import check_commutator_identity
-from horocp.groups import COORD_LIMIT, CoordinateOverflowError
+from horocp.groups import COORD_LIMIT, AxiomReport, CoordinateOverflowError
 from horocp.operators import (
     DIM_CAP,
     DenseCapError,
@@ -650,6 +655,130 @@ def test_ball_translation_refuses_int64_overflow(h3, z3):
     corners = {(-top, -top, -top): 1, (top, top, top): 1}
     with pytest.raises(CoordinateOverflowError):
         LengthFunction.explicit_table(z3, corners).ball(1).translate((0, 0, 0))
+
+
+# The per-element loops that phi, cocycle_defect, m_phi_g and the
+# subadditivity half of check_axioms ran before they gathered lengths over
+# translated coordinate arrays; the references for the gathered paths.
+
+
+def loop_phi(g, ball, spec):
+    group = ball.group
+    g_inv = group.inverse(g)
+    return {h: spec.length(h) - spec.length(group.multiply(g_inv, h)) for h in ball}
+
+
+def loop_cocycle(g, h, ball, spec):
+    group = ball.group
+    gh_inv = group.inverse(group.multiply(g, h))
+    g_inv, h_inv = group.inverse(g), group.inverse(h)
+    worst = 0.0
+    for x in ball:
+        lx = spec.length(x)
+        gx = group.multiply(g_inv, x)
+        phi_gh = lx - spec.length(group.multiply(gh_inv, x))
+        phi_g = lx - spec.length(gx)
+        phi_h_at = spec.length(gx) - spec.length(group.multiply(h_inv, gx))
+        worst = max(worst, abs(float(phi_gh - phi_h_at - phi_g)))
+    return worst
+
+
+def loop_m_phi_g_values(H, g):
+    group, spec = H.group, H.spec
+    g_inv = group.inverse(g)
+    return [float(spec.length(h)) - float(spec.length(group.multiply(g_inv, h)))
+            for h in H.ball.elements]
+
+
+def loop_axioms(spec, radius):
+    half = spec.ball(radius / 2)
+    group = spec.group
+    identity_violation = abs(float(spec.length(group.identity())))
+    symmetry, skipped = 0.0, 0
+    for g in half:
+        try:
+            symmetry = max(symmetry, abs(float(spec.length(g)) - float(spec.length(group.inverse(g)))))
+        except (ValueError, BallCapError):
+            skipped += 1
+    subadd, checked = 0.0, 0
+    for g in half:
+        lg = float(half.values[g])
+        for h in half:
+            try:
+                lgh = float(spec.length(group.multiply(g, h)))
+            except (ValueError, BallCapError):
+                skipped += 1
+                continue
+            checked += 1
+            subadd = max(subadd, lgh - lg - float(half.values[h]))
+    return AxiomReport(identity_violation, symmetry, max(0.0, subadd), checked, skipped)
+
+
+def fraction_table(group):
+    """An explicit table on Z of Fraction lengths |k| + 1/3 (0 at k = 0), |k| <= 6."""
+    return LengthFunction.explicit_table(
+        group, {(k,): Fraction(3 * abs(k) + 1, 3) if k else Fraction(0) for k in range(-6, 7)})
+
+
+GATHER_CASES = [(entry[0], entry) for entry in EQUIVALENCE_GROUPS] + [
+    ("Z1-table", ("Z1-table", GroupSpec.free_abelian(1), 3.5, 1.4, fraction_table))]
+
+
+@pytest.mark.parametrize("entry", [case for _, case in GATHER_CASES],
+                         ids=[name for name, _ in GATHER_CASES])
+def test_gathered_exact_layer_matches_loops(entry):
+    name, group, radius, support, *length = entry
+    make = length[0] if length else LengthFunction.word
+    spec, ref = make(group), make(group)
+    ball, ref_ball = spec.ball(radius), ref.ball(radius)
+    near = spec.ball(support).elements
+    for g in near:
+        values = phi(g, ball, spec).values
+        expect = loop_phi(g, ref_ball, ref)
+        assert list(values.items()) == list(expect.items())
+        assert [type(v) for v in values.values()] == [type(v) for v in expect.values()]
+        for h in near[::2]:
+            assert cocycle_defect(g, h, ball, spec) == loop_cocycle(g, h, ref_ball, ref)
+    for d in (1, 2):
+        H = truncate(spec, radius, d)
+        for g in near:
+            op = m_phi_g(H, g)
+            assert op.matrix.tobytes() == loop_diagonal(H, loop_m_phi_g_values(H, g)).tobytes()
+    for r in (radius, 2 * radius + 1):
+        assert spec.check_axioms(r) == loop_axioms(ref, r)
+
+
+def test_gathered_paths_keep_the_table_domain_error():
+    # translates leaving the tabulated domain raise the table's ValueError,
+    # and check_axioms counts those pairs as skipped, as the loops did
+    z1 = GroupSpec.free_abelian(1)
+    spec, ref = fraction_table(z1), fraction_table(z1)
+    ball = spec.ball(6)
+    for fn in (lambda s, b: phi((2,), b, s).values, lambda s, b: loop_phi((2,), b, s),
+               lambda s, b: cocycle_defect((1,), (1,), b, s),
+               lambda s, b: loop_cocycle((1,), (1,), b, s),
+               lambda s, b: m_phi_g(TruncatedHilbert(b, 1), (3,))):
+        with pytest.raises(ValueError, match="outside the tabulated domain"):
+            fn(spec, ball)
+    report = spec.check_axioms(12)
+    assert report == loop_axioms(ref, 12) and report.pairs_skipped > 0
+    # with a negative value in the table, a skipped pair's missing length
+    # must not enter the subadditivity maximum
+    broken = {(0,): 0, (1,): -5, (-1,): 1}
+    report = LengthFunction.explicit_table(z1, broken).check_axioms(4)
+    assert report == loop_axioms(LengthFunction.explicit_table(z1, broken), 4)
+    assert report.subadditivity_violation == 4 and report.pairs_skipped == 2
+
+
+def test_gathered_axioms_skip_pairs_beyond_the_cap():
+    # word-length products past the BFS cap are skipped pair by pair, exactly
+    # as the per-element loop skipped them
+    z2 = GroupSpec.free_abelian(2)
+    spec, ref = LengthFunction.word(z2, cap=100), LengthFunction.word(z2, cap=100)
+    report = spec.check_axioms(8)
+    assert report == loop_axioms(ref, 8)
+    assert report.pairs_skipped > 0 and report.pairs_checked > 0
+    assert spec._dist == ref._dist
 
 
 def dense_commutator_residual(x, spec, action, radius):
