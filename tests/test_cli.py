@@ -100,6 +100,17 @@ def test_mk_distance_command(capsys):
     assert doc["result"]["brute_force"] == pytest.approx(2.0, abs=1e-4)
 
 
+@pytest.mark.parametrize("flag", [("--restarts", "0"), ("--iters", "-1")])
+def test_mk_distance_rejects_empty_search(capsys, flag):
+    # --restarts 0 used to die with an IndexError traceback (exit 1)
+    code, out, err = run_cli(capsys, "mk-distance", "--cyclic-order", "3",
+                             "--lengths", "0,1,1", "--state-a", "char:0",
+                             "--state-b", "char:1", *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_af_triple_command(capsys):
     code, out, _ = run_cli(capsys, "af-triple", "--orders", "2,2,2",
                            "--eigenvalues", "0,1,2,3")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
 from horocp import (
     DegenerateTripleError,
@@ -146,3 +147,62 @@ def test_brute_force_dimension_guard():
     triple = cyclic_triple(9, [0, 1, 2, 3, 4, 4, 3, 2, 1])
     with pytest.raises(ValueError):
         mk_brute_force(triple, StateSpec.character(9, 0), StateSpec.character(9, 1))
+
+
+def _witness_ratio(triple, psi, psi_prime, witness):
+    """|(psi - psi')(w)| / ||[D, w]||, the norm from scipy."""
+    objective = abs(psi.evaluate(witness) - psi_prime.evaluate(witness))
+    return objective / svdvals(triple.dirac @ witness - witness @ triple.dirac)[0]
+
+
+@pytest.mark.parametrize("j", [1, 3])
+def test_c6_bound_attained_by_witness(j):
+    # the dense power iteration under-estimated the seminorm, and the bound
+    # exceeded the witness's own ratio by 3.3e-8 (j = 1) and 6.9e-7 (j = 3)
+    triple = cyclic_triple(6, [0, 1, 2, 3, 2, 1])
+    chi0, chij = StateSpec.character(6, 0), StateSpec.character(6, j)
+    result = mk_distance(triple, chi0, chij, restarts=4, iterations=200)
+    ratio = _witness_ratio(triple, chi0, chij, result.witness)
+    assert result.lower_bound <= ratio * (1 + 1e-12)
+    assert result.lower_bound == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("triple", [
+    cyclic_triple(5, [0, 1, 2, 2, 1]),
+    cyclic_triple(6, [0, 1, 2, 3, 2, 1]),
+    af_level_triple((2, 2), [0.0, 0.7, 1.9]),
+], ids=["c5", "c6", "af22"])
+def test_seminorm_matches_scipy(triple):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        theta = rng.normal(size=len(triple.basis))
+        a = triple.element(theta)
+        expected = svdvals(triple.dirac @ a - a @ triple.dirac)[0]
+        assert triple.seminorm(a) == pytest.approx(expected, rel=1e-12)
+        assert triple.seminorm(theta) == pytest.approx(expected, rel=1e-12)
+        z = rng.normal(size=(triple.dim, triple.dim)) + 1j * rng.normal(size=(triple.dim, triple.dim))
+        h = z + z.conj().T
+        expected = svdvals(triple.dirac @ h - h @ triple.dirac)[0]
+        assert triple.seminorm(h) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("kwargs", [{"restarts": 0}, {"restarts": -2}, {"iterations": -1}])
+def test_mk_distance_rejects_empty_search(kwargs):
+    triple = cyclic_triple(3, [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError):
+        mk_distance(triple, StateSpec.character(3, 0), StateSpec.character(3, 1), **kwargs)
+
+
+def test_zero_iterations_is_a_valid_search():
+    triple = cyclic_triple(3, [0.0, 1.0, 1.0])
+    chi0, chi1 = StateSpec.character(3, 0), StateSpec.character(3, 1)
+    result = mk_distance(triple, chi0, chi1, restarts=1, iterations=0)
+    assert result.iterations == 0
+    assert result.lower_bound == pytest.approx(
+        _witness_ratio(triple, chi0, chi1, result.witness), rel=1e-12)
+
+
+def test_one_point_space_distance_zero():
+    # C_1 has no non-constant test element; it used to fail stacking an empty basis
+    chi = StateSpec.character(1, 0)
+    assert mk_distance(cyclic_triple(1, [0.0]), chi, chi).lower_bound == 0.0
