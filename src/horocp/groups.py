@@ -8,23 +8,27 @@ Elements are plain tuples in a canonical form fixed by the group kind:
 * finite cyclic Z/n       -> (k,) with 0 <= k < n
 
 All group arithmetic is exact integer arithmetic; word lengths are exact
-breadth-first distances in the Cayley graph.  The BFS cache inserts elements
-in non-decreasing length and records where each sphere ends, so a word ball
-is a prefix of the cache with each sphere sorted, sharing the cache's tuples.
-Loops over a ball gather lengths instead of asking one element at a time:
-the law translates the ball's int64 coordinates (BallTable.left_translates)
-and LengthFunction.lengths looks the rows up in the cache.
+breadth-first distances in the Cayley graph.  The BFS grows one whole
+sphere at a time on integer coordinate arrays: the law translates the last
+sphere by each generator, the translates are keyed by their mixed-radix
+position in their bounding box (key order is tuple order), and the keys of
+the last two spheres are dropped.  The cache holds whole spheres only, inserted in
+(length, tuple) order, so a word ball is a prefix of the cache sharing its
+tuples.  Loops over a ball gather lengths instead of asking one element at a
+time: the law translates the ball's int64 coordinates
+(BallTable.left_translates) and LengthFunction.lengths looks the rows up in
+the cache.  Exact elimination (rref) runs on integer rows and divides once at
+the end.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import islice, product, repeat
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -63,11 +67,12 @@ H3_C = (0, 0, 1)
 # Group laws: one object per kind holds all of that kind's arithmetic.  A new
 # kind supplies identity, fits and shape_error (the element check), product,
 # inverse, abelianization, abelianization_rank, translate and, where the
-# default sum |c_i| is wrong, weight.  Each function closes over rank and
-# torsion, and product is the raw product that both GroupSpec.multiply (after
-# checking its operands) and the BFS in LengthFunction call.  translate(g, h)
-# is the same product vectorised over the rows of an int64 array h: the left
-# translates g h of a ball's coordinates (BallTable.translate).
+# defaults are wrong, weight (sum |c_i|) and membership (the integer span of
+# the generators and the torsion relations).  Each function closes over rank
+# and torsion, and product is the raw product that GroupSpec.multiply calls
+# after checking its operands.  translate(g, h) is the same product
+# vectorised over the rows of an int64 array h: the left translates g h of a
+# ball's coordinates (BallTable.translate) or of a BFS sphere.
 
 # isinstance(c, int) without a generator frame per element: element checks
 # run on every validated product and length lookup.
@@ -79,6 +84,7 @@ class _Law:
 
     abelian = True
     finite = False
+    relations: tuple = ()
 
     def check(self, g: Element) -> None:
         if not isinstance(g, tuple) or not all(map(_is_int, g)):
@@ -89,6 +95,12 @@ class _Law:
     def weight(self, g: Element) -> int:
         """Coordinate weight that every reducing generator step lowers."""
         return sum(abs(c) for c in g)
+
+    def membership(self, generators: Sequence[Element]):
+        """Exact test of g in the subgroup the generators generate: here the
+        integer span of the generators and the torsion relations."""
+        lattice = _integer_echelon([*generators, *self.relations])
+        return lambda g: _in_lattice(lattice, g)
 
 
 _LATTICE_SUMS = {
@@ -119,6 +131,7 @@ class _FreeAbelianTimesCyclic(_Law):
         n = torsion
         self.abelianization_rank = rank
         self.identity = (0,) * (rank + 1)
+        self.relations = ((0,) * rank + (n,),)
         self.fits = lambda g: len(g) == rank + 1 and 0 <= g[-1] < n
         self.shape_error = "bad Z^m x Z/n element {g!r}"
         self.product = lambda a, b: (
@@ -156,6 +169,55 @@ class _Heisenberg(_Law):
 
         self.translate = translate
 
+    def membership(self, generators: Sequence[Element]):
+        """Exact membership through a Mal'cev basis of the subgroup.
+
+        Euclid with group products down the x and then the y coordinate
+        gives a = (x1, y1, z1) with x1 > 0, b = (0, y2, z2) with y2 > 0 (each
+        None where the column is 0) and relation words (0, 0, z).  The centre
+        part of the subgroup is (0, 0, cZ) with c the gcd of the commutator
+        [a, b] = (0, 0, x1 y2) and the relations' z, and g is in the subgroup
+        exactly when sifting it through a and b leaves (0, 0, kc).
+        """
+        product = self.product
+
+        def power(g, n):
+            return (n * g[0], n * g[1], n * g[2] + g[0] * g[1] * (n * (n - 1) // 2))
+
+        def euclid(elements, col):
+            """(the element with the column's gcd, made positive, or None;
+            the elements with 0 in the column) after Nielsen moves
+            r -> r p^-q, which keep the subgroup."""
+            live = [g for g in elements if g[col]]
+            rest = [g for g in elements if not g[col]]
+            while len(live) > 1:
+                i = min(range(len(live)), key=lambda k: abs(live[k][col]))
+                p = live.pop(i)
+                moved = [product(r, power(p, -(r[col] // p[col]))) for r in live]
+                live = [p] + [r for r in moved if r[col]]
+                rest += [r for r in moved if not r[col]]
+            if not live:
+                return None, rest
+            return (live[0] if live[0][col] > 0 else power(live[0], -1)), rest
+
+        a, rest = euclid(generators, 0)
+        b, centre = euclid(rest, 1)
+        c = math.gcd(a[0] * b[1] if a and b else 0, *(z for _, _, z in centre))
+
+        def generated(g):
+            for v, col in ((a, 0), (b, 1)):
+                if v is None:
+                    if g[col]:
+                        return False
+                    continue
+                q, rem = divmod(g[col], v[col])
+                if rem:
+                    return False
+                g = product(power(v, -q), g)
+            return g[2] % c == 0 if c else g[2] == 0
+
+        return generated
+
 
 class _FiniteCyclic(_Law):
     """Z/n."""
@@ -166,6 +228,7 @@ class _FiniteCyclic(_Law):
         n = torsion
         self.abelianization_rank = 0
         self.identity = (0,)
+        self.relations = ((n,),)
         self.fits = lambda g: len(g) == 1 and 0 <= g[0] < n
         self.shape_error = f"bad Z/{n} element {{g!r}}"
         self.product = lambda a, b: ((a[0] + b[0]) % n,)
@@ -390,24 +453,43 @@ def rref(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
     The package's one exact-elimination kernel.  The rank is len(pivots);
     the pivot columns of the transpose index the greedy (first independent)
     row basis; a null vector and the solution of a square system are read off
-    the reduced rows.
+    the reduced rows.  Fraction-free: each row is scaled to integers,
+    Gauss-Jordan runs on integer row updates reduced by their gcd, and each
+    pivot row is divided by its pivot once at the end (the reduced form is
+    unique, so the Fractions are those of rational elimination).
     """
-    mat = [[Fraction(c) for c in r] for r in rows]
+    mat = [_primitive(_integer_row(r)[0]) for r in rows]
     pivots: list[int] = []
     for col in range(len(mat[0]) if mat else 0):
         top = len(pivots)
-        piv = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[top], mat[piv] = mat[piv], mat[top]
-        pv = mat[top][col]
-        mat[top] = [v / pv for v in mat[top]]
-        for r in range(len(mat)):
-            if r != top and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[top])]
+        p = mat[top]
+        pv = p[col]
+        for r, row in enumerate(mat):
+            f = row[col]
+            if f and r != top:
+                mat[r] = _primitive([pv * a - f * b for a, b in zip(row, p)])
         pivots.append(col)
-    return mat, pivots
+    reduced = [[Fraction(a, row[col]) for a in row] for row, col in zip(mat, pivots)]
+    return reduced + [[Fraction(0)] * len(row) for row in mat[len(pivots):]], pivots
+
+
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """(integer numerators, common positive denominator) of a rational vector."""
+    if all(map(_is_int, values)):
+        return list(values), 1
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The row divided by the gcd of its entries (a zero row unchanged)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [a // g for a in row]
 
 
 def _solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
@@ -512,15 +594,8 @@ class BallTable:
         """
         coords = self.coords
         lo, hi = coords.min(axis=0), coords.max(axis=0)
-        strides, size = [], 1
-        for span in reversed((hi - lo + 1).tolist()):
-            strides.append(size)
-            size *= span
-        if size > np.iinfo(np.int64).max:
-            raise CoordinateOverflowError(
-                f"ball bounding box of {size} points does not fit int64 keys")
-        strides = np.array(strides[::-1], dtype=np.int64)
-        keys = (coords - lo) @ strides
+        strides = _mixed_radix(lo, hi)[0]
+        keys = _box_keys(coords, lo, strides)
         order = np.argsort(keys)
         return lo, hi, strides, keys[order], order
 
@@ -535,12 +610,73 @@ class BallTable:
         moved = self.left_translates(g)
         lo, hi, strides, keys, order = self._lookup
         inside = np.flatnonzero(np.all((moved >= lo) & (moved <= hi), axis=1))
-        codes = (moved[inside] - lo) @ strides
+        codes = _box_keys(moved[inside], lo, strides)
         pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
         hit = keys[pos] == codes
         out = np.full(len(self.elements), -1, dtype=np.intp)
         out[inside[hit]] = order[pos[hit]]
         return out
+
+
+def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(strides, spans) of the mixed-radix keys of the box [lo, hi]
+    (_box_keys): exact in int64 and in tuple order, or
+    CoordinateOverflowError."""
+    spans = (hi - lo + 1).tolist()
+    strides, size = [], 1
+    for span in reversed(spans):
+        strides.append(size)
+        size *= span
+    if size > np.iinfo(np.int64).max:
+        raise CoordinateOverflowError(f"bounding box of {size} points does not fit int64 keys")
+    return np.array(strides[::-1], dtype=np.int64), np.array(spans, dtype=np.int64)
+
+
+def _box_keys(coords: np.ndarray, lo: np.ndarray, strides: np.ndarray) -> np.ndarray:
+    """The mixed-radix keys (coords - lo) @ strides, one column at a time."""
+    keys = (coords[:, 0] - lo[0]) * strides[0]
+    for j in range(1, coords.shape[1]):
+        keys += (coords[:, j] - lo[j]) * strides[j]
+    return keys
+
+
+def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
+                 sphere: np.ndarray) -> np.ndarray:
+    """The BFS sphere after `sphere` (the one before it is `previous`), in
+    tuple order.  Spheres are int32 (COORD_LIMIT fits) and column-major, so
+    the per-column numpy work is contiguous.
+
+    The translates s h of the last sphere lie in it, in the one before or in
+    the next: mixed-radix keys over their bounding box (tuple order) find the
+    new ones.  Each generator's int64 translates are formed, reduced and
+    dropped one at a time.
+    """
+    sphere = sphere.astype(np.int64)
+    lo, hi = sphere.min(axis=0), sphere.max(axis=0)
+    for part in (previous, *(translate(s, sphere) for s in generators)):
+        if len(part):
+            lo, hi = np.minimum(lo, part.min(axis=0)), np.maximum(hi, part.max(axis=0))
+    if lo.min() < -COORD_LIMIT or hi.max() > COORD_LIMIT:
+        raise CoordinateOverflowError(f"a coordinate exceeds the translation limit {COORD_LIMIT}")
+    strides, spans = _mixed_radix(lo, hi)
+    keys = np.concatenate([_box_keys(translate(s, sphere), lo, strides) for s in generators])
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    for old in (previous, sphere):
+        if len(old):
+            known = _box_keys(old, lo, strides)  # sorted: old is in tuple order
+            pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+            keys = keys[known[pos] != keys]
+    new = np.empty((len(keys), len(lo)), dtype=np.int32, order="F")
+    for j, (low, stride, span) in enumerate(zip(lo, strides, spans)):
+        new[:, j] = keys // stride % span + low
+    return new
+
+
+def _tuples(coords: np.ndarray) -> Iterator[Element]:
+    """The rows of a coordinate array as tuples of Python ints, made one by
+    one from the columns."""
+    return zip(*[coords[:, j].tolist() for j in range(coords.shape[1])])
 
 
 def _int64_coordinates(elements: Sequence[Element], group: GroupSpec) -> np.ndarray:
@@ -572,11 +708,11 @@ class AxiomReport:
 class LengthFunction:
     """A (pseudo-)length on a group: word length, norm restriction, or table.
 
-    Word lengths run an incremental breadth-first search from the identity and
-    memoize every distance computed so far, in BFS order with the end of each
-    sphere recorded; balls are sorted prefixes of that cache, and `lengths`
-    gathers cached lengths for whole coordinate arrays.  Values are exact
-    integers for word lengths.
+    Word lengths run a breadth-first search from the identity that grows one
+    whole sphere at a time and memoize every distance computed so far, sphere
+    by sphere in tuple order with the end of each sphere recorded; balls are
+    prefixes of that cache, and `lengths` gathers cached lengths for whole
+    coordinate arrays.  Values are exact integers for word lengths.
     """
 
     WORD = "word"
@@ -600,22 +736,17 @@ class LengthFunction:
                     raise ValueError("word-length generating set must be symmetric")
             e = group.identity()
             self._dist: dict[Element, int] = {e: 0}
-            # _ends[k] = number of elements of length <= k, known from the
-            # first expansion of a length-k element on
-            self._ends: list[int] = []
-            self._queue: deque[Element] = deque([e])
+            # _ends[k] = number of elements of length <= k, one entry per
+            # sphere in the cache (the cache holds whole spheres only)
+            self._ends: list[int] = [1]
+            # the last two spheres as int32 coordinates, column-major and in
+            # tuple order (_next_sphere); the first is empty at the start
+            sphere = np.array([e], dtype=np.int32, order="F")
+            self._spheres = (sphere[:0], sphere)
             self._exhausted = False
-            self._mult = group.law.product
             # Elements the generators do not reach are refused at once rather
-            # than after the BFS has grown to the cap.  In the abelian kinds
-            # that is exact: g must lie in the integer span of the generators
-            # and the torsion relation.  On H3 it is necessary only: p(g) must
-            # lie in the integer span of the p(s).
-            self._image = group.law.abelianization if not group.is_abelian else tuple
-            relations = [self._image(s) for s in self.generators]
-            if group.torsion:
-                relations.append((0,) * (len(e) - 1) + (group.torsion,))
-            self._lattice = _integer_echelon(relations)
+            # than after the BFS has grown to the cap; the test is exact.
+            self._generated = group.law.membership(self.generators)
         elif kind == self.NORM:
             if not group.is_free_abelian:
                 raise ValueError("norm restrictions are supported on free abelian groups only")
@@ -658,14 +789,11 @@ class LengthFunction:
         self.group.validate(g)
         if self.kind == self.WORD:
             dist = self._dist
-            if g in dist:
-                return dist[g]
-            if not _in_lattice(self._lattice, self._image(g)):
-                raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
-            while self._queue and g not in dist:
-                self._expand_one()
             if g not in dist:
-                raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
+                if not self._generated(g):
+                    raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
+                while g not in dist and not self._exhausted:
+                    self._grow()
             return dist[g]
         if self.kind == self.NORM:
             return self.norm.evaluate(g)
@@ -689,7 +817,7 @@ class LengthFunction:
     def _gather(self, points, skip_errors: bool = False) -> tuple[np.ndarray, list[int]]:
         """(lengths, failed rows); with skip_errors a row whose length raises
         ValueError or BallCapError is listed in failed with length 0."""
-        rows = list(map(tuple, points.tolist())) if isinstance(points, np.ndarray) else points
+        rows = list(_tuples(points)) if isinstance(points, np.ndarray) else points
         cache = self._dist if self.kind == self.WORD else self.table if self.kind == self.TABLE else {}
         found = list(map(cache.get, rows))
         failed = []
@@ -705,38 +833,33 @@ class LengthFunction:
                         failed.append(i)
         return np.array(found, dtype=np.int64 if self.kind == self.WORD else object), failed
 
-    def _expand_one(self):
-        queue = self._queue
-        u = queue.popleft()
-        mark = len(queue)
-        du = self._dist[u]
-        dist = self._dist
-        if du == len(self._ends):
-            # u is the first of its sphere to expand, so the sphere is complete
-            self._ends.append(len(dist))
-        mult = self._mult
-        for s in self.generators:
-            v = mult(u, s)
-            if v not in dist:
-                if len(dist) >= self.cap:
-                    # Undo this expansion so that a later, larger cap resumes
-                    # from an intact frontier and lengths stay exact.
-                    while len(queue) > mark:
-                        del dist[queue.pop()]
-                    queue.appendleft(u)
-                    raise BallCapError(
-                        f"ball cap {self.cap} exceeded while expanding radius {du + 1}"
-                    )
-                dist[v] = du + 1
-                queue.append(v)
-        if not queue:
+    def _grow(self):
+        """Add the next sphere to the cache, whole, or mark the cache
+        exhausted when it is empty.  Raises BallCapError, with the cache
+        intact, when the sphere would take it past the cap, and
+        CoordinateOverflowError when a coordinate leaves the int64 limit."""
+        sphere = self._spheres[1]
+        new = _next_sphere(self.group.law.translate, self._generator_coords, *self._spheres)
+        if not len(new):
             self._exhausted = True
+            return
+        radius = len(self._ends)
+        if len(self._dist) + len(new) > self.cap:
+            raise BallCapError(f"ball cap {self.cap} exceeded while expanding radius {radius}")
+        self._spheres = (sphere, new)
+        self._dist.update(zip(_tuples(new), repeat(radius)))
+        self._ends.append(len(self._dist))
 
-    def _ensure_radius(self, r: int):
-        while self._queue and self._dist[self._queue[0]] < r:
-            self._expand_one()
-        if not self._queue:
-            self._exhausted = True
+    @cached_property
+    def _generator_coords(self) -> np.ndarray:
+        return _int64_coordinates(self.generators, self.group)
+
+    def _ensure_radius(self, radius: float):
+        """Grow the cache to every sphere of length <= radius (all of them at
+        an infinite radius), or until it is exhausted."""
+        target = radius if math.isinf(radius) else math.floor(radius)
+        while not self._exhausted and len(self._ends) - 1 < target:
+            self._grow()
 
     # -- balls ---------------------------------------------------------------
 
@@ -746,15 +869,14 @@ class LengthFunction:
         if radius in self._ball_cache:
             return self._ball_cache[radius]
         if self.kind == self.WORD:
-            if math.isinf(radius):
-                if not self.group.is_finite:
-                    raise ValueError("infinite radius needs a finite group")
-                while self._queue:
-                    self._expand_one()
-            else:
-                self._ensure_radius(int(math.floor(radius)))
-            elements, values = self._sorted_spheres(radius)
-            complete = self._exhausted and len(values) == len(self._dist)
+            if math.isinf(radius) and not self.group.is_finite:
+                raise ValueError("infinite radius needs a finite group")
+            self._ensure_radius(radius)
+            ends = self._ends
+            n = ends[-1] if radius >= len(ends) - 1 else ends[int(radius)]
+            elements = tuple(islice(self._dist, n))
+            values = dict(islice(self._dist.items(), n))
+            complete = self._exhausted and n == len(self._dist)
         else:
             if self.kind == self.NORM:
                 items = self._norm_ball_items(radius)
@@ -771,22 +893,6 @@ class LengthFunction:
             raise BallCapError(f"ball at radius {radius} has {len(table)} > cap {self.cap} elements")
         self._ball_cache[radius] = table
         return table
-
-    def _sorted_spheres(self, radius: float) -> tuple[tuple[Element, ...], dict[Element, int]]:
-        """The cached elements of length <= radius, sphere by sphere in tuple
-        order, and their lengths: (length, lexicographic) order without a key."""
-        dist, ends = self._dist, self._ends
-        keys = iter(dist)
-        elements: list[Element] = []
-        values: dict[Element, int] = {}
-        k = 0
-        while k <= radius and len(elements) < len(dist):
-            end = ends[k] if k < len(ends) else len(dist)
-            sphere = sorted(islice(keys, end - len(elements)))
-            elements += sphere
-            values.update(dict.fromkeys(sphere, k))
-            k += 1
-        return tuple(elements), values
 
     def _norm_ball_items(self, radius):
         m = self.group.rank

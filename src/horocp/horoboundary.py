@@ -15,9 +15,10 @@ of the translates, exact int64 for word lengths, the length's own objects
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .groups import (
@@ -25,6 +26,7 @@ from .groups import (
     Element,
     GroupSpec,
     LengthFunction,
+    _integer_row,
     _solve_linear,
     rref,
 )
@@ -89,10 +91,16 @@ class SupportFunctional:
 
     coefficients: tuple[Fraction, ...]
     facet: tuple[tuple, ...]
+    # (integer numerators, common denominator) of the coefficients
+    _integers: tuple[list[int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_integers", _integer_row(self.coefficients))
 
     def __call__(self, x: Sequence) -> Fraction:
-        return sum((Fraction(c) * Fraction(v) for c, v in zip(self.coefficients, x)),
-                   Fraction(0))
+        nums, den = self._integers
+        xs, q = _integer_row(x)
+        return Fraction(sum(map(mul, nums, xs)), den * q)
 
     def scaled(self, factor) -> "SupportFunctional":
         f = Fraction(factor)
@@ -181,6 +189,7 @@ def _hull_2d(pts):
 
 def _facets_2d(pts) -> tuple[SupportFunctional, ...]:
     hull = _hull_2d(pts)
+    scaled = [_integer_row(p) for p in pts]
     out = {}
     n = len(hull)
     ones = [Fraction(1), Fraction(1)]
@@ -189,8 +198,7 @@ def _facets_2d(pts) -> tuple[SupportFunctional, ...]:
         sigma = _solve_linear([list(a), list(b)], ones)
         if sigma is None:
             raise DegeneratePolytopeError(_span_normal(pts, 2))
-        contact = tuple(sorted(p for p in pts if _dot(sigma, p) == 1))
-        out[sigma] = contact
+        out[sigma] = _contact(pts, _levels(sigma, scaled))
     return tuple(
         SupportFunctional(s, c) for s, c in sorted(out.items(), key=lambda kv: kv[0])
     )
@@ -198,21 +206,31 @@ def _facets_2d(pts) -> tuple[SupportFunctional, ...]:
 
 def _facets_brute(pts, m) -> tuple[SupportFunctional, ...]:
     out = {}
-    ones = [Fraction(1)] * m
-    for subset in combinations(pts, m):
-        sigma = _solve_linear([list(p) for p in subset], ones)
+    scaled = [_integer_row(p) for p in pts]
+    for subset in combinations(scaled, m):
+        # sigma(xs / q) = 1 is sigma(xs) = q: an integer system
+        sigma = _solve_linear([xs for xs, _ in subset], [q for _, q in subset])
         if sigma is None:
             continue
-        if all(_dot(sigma, p) <= 1 for p in pts):
-            contact = tuple(sorted(p for p in pts if _dot(sigma, p) == 1))
-            out[sigma] = contact
+        levels = _levels(sigma, scaled)
+        if max(levels) <= 0:
+            out[sigma] = _contact(pts, levels)
     return tuple(
         SupportFunctional(s, c) for s, c in sorted(out.items(), key=lambda kv: kv[0])
     )
 
 
-def _dot(sigma, p) -> Fraction:
-    return sum((a * b for a, b in zip(sigma, p)), Fraction(0))
+def _levels(sigma, scaled) -> list[int]:
+    """sigma(p) - 1 times a positive integer, for each point p given as
+    (integer numerators, common denominator): negative below the level set
+    sigma = 1, zero on it, positive above."""
+    nums, den = _integer_row(sigma)
+    return [sum(map(mul, nums, xs)) - den * q for xs, q in scaled]
+
+
+def _contact(pts, levels) -> tuple:
+    """The points on the level set sigma = 1, sorted."""
+    return tuple(sorted(p for p, v in zip(pts, levels) if v == 0))
 
 
 # ---------------------------------------------------------------------------

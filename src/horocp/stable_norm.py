@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .groups import BallTable, Element, GroupSpec, LengthFunction
+from .groups import BallTable, Element, GroupSpec, LengthFunction, _tuples
 from .horoboundary import SupportFunctional
 
 DEFAULT_HORIZON = 40
@@ -41,11 +41,12 @@ def asymptotic_length(g: Element, spec: LengthFunction, horizon: int = DEFAULT_H
         raise ValueError("horizon must be >= 1")
     group = spec.group
     _check_power_domain(group, g)
-    ratios = []
-    power = group.identity()
-    for i in range(1, horizon + 1):
-        power = group.multiply(power, g)
-        ratios.append(float(spec.length(power)) / i)
+    group.validate(g)
+    powers = [g]
+    for _ in range(1, horizon):
+        powers.append(group.law.product(powers[-1], g))
+    lengths = spec.lengths(powers).tolist()
+    ratios = [float(v) / i for i, v in enumerate(lengths, start=1)]
     value = min(ratios)
     return StableNormResult(value, ratios[-1] - value, horizon, tuple(ratios))
 
@@ -91,14 +92,14 @@ def uniform_deviation(g: Element, i: int, ball: BallTable, spec: LengthFunction,
             return 0.0
         return float(stable_norm_dual(group.abelianization(element), functionals))
 
+    shifted = ball.left_translates(ig_inv)
     worst = 0.0
     big_c = 0.0
-    for h in ball:
-        shifted = group.multiply(ig_inv, h)
-        lh = float(spec.length(h))
-        ls = float(spec.length(shifted))
+    for h, s, lh, ls in zip(ball.elements, _tuples(shifted),
+                            spec.lengths(ball.elements).tolist(), spec.lengths(shifted).tolist()):
+        lh, ls = float(lh), float(ls)
         phi_l = lh - ls
-        phi_as = dual(h) - dual(shifted)
+        phi_as = dual(h) - dual(s)
         worst = max(worst, abs(phi_l - phi_as) / i)
-        big_c = max(big_c, abs(lh - dual(h)), abs(ls - dual(shifted)))
+        big_c = max(big_c, abs(lh - dual(h)), abs(ls - dual(s)))
     return DeviationReport(worst, big_c, 4.0 * big_c / i, len(ball))

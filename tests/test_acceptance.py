@@ -3,8 +3,15 @@
 Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
+import hashlib
+import importlib.util
 import math
+import os
+import platform
+import sys
 import time
+from pathlib import Path
+
 import numpy as np
 
 from horocp import (
@@ -260,6 +267,35 @@ def test_criterion_12_operator_norm_engine():
            values[-1] >= 1.95 and monotone and commutator_ok)
 
 
+def recorded_verify_digest(argv: str):
+    """The stdout sha256 of `horocp <argv>` that perfbench/oracles.py records
+    for this Python, numpy, BLAS and BLAS thread count, or None.
+
+    oracles.py is loaded from its path and only read.  The thread count is
+    the first of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and OMP_NUM_THREADS
+    that is set (the order OpenBLAS reads them); with none set it is unknown
+    and no digest applies.
+    """
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_oracles", path)
+    oracles = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = oracles  # its dataclasses look their module up
+    try:
+        spec.loader.exec_module(oracles)
+    finally:
+        del sys.modules[spec.name]
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{deps['name']} {deps.get('version', '')}".strip()
+    except (TypeError, KeyError):
+        blas = "unknown"
+    threads = next((os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                            "OMP_NUM_THREADS") if v in os.environ), None)
+    env = {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+           "blas_threads": int(threads) if threads and threads.isdigit() else None}
+    return oracles.verify_reference(argv, env)
+
+
 def test_criterion_13_cli_determinism(capsys):
     started = time.monotonic()
     code1 = run(["verify", "all", "--seed", "7"])
@@ -268,5 +304,11 @@ def test_criterion_13_cli_determinism(capsys):
     code2 = run(["verify", "all", "--seed", "7"])
     second = capsys.readouterr().out
     ok = code1 == 0 and code2 == 0 and first == second and elapsed < 600.0
-    report(13, f"verify all --seed 7 byte-identical across runs; one run takes "
+    # the recorded digest, where this environment has one, pins the bytes
+    reference = recorded_verify_digest("verify all --seed 7")
+    digest = hashlib.sha256(first.encode()).hexdigest()
+    pinned = "no recorded digest for this environment" if reference is None else \
+        f"stdout sha256 {digest[:8]}... against the recorded {reference[:8]}..."
+    ok = ok and (reference is None or digest == reference)
+    report(13, f"verify all --seed 7 byte-identical across runs; {pinned}; one run takes "
                f"{elapsed:.0f}s < 600s", ok)

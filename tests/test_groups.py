@@ -1,6 +1,8 @@
 import math
 import pickle
 import time
+from collections import deque
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from horocp import (
     BallCapError,
+    CoordinateOverflowError,
     GroupMismatchError,
     GroupSpec,
     LengthFunction,
@@ -18,6 +21,7 @@ from horocp import (
     central_heisenberg_table,
     hexagonal_generators,
 )
+from horocp.groups import rref
 
 
 def test_heisenberg_product():
@@ -268,10 +272,14 @@ OFF_LATTICE = [
     (GroupSpec.free_abelian_times_cyclic(1, 3), [(1, 0), (-1, 0)], (0, 1)),
     (GroupSpec.free_abelian(2), [(2, 0), (-2, 0), (0, 1), (0, -1)], (1, 0)),
     (GroupSpec.heisenberg3(), [(2, 0, 0), (-2, 0, 0), H3_B, (0, -1, 0)], H3_A),
+    # p(c) = 0 is in the span, but every product of these generators has an
+    # even central coordinate: the Mal'cev sift refuses c
+    (GroupSpec.heisenberg3(), [(2, 0, 0), (-2, 0, 0), H3_B, (0, -1, 0)], H3_C),
 ]
 
 
-@pytest.mark.parametrize("group,gens,g", OFF_LATTICE, ids=["Z-2", "ZxC3", "Z2-2e1", "H3-a2"])
+@pytest.mark.parametrize("group,gens,g", OFF_LATTICE,
+                         ids=["Z-2", "ZxC3", "Z2-2e1", "H3-a2", "H3-centre"])
 def test_element_outside_the_integer_span_is_refused_at_once(group, gens, g):
     spec = LengthFunction.word(group, gens, cap=200_000)
     assert spec.length(gens[0]) == 1
@@ -395,3 +403,174 @@ def test_ball_is_sorted_prefix_of_the_cache(case, ops):
         check_ball(radius)
     if group.is_finite:
         check_ball(math.inf)
+
+
+def dict_bfs(group, gens, radius):
+    """Independent word-length BFS, one element at a time from a queue.
+
+    Returns ({element: length} for length <= radius, [number of elements of
+    length <= k for each non-empty sphere k <= radius], complete), where
+    complete means that sphere floor(radius) is empty (at an infinite radius,
+    that the BFS ran out): the ball is the whole group.
+    """
+    e = group.identity()
+    dist = {e: 0}
+    queue = deque([e])
+    while queue:
+        u = queue.popleft()
+        if dist[u] > radius:
+            break
+        for s in gens:
+            v = group.multiply(u, s)
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    inside = {g: d for g, d in dist.items() if d <= radius}
+    top = max(inside.values())
+    ends = [sum(1 for d in inside.values() if d <= k) for k in range(top + 1)]
+    return inside, ends, radius == math.inf or top < math.floor(radius)
+
+
+def h3_nonstandard():
+    h3 = GroupSpec.heisenberg3()
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    return h3, gens + [h3.inverse(s) for s in gens]
+
+
+SPHERE_CASES = {
+    "Z1": (GroupSpec.free_abelian(1), None, 12),
+    "Z2": (GroupSpec.free_abelian(2), None, 9),
+    "Z2-hex": (GroupSpec.free_abelian(2), hexagonal_generators(), 9),
+    "ZxC3": (GroupSpec.free_abelian_times_cyclic(1, 3), None, 8),
+    "H3": (GroupSpec.heisenberg3(), None, 8),
+    "H3-nonstandard": (*h3_nonstandard(), 6),
+    "C7-inf": (GroupSpec.finite_cyclic(7), None, math.inf),
+    "C7-3": (GroupSpec.finite_cyclic(7), None, 3),
+    "C7-4": (GroupSpec.finite_cyclic(7), None, 4.5),
+}
+
+
+@pytest.mark.parametrize("case", SPHERE_CASES.values(), ids=SPHERE_CASES.keys())
+def test_whole_sphere_bfs_matches_per_element_bfs(case):
+    group, gens, radius = case
+    gens = gens or group.generators
+    spec = LengthFunction.word(group, gens)
+    ball = spec.ball(radius)
+    dist, ends, complete = dict_bfs(group, gens, radius)
+    order = sorted(dist, key=lambda g: (dist[g], g))
+    # the cache holds exactly the spheres up to the radius, in (length, tuple) order
+    assert spec._dist == dist
+    assert list(spec._dist) == order
+    assert spec._ends == ends
+    assert ball.elements == tuple(order)
+    assert dict(ball.values) == dist
+    assert ball.complete_group == complete
+
+
+def test_ball_cap_keeps_whole_spheres_and_resumes():
+    group, gens, _ = SPHERE_CASES["H3-nonstandard"]
+    spec = LengthFunction.word(group, gens, cap=1000)
+    with pytest.raises(BallCapError, match="while expanding radius"):
+        spec.ball(10)
+    cache, ends = list(spec._dist.items()), list(spec._ends)
+    assert len(cache) <= 1000
+    # what is cached is exact: the whole spheres below the one refused
+    dist, ref_ends, _ = dict_bfs(group, gens, len(ends) - 1)
+    assert dict(cache) == dist and ends == ref_ends
+    far = max(dict_bfs(group, gens, len(ends))[0].items(), key=lambda kv: kv[1])[0]
+    with pytest.raises(BallCapError):
+        spec.length(far)
+    assert list(spec._dist.items()) == cache and spec._ends == ends
+    spec.cap = 10**6
+    fresh = LengthFunction.word(group, gens).ball(10)
+    resumed = spec.ball(10)
+    assert resumed.elements == fresh.elements
+    assert dict(resumed.values) == dict(fresh.values)
+    assert spec.length(far) == len(ends)
+
+
+def test_ball_cap_counts_whole_spheres():
+    # Z2 balls hold 1, 5, 13, 25 elements: a cap of 25 admits ball(3) exactly,
+    # and a cap of 24 refuses its last sphere and keeps the three before it
+    z2 = GroupSpec.free_abelian(2)
+    assert len(LengthFunction.word(z2, cap=25).ball(3)) == 25
+    spec = LengthFunction.word(z2, cap=24)
+    with pytest.raises(BallCapError, match="radius 3"):
+        spec.ball(3)
+    assert len(spec._dist) == 13 and spec._ends == [1, 5, 13]
+
+
+def test_bfs_refuses_keys_beyond_int64():
+    # three coordinates spanning 2**31 + 1 values each: the box has about
+    # 2**93 points, so the sphere keys cannot be int64
+    big = 2**30
+    z3 = GroupSpec.free_abelian(3)
+    gens = [(big, 0, 0), (-big, 0, 0), (0, big, 0), (0, -big, 0), (0, 0, big), (0, 0, -big)]
+    spec = LengthFunction.word(z3, gens)
+    with pytest.raises(CoordinateOverflowError, match="int64"):
+        spec.length((big, 0, 0))
+    assert spec._dist == {(0, 0, 0): 0} and spec._ends == [1]
+    # one coordinate: the keys fit, but radius 2 passes the coordinate limit
+    z1 = LengthFunction.word(GroupSpec.free_abelian(1), [(big,), (-big,)], cap=100)
+    assert z1.length((-big,)) == 1
+    with pytest.raises(CoordinateOverflowError, match="limit"):
+        z1.length((2 * big,))
+
+
+def fraction_rref(rows):
+    """Plain Gauss-Jordan over Fractions, the reference for rref."""
+    mat = [[Fraction(c) for c in r] for r in rows]
+    pivots = []
+    for col in range(len(mat[0]) if mat else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(mat)) if mat[r][col] != 0), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        pv = mat[top][col]
+        mat[top] = [v / pv for v in mat[top]]
+        for r in range(len(mat)):
+            if r != top and mat[r][col] != 0:
+                f = mat[r][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[top])]
+        pivots.append(col)
+    return mat, pivots
+
+
+rationals = st.one_of(st.integers(-6, 6), st.integers(-6, 6),
+                      st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+@given(st.integers(0, 5).flatmap(
+    lambda width: st.lists(st.lists(rationals, min_size=width, max_size=width), max_size=5)),
+    st.data())
+@settings(max_examples=300, deadline=None)
+def test_fraction_free_rref_matches_fraction_elimination(rows, data):
+    if rows and data.draw(st.booleans()):
+        # a dependent row: a rational combination of two drawn rows
+        i, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows) - 1))
+        a, b = data.draw(rationals), data.draw(rationals)
+        rows = rows + [[a * Fraction(x) + b * Fraction(y) for x, y in zip(rows[i], rows[j])]]
+    mat, pivots = rref(rows)
+    ref_mat, ref_pivots = fraction_rref(rows)
+    assert pivots == ref_pivots
+    assert mat == ref_mat
+    assert all(type(v) is Fraction for row in mat for v in row)
+
+
+h3_steps = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2)).filter(any)
+H3_BOX = [(x, y, z) for x in range(-2, 3) for y in range(-2, 3) for z in range(-4, 5)]
+
+
+@given(st.lists(h3_steps, min_size=1, max_size=2, unique=True))
+@settings(max_examples=25, deadline=None)
+def test_heisenberg_membership_matches_bfs_reachability(steps):
+    # On the box, the Mal'cev sift accepts exactly the elements the BFS
+    # reaches: every box element these generators reach at all has length
+    # at most 14 (measured over 150 random draws), well inside radius 18.
+    h3 = GroupSpec.heisenberg3()
+    gens = sorted(set(steps) | {h3.inverse(s) for s in steps})
+    generated = h3.law.membership(gens)
+    reached = LengthFunction.word(h3, gens, cap=10**6).ball(18)
+    assert all(generated(g) for g in reached)
+    assert all(g in reached for g in H3_BOX if generated(g))

@@ -1,7 +1,10 @@
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocp import (
     DegeneratePolytopeError,
@@ -16,6 +19,7 @@ from horocp import (
     H3_A,
     H3_B,
 )
+from horocp.groups import _solve_linear
 from horocp.horoboundary import facet_functionals
 
 
@@ -195,3 +199,36 @@ def test_degenerate_normal_is_orthogonal_to_generators(z3):
         facets(z3, generators=gens)
     normal = err.value.normal
     assert any(normal) and all(sum(a * b for a, b in zip(normal, g)) == 0 for g in gens)
+
+
+def fraction_facets(pts, m):
+    """Facets by brute force in Fraction arithmetic: every m points whose
+    hyperplane sigma = 1 has no point above it."""
+    def dot(sigma, p):
+        return sum((a * b for a, b in zip(sigma, p)), Fraction(0))
+
+    out = {}
+    for subset in combinations(pts, m):
+        sigma = _solve_linear([list(p) for p in subset], [Fraction(1)] * m)
+        if sigma is not None and all(dot(sigma, p) <= 1 for p in pts):
+            out[sigma] = tuple(sorted(p for p in pts if dot(sigma, p) == 1))
+    return sorted(out.items())
+
+
+rational = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+
+
+@given(st.integers(2, 3).flatmap(lambda m: st.lists(st.tuples(*[rational] * m), min_size=1,
+                                                       max_size=5)))
+@settings(max_examples=80, deadline=None)
+def test_facets_of_rational_points_match_fraction_arithmetic(extra):
+    # the integer facet tests and functional values against Fraction
+    # arithmetic, on points with denominators (as from length tables)
+    m = len(extra[0])
+    axes = [tuple(Fraction(s if i == j else 0) for i in range(m)) for j in range(m) for s in (1, -1)]
+    pts = list(dict.fromkeys(axes + [tuple(map(Fraction, p)) for p in extra]))
+    funs = facet_functionals(pts, m)
+    assert [(f.coefficients, f.facet) for f in funs] == fraction_facets(pts, m)
+    for f in funs:
+        for x in extra:
+            assert f(x) == sum((c * Fraction(v) for c, v in zip(f.coefficients, x)), Fraction(0))
