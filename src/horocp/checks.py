@@ -24,10 +24,8 @@ from .aftriple import af_filtration
 from .groups import Element, GroupSpec, LengthFunction
 from .horoboundary import cocycle_defect, phi
 from .operators import (
-    DIM_CAP,
     ActionSpec,
     CrossedElement,
-    DenseCapError,
     SubgroupSpec,
     clock_matrix,
     coset_compress,
@@ -35,20 +33,18 @@ from .operators import (
     m_ell,
     m_phi,
     op_norm,
-    pi_tilde,
     realize,
     realize_phi_twisted,
     shift_matrix,
     truncate,
     window_column_mask,
+    _act_inv_blocks,
+    _check_nonzeros,
+    _unitary_stack,
 )
 
 EQUALITY_TOL = 1e-12
 SLACK_TOL = 1e-9
-# Dense matrices of the doubled space alive at once in check_unitary_conjugation:
-# u, u*, pi_a, nu_f, lam_gg and the three right-hand sides, plus the two
-# products of one residual.
-CONJUGATION_DENSE_MATRICES = 10
 
 
 @dataclass(frozen=True)
@@ -346,63 +342,43 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
 
     Checks U pi~(a) U* = pi(a) (x) 1, U nu~(f) U* = 1 (x) nu(f), and
     U lambda~_g U* = lambda_g (x) lambda_g on the interior window of the
-    doubled truncation.  The doubled space is dense, and the check holds
-    CONJUGATION_DENSE_MATRICES dim x dim matrices at once: DenseCapError,
-    before anything is allocated, when they would take more than the bytes
-    of one DIM_CAP-row matrix.
+    doubled truncation (H_A (x) l2(ball)) (x) l2(ball), indexed by (inner t,
+    outer k).  U is lambda_{h_k} on the k-th copy, so U X U* has at (t, k)
+    the block of X at (h_k^-1 t, k), zero where h_k^-1 t is outside the ball;
+    the residuals are read off the ball's index maps and the d x d coefficient
+    blocks, and nothing of the doubled space's size is allocated beyond its
+    n^2 diagonal blocks, counted against NONZERO_CAP first (NonzeroCapError).
     """
     group = spec.group
     d = action.dim
     H = truncate(spec, radius, d)
-    n = H.n_ball
-    dn = H.dim
-    dim = dn * n  # doubled space (H_A (x) l2(ball)) (x) l2(ball)
-    if CONJUGATION_DENSE_MATRICES * dim ** 2 > DIM_CAP ** 2:
-        raise DenseCapError(
-            f"dense dimension {dim}: {CONJUGATION_DENSE_MATRICES} complex {dim}x{dim} matrices "
-            f"exceed the bytes of one {DIM_CAP}-row matrix (the dense cap)")
+    ball, n = H.ball, H.n_ball
+    _check_nonzeros(n * n * d * d)
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
+    if a.shape != (d, d):
+        raise ValueError(f"coefficient must be {d}x{d}")
     f_values = np.asarray(f_values, dtype=complex)
     if f_values.shape != (n,):
         raise ValueError("f must list one value per ball element")
 
-    lam_blocks = [lambda_op(H, h).matrix for h in H.ball.elements]
-    u = np.zeros((dim, dim), dtype=complex)
-    for k in range(n):
-        u[k::n, k::n] = lam_blocks[k]
-
-    # iota images on H (x) l2(ball)
-    pi_a = np.zeros((dim, dim), dtype=complex)
-    for k, h in enumerate(H.ball.elements):
-        twisted = pi_tilde(H, action, action.act(group.inverse(h), a, spec)).matrix
-        pi_a[k::n, k::n] = twisted
-    nu_f = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
-    lam_gg = np.zeros((dim, dim), dtype=complex)
-    index = H.ball.index
-    lam_g_small = lam_blocks[index[g]] if g in index else lambda_op(H, g).matrix
-    eye_dn = np.eye(dn, dtype=complex)
-    targets = H.ball.translate(g)
-    moved = np.flatnonzero(targets >= 0)
-    for k in moved:
-        lam_gg[targets[k]::n, k::n] = eye_dn
-
-    rhs_pi = np.kron(pi_tilde(H, action, a).matrix, np.eye(n, dtype=complex))
-    rhs_nu = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
-    shift_n = np.zeros((n, n), dtype=complex)
-    shift_n[targets[moved], moved] = 1.0
-    rhs_lam = np.kron(lam_g_small, shift_n)
-
-    lg = float(spec.length(g))
-    ball_vals = H.lengths
-    pair_ok = ball_vals[:, None] + ball_vals[None, :] <= H.ball.radius  # (h, k)
-    pair_ok_g = ball_vals[:, None] + ball_vals[None, :] <= H.ball.radius - lg
-    col_mask = np.tile(pair_ok, (d, 1)).reshape(dim)
-    col_mask_g = np.tile(pair_ok_g, (d, 1)).reshape(dim)
-
-    uh = u.conj().T
+    # back[k, t]: ball index of h_k^-1 t, or -1
+    back = np.array([ball.translate(group.inverse(h)) for h in ball.elements])
+    pair = H.lengths[:, None] + H.lengths[None, :]  # l(h_k) + l(t)
+    lost = back < 0
+    k_in, t_in = np.nonzero((pair <= ball.radius) & ~lost)
+    k_out, t_out = np.nonzero((pair <= ball.radius) & lost)
+    # pi(a) (x) 1 has W(t)* a W(t) at (t, k), pi~(a) has W(j)* alpha_{h_k^-1}(a) W(j) at (j, k)
+    stack = _unitary_stack(H, action)
+    plain = _act_inv_blocks(stack, a, np.arange(n))
+    alphas = np.array([action.act(group.inverse(h), a, spec) for h in ball.elements])
+    moved = _act_inv_blocks(stack, alphas[k_in], back[k_in, t_in])
+    # lambda_g (x) lambda_g sends (t, k) to (g t, g h_k), U lambda~_g U* only if h_k^-1 t is inside
+    ahead = ball.translate(g) >= 0
+    missed = (pair <= ball.radius - float(spec.length(g))) & lost & ahead[:, None] & ahead[None, :]
     residuals = {
-        "coefficient": _max_abs(((u @ pi_a @ uh) - rhs_pi)[:, col_mask]),
-        "boundary-function": _max_abs(((u @ nu_f @ uh) - rhs_nu)[:, col_mask]),
-        "translation": _max_abs(((u @ lam_gg @ uh) - rhs_lam)[:, col_mask_g]),
+        "coefficient": max(_max_abs(moved - plain[t_in]), _max_abs(plain[t_out])),
+        "boundary-function": _max_abs(f_values[k_out]),
+        "translation": 1.0 if missed.any() else 0.0,
     }
     residual = max(residuals.values())
     return CheckReport(

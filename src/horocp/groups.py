@@ -582,8 +582,9 @@ class BallTable:
 
     @cached_property
     def coords(self) -> np.ndarray:
-        """int64 coordinates of the elements, one row each, in ball order."""
-        return _int64_coordinates(self.elements, self.group)
+        """int64 coordinates of the elements, one row each, in ball order;
+        column-major, so the law's per-column numpy work is contiguous."""
+        return np.asfortranarray(_int64_coordinates(self.elements, self.group))
 
     @cached_property
     def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -518,9 +518,10 @@ def _unitary_stack(H: TruncatedHilbert, action: ActionSpec) -> Optional[np.ndarr
 
 
 def _act_inv_blocks(stack: Optional[np.ndarray], a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """alpha_{h^-1}(a) = W(h)* a W(h) for the ball elements idx, as act_inv forms it."""
+    """alpha_{h^-1}(a) = W(h)* a W(h) for the ball elements idx, as act_inv
+    forms it; a is one coefficient or a stack of one per index."""
     if stack is None:
-        return np.broadcast_to(a, (len(idx),) + a.shape)
+        return np.broadcast_to(a, (len(idx),) + a.shape[-2:])
     w = stack[idx]
     return w.conj().transpose(0, 2, 1) @ a @ w
 
@@ -816,7 +817,7 @@ def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
     return OpNormResult(lower, upper, "lanczos", products, residual)
 
 
-def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
+def op_norm(T, tol: float = 1e-10) -> float:
     """Largest singular value; a certified lower bound that is attained.
 
     A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos,
@@ -825,10 +826,10 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
     iteration on T*T with matrix products: a deterministic start block
     (all-ones plus leading coordinate vectors), one seeded random restart on
     stagnation, and an error with the residual if that also fails to
-    converge within max_iter steps; it can stop below the largest singular
-    value on a clustered top of the spectrum.  Values computed from
-    compressions of a fixed element are monotone non-decreasing in the ball
-    radius.
+    converge within max(50,000, 100 n) steps for n rows; it can stop below
+    the largest singular value on a clustered top of the spectrum.  Values
+    computed from compressions of a fixed element are monotone non-decreasing
+    in the ball radius.
     """
     if isinstance(T, TruncatedOperator):
         return op_norm_certified(T, tol).lower
@@ -854,8 +855,7 @@ def op_norm(T, tol: float = 1e-10, max_iter: Optional[int] = None) -> float:
         return ah @ (a @ v)
 
     block = min(4, n)
-    if max_iter is None:
-        max_iter = max(50_000, 100 * n)
+    max_iter = max(50_000, 100 * n)
 
     def top_ritz(v: np.ndarray):
         w = gram(v)

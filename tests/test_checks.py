@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 
@@ -8,6 +9,9 @@ from horocp import (
     ActionSpec,
     CrossedElement,
     GroupSpec,
+    LengthFunction,
+    NonzeroCapError,
+    NormSpec,
     SubgroupSpec,
     af_filtration,
     check_af_triple,
@@ -21,10 +25,19 @@ from horocp import (
     check_unitary_conjugation,
     clock_matrix,
     default_suite,
+    hexagonal_generators,
     shift_matrix,
     tail_series_factor,
 )
-from horocp.checks import random_crossed, random_diagonal_action, random_hermitian
+from horocp import checks, operators
+from horocp.checks import (
+    CheckParams,
+    random_crossed,
+    random_diagonal_action,
+    random_hermitian,
+    run_family,
+)
+from horocp.operators import lambda_op, pi_tilde, truncate
 from horocp.cli import render_json, run
 
 
@@ -135,6 +148,135 @@ def test_conjugation_identities(len_z1, z1):
     report = check_unitary_conjugation(np.eye(2), f_vals, (0,), len_z1, action, radius=4.0)
     assert report.passed
     assert report.details["identity_residuals"]["translation"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Unitary conjugation against the dense doubled-space build it replaced.
+
+
+def loop_unitary_conjugation(a, f_values, g, spec, action, radius):
+    """The three residuals of the dense build: U, pi~(a), nu~(f), lambda~_g
+    and the right-hand sides as dim x dim matrices of the doubled space, at
+    flat index (p * n + t) * n + k for coefficient p, inner t and outer k."""
+    group = spec.group
+    d = action.dim
+    H = truncate(spec, radius, d)
+    n = H.n_ball
+    dn = H.dim
+    dim = dn * n
+    f_values = np.asarray(f_values, dtype=complex)
+    lam_blocks = [lambda_op(H, h).matrix for h in H.ball.elements]
+    u = np.zeros((dim, dim), dtype=complex)
+    for k in range(n):
+        u[k::n, k::n] = lam_blocks[k]
+    pi_a = np.zeros((dim, dim), dtype=complex)
+    for k, h in enumerate(H.ball.elements):
+        pi_a[k::n, k::n] = pi_tilde(H, action, action.act(group.inverse(h), a, spec)).matrix
+    nu_f = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
+    lam_gg = np.zeros((dim, dim), dtype=complex)
+    index = H.ball.index
+    lam_g_small = lam_blocks[index[g]] if g in index else lambda_op(H, g).matrix
+    targets = H.ball.translate(g)
+    moved = np.flatnonzero(targets >= 0)
+    for k in moved:
+        lam_gg[targets[k]::n, k::n] = np.eye(dn, dtype=complex)
+    rhs_pi = np.kron(pi_tilde(H, action, a).matrix, np.eye(n, dtype=complex))
+    rhs_nu = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
+    shift_n = np.zeros((n, n), dtype=complex)
+    shift_n[targets[moved], moved] = 1.0
+    rhs_lam = np.kron(lam_g_small, shift_n)
+    pair = H.lengths[:, None] + H.lengths[None, :]
+    col_mask = np.tile(pair <= H.ball.radius, (d, 1)).reshape(dim)
+    col_mask_g = np.tile(pair <= H.ball.radius - float(spec.length(g)), (d, 1)).reshape(dim)
+    uh = u.conj().T
+
+    def max_abs(mat):
+        return float(np.max(np.abs(mat), initial=0.0))
+
+    return {
+        "coefficient": max_abs(((u @ pi_a @ uh) - rhs_pi)[:, col_mask]),
+        "boundary-function": max_abs(((u @ nu_f @ uh) - rhs_nu)[:, col_mask]),
+        "translation": max_abs(((u @ lam_gg @ uh) - rhs_lam)[:, col_mask_g]),
+    }
+
+
+# not subadditive: l(2) + l(10) = 2 < l(12) = 3, so translates leave the ball
+NON_SUBADDITIVE = {(k,): 0 if k == 0 else 1 if k % 2 == 0 and abs(k) <= 10 else 3 if abs(k) <= 12
+                   else 5 for k in range(-40, 41)}
+
+CONJUGATION_CASES = {
+    # the `verify all --seed 7` instances
+    "z-radius-4": (lambda: LengthFunction.word(GroupSpec.free_abelian(1)), 4.0, 10),
+    "c6": (lambda: LengthFunction.word(GroupSpec.finite_cyclic(6)), 8.0, 2),
+    "z2xc3": (lambda: LengthFunction.word(GroupSpec.free_abelian_times_cyclic(2, 3)), 2.0, 1),
+    "z2-hexagonal": (lambda: LengthFunction.word(GroupSpec.free_abelian(2), hexagonal_generators()),
+                     2.0, 2),
+    "h3": (lambda: LengthFunction.word(GroupSpec.heisenberg3()), 2.0, 2),
+    "z2-l2": (lambda: LengthFunction.norm_restriction(GroupSpec.free_abelian(2), NormSpec.l2()),
+              2.0, 2),
+    "non-subadditive": (lambda: LengthFunction.explicit_table(GroupSpec.free_abelian(1),
+                                                              NON_SUBADDITIVE), 2.0, 3),
+}
+
+
+def residual_bits(residuals):
+    return {name: np.float64(value).tobytes() for name, value in residuals.items()}
+
+
+@pytest.mark.parametrize("case", list(CONJUGATION_CASES))
+def test_conjugation_matches_dense_build(case, monkeypatch):
+    # U is a permutation of blocks, so the block check reproduces every bit
+    make_spec, radius, count = CONJUGATION_CASES[case]
+    block_check = checks.check_unitary_conjugation
+    seen = []
+
+    def both(a, f_values, g, spec, action, radius, **kwargs):
+        dense = loop_unitary_conjugation(a, f_values, g, spec, copy.deepcopy(action), radius)
+        report = block_check(a, f_values, g, spec, action, radius, **kwargs)
+        seen.append((report.details["identity_residuals"], dense))
+        return report
+
+    monkeypatch.setattr(checks, "check_unitary_conjugation", both)
+    run_family("conjugation", 7, [((make_spec(),), CheckParams(count=count, radius=radius))])
+    assert len(seen) == count
+    for blocks, dense in seen:
+        assert residual_bits(blocks) == residual_bits(dense)
+    if case == "non-subadditive":
+        assert all(blocks["coefficient"] > 1.0 and blocks["boundary-function"] == 2.0
+                   for blocks, _ in seen)
+
+
+def test_conjugation_translation_residual_off_subadditive_lengths():
+    # g = e: at t = 10, h = -10 both g t and g h lie in the ball but h^-1 t = 20 does not
+    spec = LengthFunction.explicit_table(GroupSpec.free_abelian(1), NON_SUBADDITIVE)
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    action = random_diagonal_action(rng, spec.group, 2)
+    f_vals = rng.normal(size=len(spec.ball(2.0)))
+    dense = loop_unitary_conjugation(a, f_vals, (0,), spec, copy.deepcopy(action), 2.0)
+    report = check_unitary_conjugation(a, f_vals, (0,), spec, action, radius=2.0)
+    assert report.details["identity_residuals"]["translation"] == 1.0
+    assert residual_bits(report.details["identity_residuals"]) == residual_bits(dense)
+    assert not report.passed
+
+
+def test_conjugation_counts_doubled_blocks_against_nonzero_cap(len_z2, z2, monkeypatch):
+    # n^2 d^2 diagonal blocks of the doubled space, refused before any block is formed
+    n, d = len(len_z2.ball(8.0)), 2
+    rng = np.random.default_rng(0)
+    action = random_diagonal_action(rng, z2, d)
+    args = (np.eye(d), np.zeros(n), (1, 0), len_z2, action, 8.0)
+
+    def no_work(*_):
+        raise AssertionError("coefficient blocks formed before the cap check")
+
+    monkeypatch.setattr(operators, "NONZERO_CAP", n * n * d * d - 1)
+    monkeypatch.setattr(checks, "_unitary_stack", no_work)
+    with pytest.raises(NonzeroCapError):
+        check_unitary_conjugation(*args)
+    monkeypatch.undo()
+    monkeypatch.setattr(operators, "NONZERO_CAP", n * n * d * d)
+    assert check_unitary_conjugation(*args).passed
 
 
 def test_nctorus_clock_shift_relation():
