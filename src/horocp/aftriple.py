@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .operators import _check_nonzeros
+
 
 @dataclass(frozen=True)
 class AFFiltration:
@@ -29,14 +31,6 @@ class AFFiltration:
     def dim(self) -> int:
         return self.level_sizes[-1]
 
-    def represent(self, i: int, values: Sequence[complex]) -> np.ndarray:
-        """Multiplication operator of a level-i function (values on Z/G_i)."""
-        q = self.level_sizes[i]
-        values = np.asarray(values, dtype=complex)
-        if values.shape != (q,):
-            raise ValueError(f"level {i} functions take {q} values")
-        return np.diag(values[np.arange(self.dim) % q])
-
     def dirac(self, eigenvalues: Sequence[float]) -> np.ndarray:
         if len(eigenvalues) != self.depth + 1:
             raise ValueError(f"need {self.depth + 1} eigenvalues (one per projection)")
@@ -47,7 +41,10 @@ class AFFiltration:
 
 
 def af_filtration(orders: Sequence[int]) -> AFFiltration:
-    """Build the uniform-state GNS projections for the odometer orders n_1..n_k."""
+    """Build the uniform-state GNS projections for the odometer orders n_1..n_k.
+
+    The k + 1 dense dim x dim projections are counted against NONZERO_CAP
+    before anything is allocated (NonzeroCapError)."""
     orders = tuple(int(n) for n in orders)
     if not orders or any(n < 2 for n in orders):
         raise ValueError("odometer orders must all be >= 2")
@@ -55,6 +52,7 @@ def af_filtration(orders: Sequence[int]) -> AFFiltration:
     for n in orders:
         sizes.append(sizes[-1] * n)
     total = sizes[-1]
+    _check_nonzeros(len(sizes) * total * total)
 
     projections = []
     prev = np.zeros((total, total), dtype=complex)

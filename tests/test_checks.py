@@ -1,6 +1,8 @@
 import copy
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +356,82 @@ def test_af_projections_match_block_average_definition(orders):
                     p[x, y] = 1.0 / (total // q)
         assert proj.dtype == p.dtype and np.array_equal(proj, p - prev)
         prev = p
+
+
+def test_af_filtration_refuses_over_cap_before_allocating():
+    # (8,8,8,8,8) would be six dense 32768 x 32768 complex projections (103 GB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonzeroCapError):
+            af_filtration((8, 8, 8, 8, 8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _dense_af_residuals(filt, eigenvalues, rng):
+    """Oracle: the af-triple residuals from dense dim x dim products."""
+    qs, sizes, dim = filt.projections, filt.level_sizes, filt.dim
+    rank = max(abs(float(np.real(np.trace(q))) - (sizes[i] - (sizes[i - 1] if i else 0)))
+               for i, q in enumerate(qs))
+    orthogonality = max(checks._max_abs(qi @ qj - (qi if i == j else 0.0))
+                        for i, qi in enumerate(qs) for j, qj in enumerate(qs))
+    commutation = 0.0
+    for i in range(filt.depth):
+        values = rng.normal(size=sizes[i]) + 1j * rng.normal(size=sizes[i])
+        rep = np.diag(values[np.arange(dim) % sizes[i]])
+        for qj in qs[i + 1:]:
+            commutation = max(commutation, checks._max_abs(qj @ rep - rep @ qj))
+    constants = np.ones(dim, dtype=complex) / math.sqrt(dim)
+    dirac = filt.dirac(eigenvalues)
+    return {"rank": rank, "orthogonality": orthogonality, "commutation": commutation,
+            "q0": checks._max_abs(qs[0] - np.outer(constants, constants.conj())),
+            "dirac_hermitian": checks._max_abs(dirac - dirac.conj().T)}
+
+
+@pytest.mark.parametrize("orders", [(2, 2, 2, 2, 2), (4, 4, 4, 4), (3, 2, 5), (5, 3),
+                                    (2, 3, 2, 3)])
+def test_af_residuals_match_dense_products(orders):
+    filt = af_filtration(orders)
+    eigenvalues = np.linspace(-1.0, 2.5, len(orders) + 1)
+    fast = checks._af_residuals(filt, eigenvalues, np.random.default_rng([7, 0xAF]))
+    dense = _dense_af_residuals(filt, eigenvalues, np.random.default_rng([7, 0xAF]))
+    for key in ("rank", "commutation", "q0", "dirac_hermitian"):
+        assert np.float64(fast[key]).tobytes() == np.float64(dense[key]).tobytes(), key
+    # a different summation order than Q_i @ Q_j: equal up to rounding
+    assert abs(fast["orthogonality"] - dense["orthogonality"]) <= 1e-15
+    assert fast["orthogonality"] <= checks.EQUALITY_TOL
+
+
+def _plant_af_defect(monkeypatch, orders, index, defect):
+    filt = af_filtration(orders)
+    qs = list(filt.projections)
+    qs[index] = defect(qs[index].copy())
+    planted = dataclasses.replace(filt, projections=tuple(qs))
+    monkeypatch.setattr(checks, "af_filtration", lambda _orders: planted)
+
+
+def test_af_triple_fails_on_perturbed_projection(monkeypatch):
+    def perturb(q):
+        q[0, 1] += 1e-6
+        q[1, 0] += 1e-6
+        return q
+
+    _plant_af_defect(monkeypatch, (3, 2, 2), 2, perturb)
+    report = check_af_triple([3, 2, 2], [0, 1, 2, 3])
+    assert not report.passed
+    assert report.details["orthogonality_residual"] > report.tolerance
+
+
+def test_af_triple_fails_on_projection_mixing_residues(monkeypatch):
+    # swapping x = 0 and x = 1 mixes the residues mod q_1 = 3 that level-1 functions see
+    perm = np.arange(12)
+    perm[[0, 1]] = [1, 0]
+    _plant_af_defect(monkeypatch, (3, 2, 2), 3, lambda q: q[np.ix_(perm, perm)])
+    report = check_af_triple([3, 2, 2], [0, 1, 2, 3])
+    assert not report.passed
+    assert report.details["commutation_residual"] > report.tolerance
 
 
 @pytest.mark.parametrize("argv, first, stop", [

@@ -118,6 +118,14 @@ def test_af_triple_command(capsys):
     assert json.loads(out)["result"]["checks"][0]["passed"] is True
 
 
+def test_af_triple_over_cap_is_refused(capsys):
+    code, out, err = run_cli(capsys, "af-triple", "--orders", "8,8,8,8,8",
+                             "--eigenvalues", "0,1,2,3,4,5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "nonzero cap" in err
+
+
 def test_usage_errors(capsys):
     assert run([]) == 2
     assert run(["bogus"]) == 2
