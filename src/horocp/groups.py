@@ -12,22 +12,20 @@ breadth-first distances in the Cayley graph.  The BFS grows one whole
 sphere at a time on integer coordinate arrays: the law translates the last
 sphere by each generator, the translates are keyed by their mixed-radix
 position in their bounding box (key order is tuple order), and the keys of
-the last two spheres are dropped.  The cache holds whole spheres only, inserted in
-(length, tuple) order, so a word ball is a prefix of the cache sharing its
-tuples.  Loops over a ball gather lengths instead of asking one element at a
-time: the law translates the ball's int64 coordinates
-(BallTable.left_translates) and LengthFunction.lengths looks the rows up in
-the cache.  Exact elimination (rref) runs on integer rows and divides once at
-the end.
+the last two spheres are dropped.  The word-length cache keeps those spheres
+as int32 rows, and one sorted key index over it (_KeyIndex) serves every
+lookup; a word ball is a prefix of the cache whose tuples are made only on
+request.  Exact elimination (rref) runs on integer rows and divides once at the end.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, product, repeat
+from itertools import combinations, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -273,15 +271,10 @@ class GroupSpec:
         if rank < 1 or torsion < 2:
             raise ValueError("need rank >= 1 and torsion order >= 2")
         if generators is None:
-            gens = [g + (0,) for g in _standard_lattice_generators(rank)]
-            gens += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]
-            generators = gens
-        return cls(
-            FREE_ABELIAN_TIMES_CYCLIC,
-            rank=rank,
-            torsion=torsion,
-            generators=_closed_generators(generators),
-        )
+            generators = [g + (0,) for g in _standard_lattice_generators(rank)]
+            generators += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]
+        return cls(FREE_ABELIAN_TIMES_CYCLIC, rank=rank, torsion=torsion,
+                   generators=_closed_generators(generators))
 
     @classmethod
     def heisenberg3(cls, generators: Optional[Iterable[Element]] = None) -> "GroupSpec":
@@ -360,8 +353,7 @@ class GroupSpec:
     def power(self, g: Element, n: int) -> Element:
         if n < 0:
             return self.power(self.inverse(g), -n)
-        result = self.identity()
-        base = g
+        result, base = self.identity(), g
         while n:
             if n & 1:
                 result = self.multiply(result, base)
@@ -376,23 +368,12 @@ class GroupSpec:
 
 
 def _standard_lattice_generators(rank: int) -> list[Element]:
-    gens = []
-    for i in range(rank):
-        e = [0] * rank
-        e[i] = 1
-        gens.append(tuple(e))
-        e[i] = -1
-        gens.append(tuple(e))
-    return gens
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    return [g for e in units for g in (e, tuple(-c for c in e))]
 
 
 def _closed_generators(generators: Iterable[Element]) -> tuple[Element, ...]:
-    seen = []
-    for g in generators:
-        t = tuple(g)
-        if t not in seen:
-            seen.append(t)
-    return tuple(seen)
+    return tuple(dict.fromkeys(tuple(g) for g in generators))
 
 
 def hexagonal_generators() -> tuple[Element, ...]:
@@ -536,8 +517,6 @@ def _in_lattice(basis: Sequence[tuple[int, tuple[int, ...]]], v: Sequence[int]) 
 
 def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     """Vertices of {x : sigma(x) <= 1 for all sigma}; errors if unbounded."""
-    from itertools import combinations
-
     rows = [tuple(Fraction(c) for c in f) for f in functionals]
     if len(rref(rows)[1]) < dim:
         raise ValueError("polytope norm functionals do not span; unit ball is unbounded")
@@ -545,11 +524,9 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     ones = [Fraction(1)] * dim
     for subset in combinations(rows, dim):
         x = _solve_linear(subset, ones)
-        if x is None:
-            continue
-        if all(sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
-            if x not in verts:
-                verts.append(x)
+        if x is not None and x not in verts and all(
+                sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
+            verts.append(x)
     if not verts:
         raise ValueError("polytope norm unit ball has no vertices")
     return verts
@@ -561,18 +538,20 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
 
 @dataclass(frozen=True, eq=False)
 class BallTable:
-    """All elements with length <= radius, in (length, lexicographic) order."""
+    """All elements with length <= radius, in (length, lexicographic) order,
+    held as `lengths` (int64 for word lengths, the length's objects otherwise)
+    and `rows`: a prefix of the word length's int32 BFS cache, or element
+    tuples.  `coords`, `elements`, `values` and `index` are made on first use."""
 
     group: GroupSpec
     radius: float
-    elements: tuple[Element, ...]
-    values: Mapping[Element, object]
-    index: Mapping[Element, int]
+    lengths: np.ndarray
     complete_group: bool
     spec: "LengthFunction"
+    rows: object
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.lengths)
 
     def __iter__(self):
         return iter(self.elements)
@@ -581,24 +560,26 @@ class BallTable:
         return g in self.index
 
     @cached_property
+    def elements(self) -> tuple[Element, ...]:
+        return self.rows if isinstance(self.rows, tuple) else tuple(_tuples(self.rows))
+
+    @cached_property
+    def values(self) -> dict[Element, object]:
+        return dict(zip(self.elements, self.lengths.tolist()))
+
+    @cached_property
+    def index(self) -> dict[Element, int]:
+        return dict(zip(self.elements, range(len(self))))
+
+    @cached_property
     def coords(self) -> np.ndarray:
         """int64 coordinates of the elements, one row each, in ball order;
         column-major, so the law's per-column numpy work is contiguous."""
-        return np.asfortranarray(_int64_coordinates(self.elements, self.group))
+        return np.asfortranarray(_int64_coordinates(self.rows, self.group))
 
     @cached_property
-    def _lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(low corner, high corner, strides, sorted keys, ball index of each key).
-
-        A key is the mixed-radix position of an element in the ball's
-        bounding box, exact in int64 or refused.
-        """
-        coords = self.coords
-        lo, hi = coords.min(axis=0), coords.max(axis=0)
-        strides = _mixed_radix(lo, hi)[0]
-        keys = _box_keys(coords, lo, strides)
-        order = np.argsort(keys)
-        return lo, hi, strides, keys[order], order
+    def _keys(self) -> "_KeyIndex":
+        return _KeyIndex(self.coords)
 
     def left_translates(self, g: Element) -> np.ndarray:
         """int64 coordinates of g h for every ball element h, in ball order."""
@@ -607,16 +588,40 @@ class BallTable:
 
     def translate(self, g: Element) -> np.ndarray:
         """Ball index of g h for every ball element h, in ball order; -1 where
-        g h lies outside the ball."""
-        moved = self.left_translates(g)
-        lo, hi, strides, keys, order = self._lookup
-        inside = np.flatnonzero(np.all((moved >= lo) & (moved <= hi), axis=1))
-        codes = _box_keys(moved[inside], lo, strides)
-        pos = np.minimum(np.searchsorted(keys, codes), len(keys) - 1)
-        hit = keys[pos] == codes
-        out = np.full(len(self.elements), -1, dtype=np.intp)
-        out[inside[hit]] = order[pos[hit]]
+        g h lies outside the ball.  A word ball's index is the cache position."""
+        index = self.spec._cache_index() if isinstance(self.rows, np.ndarray) else self._keys
+        out = index.find(self.left_translates(g))
+        out[out >= len(self)] = -1
         return out
+
+
+class _KeyIndex:
+    """The sorted mixed-radix keys (_box_keys) of an array's rows over their
+    bounding box, with the row each came from: finds rows by key."""
+
+    def __init__(self, coords: np.ndarray):
+        self.lo, self.hi = coords.min(axis=0).astype(np.int64), coords.max(axis=0).astype(np.int64)
+        self.strides = _mixed_radix(self.lo, self.hi)[0]
+        keys = _box_keys(coords, self.lo, self.strides)
+        self.order = np.argsort(keys, kind="stable")
+        self.keys = keys[self.order]
+        self.box = list(zip(self.lo.tolist(), self.hi.tolist(), self.strides.tolist()))
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Position of each int64 row among the indexed rows, or -1.  Keys of
+        rows outside the box wrap silently and are masked."""
+        inside = np.all((rows >= self.lo) & (rows <= self.hi), axis=1)
+        codes = _box_keys(rows, self.lo, self.strides)
+        pos = np.minimum(np.searchsorted(self.keys, codes), len(self.keys) - 1)
+        return np.where(inside & (self.keys[pos] == codes), self.order[pos], -1)
+
+    def find_one(self, g: Element) -> int:
+        """find for one element tuple, in Python ints."""
+        if not all(low <= c <= high for c, (low, high, _) in zip(g, self.box)):
+            return -1
+        key = sum((c - low) * stride for c, (low, _, stride) in zip(g, self.box))
+        i = int(self.keys.searchsorted(key))
+        return int(self.order[i]) if i < len(self.keys) and self.keys[i] == key else -1
 
 
 def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -624,13 +629,11 @@ def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     (_box_keys): exact in int64 and in tuple order, or
     CoordinateOverflowError."""
     spans = (hi - lo + 1).tolist()
-    strides, size = [], 1
-    for span in reversed(spans):
-        strides.append(size)
-        size *= span
+    size = math.prod(spans)
     if size > np.iinfo(np.int64).max:
         raise CoordinateOverflowError(f"bounding box of {size} points does not fit int64 keys")
-    return np.array(strides[::-1], dtype=np.int64), np.array(spans, dtype=np.int64)
+    strides = [math.prod(spans[j + 1:]) for j in range(len(spans))]
+    return np.array(strides, dtype=np.int64), np.array(spans, dtype=np.int64)
 
 
 def _box_keys(coords: np.ndarray, lo: np.ndarray, strides: np.ndarray) -> np.ndarray:
@@ -649,18 +652,17 @@ def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
 
     The translates s h of the last sphere lie in it, in the one before or in
     the next: mixed-radix keys over their bounding box (tuple order) find the
-    new ones.  Each generator's int64 translates are formed, reduced and
-    dropped one at a time.
+    new ones.
     """
     sphere = sphere.astype(np.int64)
-    lo, hi = sphere.min(axis=0), sphere.max(axis=0)
-    for part in (previous, *(translate(s, sphere) for s in generators)):
-        if len(part):
-            lo, hi = np.minimum(lo, part.min(axis=0)), np.maximum(hi, part.max(axis=0))
+    moved = [translate(s, sphere) for s in generators]
+    parts = [p for p in (previous, sphere, *moved) if len(p)]
+    lo = np.min([p.min(axis=0) for p in parts], axis=0)
+    hi = np.max([p.max(axis=0) for p in parts], axis=0)
     if lo.min() < -COORD_LIMIT or hi.max() > COORD_LIMIT:
         raise CoordinateOverflowError(f"a coordinate exceeds the translation limit {COORD_LIMIT}")
     strides, spans = _mixed_radix(lo, hi)
-    keys = np.concatenate([_box_keys(translate(s, sphere), lo, strides) for s in generators])
+    keys = np.concatenate([_box_keys(m, lo, strides) for m in moved])
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     for old in (previous, sphere):
@@ -675,8 +677,7 @@ def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
 
 
 def _tuples(coords: np.ndarray) -> Iterator[Element]:
-    """The rows of a coordinate array as tuples of Python ints, made one by
-    one from the columns."""
+    """The rows of a coordinate array as tuples of Python ints, made from the columns."""
     return zip(*[coords[:, j].tolist() for j in range(coords.shape[1])])
 
 
@@ -709,11 +710,11 @@ class AxiomReport:
 class LengthFunction:
     """A (pseudo-)length on a group: word length, norm restriction, or table.
 
-    Word lengths run a breadth-first search from the identity that grows one
-    whole sphere at a time and memoize every distance computed so far, sphere
-    by sphere in tuple order with the end of each sphere recorded; balls are
-    prefixes of that cache, and `lengths` gathers cached lengths for whole
-    coordinate arrays.  Values are exact integers for word lengths.
+    Word lengths grow a breadth-first search one whole sphere at a time and
+    cache every sphere as int32 rows in tuple order; a row's exact length is
+    the number of sphere ends (`_ends`) at or before its position.  One key
+    index over the cache, rebuilt when a lookup follows growth, finds rows
+    for `length`, `lengths`, `ball` and `BallTable.translate`.
     """
 
     WORD = "word"
@@ -731,19 +732,13 @@ class LengthFunction:
             self.generators = tuple(generators) if generators is not None else group.generators
             if not self.generators:
                 raise ValueError("word length needs a generating set")
-            gen_set = set(self.generators)
-            for s in self.generators:
-                if group.inverse(s) not in gen_set:
-                    raise ValueError("word-length generating set must be symmetric")
-            e = group.identity()
-            self._dist: dict[Element, int] = {e: 0}
-            # _ends[k] = number of elements of length <= k, one entry per
-            # sphere in the cache (the cache holds whole spheres only)
-            self._ends: list[int] = [1]
-            # the last two spheres as int32 coordinates, column-major and in
-            # tuple order (_next_sphere); the first is empty at the start
-            sphere = np.array([e], dtype=np.int32, order="F")
-            self._spheres = (sphere[:0], sphere)
+            if not {group.inverse(s) for s in self.generators} <= set(self.generators):
+                raise ValueError("word-length generating set must be symmetric")
+            # the cache: whole spheres, concatenated lazily; _ends[k] = number
+            # of elements of length <= k; _spheres, the last two (first empty)
+            sphere = np.array([group.identity()], dtype=np.int32, order="F")
+            self._parts, self._ends, self._spheres = [sphere], [1], (sphere[:0], sphere)
+            self._index: Optional[_KeyIndex] = None  # None after growth
             self._exhausted = False
             # Elements the generators do not reach are refused at once rather
             # than after the BFS has grown to the cap; the test is exact.
@@ -758,9 +753,7 @@ class LengthFunction:
             if table is None:
                 raise ValueError("explicit length needs a table")
             self.table = dict(table)
-            e = group.identity()
-            if e not in self.table:
-                self.table[e] = 0
+            self.table.setdefault(group.identity(), 0)
         else:
             raise ValueError(f"unknown length kind {kind!r}")
 
@@ -789,13 +782,8 @@ class LengthFunction:
     def length(self, g: Element):
         self.group.validate(g)
         if self.kind == self.WORD:
-            dist = self._dist
-            if g not in dist:
-                if not self._generated(g):
-                    raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
-                while g not in dist and not self._exhausted:
-                    self._grow()
-            return dist[g]
+            pos = self._cache_index().find_one(g)
+            return bisect_right(self._ends, pos) if pos >= 0 else int(self._gather([g])[0][0])
         if self.kind == self.NORM:
             return self.norm.evaluate(g)
         try:
@@ -805,62 +793,85 @@ class LengthFunction:
 
     def lengths(self, points) -> np.ndarray:
         """Exact lengths of the elements given as the rows of an int64
-        coordinate array (BallTable.left_translates) or as canonical tuples
-        (BallTable.elements), in order.
-
-        Word lengths are C-level lookups in the BFS cache; rows outside it
-        take the `length` path, which grows the BFS just as far as they need
-        and raises its errors.  Norm and table lengths evaluate each row as
-        `length` does.  Word lengths come back as int64, others as objects.
-        """
+        coordinate array (BallTable.coords, BallTable.left_translates) or as
+        canonical tuples (all validated first), in order: int64 for word
+        lengths, found through the cache's key index, with the rows it misses
+        taking the `length` path in order (growth just as far as they need,
+        and its errors); objects, row by row as `length`, otherwise."""
         return self._gather(points)[0]
 
     def _gather(self, points, skip_errors: bool = False) -> tuple[np.ndarray, list[int]]:
         """(lengths, failed rows); with skip_errors a row whose length raises
-        ValueError or BallCapError is listed in failed with length 0."""
-        rows = list(_tuples(points)) if isinstance(points, np.ndarray) else points
-        cache = self._dist if self.kind == self.WORD else self.table if self.kind == self.TABLE else {}
-        found = list(map(cache.get, rows))
+        ValueError or BallCapError is listed in failed with length 0.  Each new
+        sphere is matched against every word row still missing."""
         failed = []
-        if None in found:
-            for i, v in enumerate(found):
-                if v is None:
-                    try:
-                        found[i] = self.length(rows[i])
-                    except (ValueError, BallCapError):
-                        if not skip_errors:
-                            raise
-                        found[i] = 0
-                        failed.append(i)
-        return np.array(found, dtype=np.int64 if self.kind == self.WORD else object), failed
+        if self.kind != self.WORD:
+            rows = list(_tuples(points)) if isinstance(points, np.ndarray) else points
+            table, found = self.table if self.kind == self.TABLE else {}, []
+            for i, g in enumerate(rows):
+                try:
+                    found.append(table[g] if g in table else self.length(g))
+                except ValueError:
+                    if not skip_errors:
+                        raise
+                    found.append(0)
+                    failed.append(i)
+            return np.array(found, dtype=object), failed
+        if not isinstance(points, np.ndarray):
+            for g in points:
+                self.group.validate(g)
+            points = _int64_coordinates(points, self.group).reshape(len(points), len(self.group.identity()))
+        pos = self._cache_index().find(points)
+        todo = np.flatnonzero(pos < 0)
+        for i in todo:
+            if pos[i] >= 0:
+                continue
+            g = tuple(points[i].tolist())
+            try:
+                self.group.validate(g)
+                reached = self._generated(g)
+                while pos[i] < 0:
+                    start, new = self._ends[-1], self._grow() if reached else None
+                    if new is None:
+                        raise GroupMismatchError(f"element {g!r} is not generated by the generating set")
+                    missing = todo[pos[todo] < 0]
+                    hit = _KeyIndex(new).find(points[missing])
+                    pos[missing[hit >= 0]] = start + hit[hit >= 0]
+            except (ValueError, BallCapError):
+                if not skip_errors:
+                    raise
+                failed.append(i)
+        return np.searchsorted(self._ends, pos, side="right"), failed
 
-    def _grow(self):
-        """Add the next sphere to the cache, whole, or mark the cache
-        exhausted when it is empty.  Raises BallCapError, with the cache
-        intact, when the sphere would take it past the cap, and
-        CoordinateOverflowError when a coordinate leaves the int64 limit."""
-        sphere = self._spheres[1]
+    def _grow(self) -> Optional[np.ndarray]:
+        """Add the next sphere to the cache, whole, and return it, or mark the
+        cache exhausted and return None when it is empty.  BallCapError, with
+        the cache intact, past the cap; CoordinateOverflowError past int64."""
         new = _next_sphere(self.group.law.translate, self._generator_coords, *self._spheres)
-        if not len(new):
-            self._exhausted = True
-            return
-        radius = len(self._ends)
-        if len(self._dist) + len(new) > self.cap:
-            raise BallCapError(f"ball cap {self.cap} exceeded while expanding radius {radius}")
-        self._spheres = (sphere, new)
-        self._dist.update(zip(_tuples(new), repeat(radius)))
-        self._ends.append(len(self._dist))
+        self._exhausted = not len(new)
+        if self._exhausted:
+            return None
+        if self._ends[-1] + len(new) > self.cap:
+            raise BallCapError(f"ball cap {self.cap} exceeded while expanding radius {len(self._ends)}")
+        self._spheres = (self._spheres[1], new)
+        self._parts.append(new)
+        self._ends.append(self._ends[-1] + len(new))
+        self._index = None
+        return new
+
+    def _cache_rows(self) -> np.ndarray:
+        if len(self._parts) > 1:
+            out = np.empty((self._ends[-1], self._parts[0].shape[1]), dtype=np.int32, order="F")
+            self._parts = [np.concatenate(self._parts, out=out)]
+        return self._parts[0]
+
+    def _cache_index(self) -> _KeyIndex:
+        self._index = self._index or _KeyIndex(self._cache_rows())
+        return self._index
 
     @cached_property
     def _generator_coords(self) -> np.ndarray:
         return _int64_coordinates(self.generators, self.group)
-
-    def _ensure_radius(self, radius: float):
-        """Grow the cache to every sphere of length <= radius (all of them at
-        an infinite radius), or until it is exhausted."""
-        target = radius if math.isinf(radius) else math.floor(radius)
-        while not self._exhausted and len(self._ends) - 1 < target:
-            self._grow()
 
     # -- balls ---------------------------------------------------------------
 
@@ -872,44 +883,34 @@ class LengthFunction:
         if self.kind == self.WORD:
             if math.isinf(radius) and not self.group.is_finite:
                 raise ValueError("infinite radius needs a finite group")
-            self._ensure_radius(radius)
-            ends = self._ends
-            n = ends[-1] if radius >= len(ends) - 1 else ends[int(radius)]
-            elements = tuple(islice(self._dist, n))
-            values = dict(islice(self._dist.items(), n))
-            complete = self._exhausted and n == len(self._dist)
+            # every sphere of length <= radius, or all of them
+            while not self._exhausted and len(self._ends) <= radius:
+                self._grow()
+            ends = self._ends[:int(min(len(self._ends) - 1, radius)) + 1]
+            rows = self._cache_rows()[:ends[-1]]
+            lengths = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+            complete = self._exhausted and ends[-1] == self._ends[-1]
         else:
             if self.kind == self.NORM:
-                items = self._norm_ball_items(radius)
-                complete = False
+                halfwidth = self.norm.box_halfwidth(self.group.rank)
+                bounds = [int(math.floor(hw * Fraction(radius))) for hw in halfwidth]
+                count = math.prod(2 * b + 1 for b in bounds)
+                if count > 4 * self.cap:
+                    raise BallCapError(f"norm ball bounding box of {count} points exceeds cap {self.cap}")
+                points = product(*[range(-b, b + 1) for b in bounds])
+                items = [(p, v) for p in points if (v := self.norm.evaluate(p)) <= radius]
             else:
                 items = [(g, v) for g, v in self.table.items() if v <= radius]
-                complete = self.group.is_finite and len(items) == self.group.torsion
+            complete = self.kind == self.TABLE and self.group.is_finite and len(items) == self.group.torsion
             values = dict(items)
             e = self.group.identity()
-            elements = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
-        index = {g: i for i, g in enumerate(elements)}
-        table = BallTable(self.group, radius, elements, values, index, complete, self)
+            rows = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
+            lengths = np.array([values[g] if g in values else self.length(g) for g in rows], dtype=object)
+        table = BallTable(self.group, radius, lengths, complete, self, rows)
         if len(table) > self.cap:
             raise BallCapError(f"ball at radius {radius} has {len(table)} > cap {self.cap} elements")
         self._ball_cache[radius] = table
         return table
-
-    def _norm_ball_items(self, radius):
-        m = self.group.rank
-        halfwidth = self.norm.box_halfwidth(m)
-        bounds = [int(math.floor(hw * Fraction(radius))) for hw in halfwidth]
-        count = 1
-        for b in bounds:
-            count *= 2 * b + 1
-        if count > 4 * self.cap:
-            raise BallCapError(f"norm ball bounding box of {count} points exceeds cap {self.cap}")
-        items = []
-        for point in product(*[range(-b, b + 1) for b in bounds]):
-            v = self.norm.evaluate(point)
-            if v <= radius:
-                items.append((point, v))
-        return items
 
     # -- axioms --------------------------------------------------------------
 
@@ -917,18 +918,21 @@ class LengthFunction:
         """Verify l(e)=0, symmetry, and subadditivity over pairs in the r/2 ball."""
         half = self.ball(radius / 2)
         identity_violation = abs(float(self.length(self.group.identity())))
-        symmetry = 0.0
-        skipped = 0
-        for g in half:
+        # |l(g) - l(g^-1)|, skipping g when the group or the length refuses it
+        inverses = {}
+        for i, g in enumerate(half):
             try:
-                symmetry = max(symmetry, abs(float(self.length(g)) - float(self.length(self.group.inverse(g)))))
-            except (ValueError, BallCapError):
-                skipped += 1
+                inverses[i] = self.group.inverse(g)
+            except ValueError:
+                pass
+        l_inv, failed = self._gather(list(inverses.values()), skip_errors=True)
+        lengths = half.lengths.astype(float)
+        gap = np.abs(lengths[list(inverses)] - l_inv.astype(float))
+        gap[failed] = 0.0
+        symmetry = float(gap.max(initial=0.0))
+        skipped = len(half) - len(inverses) + len(failed)
         # l(gh) - l(g) - l(h) for one g against the whole half ball at a time
-        lengths = np.array([float(half.values[h]) for h in half.elements])
-        coords = half.coords
-        subadd = 0.0
-        checked = 0
+        coords, subadd, checked = half.coords, 0.0, 0
         for g, lg in zip(coords, lengths):
             lgh, failed = self._gather(self.group.law.translate(g, coords), skip_errors=True)
             slack = lgh.astype(float) - lg - lengths
@@ -940,12 +944,6 @@ class LengthFunction:
 
 
 def central_heisenberg_table(horizon: int) -> dict[Element, int]:
-    """Explicit table on Z of the Heisenberg central word lengths 2*ceil(2*sqrt(|k|))."""
-    table = {}
-    for k in range(-horizon, horizon + 1):
-        a = abs(k)
-        root = math.isqrt(4 * a)
-        if root * root < 4 * a:
-            root += 1
-        table[(k,)] = 2 * root
-    return table
+    """Explicit table on Z of the Heisenberg central word lengths 2*ceil(2*sqrt(|k|));
+    ceil(sqrt(n)) = isqrt(n - 1) + 1 for n >= 1."""
+    return {(k,): 2 * (math.isqrt(4 * abs(k) - 1) + 1) if k else 0 for k in range(-horizon, horizon + 1)}

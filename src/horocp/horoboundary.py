@@ -21,6 +21,8 @@ from itertools import combinations
 from operator import mul
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .groups import (
     BallTable,
     Element,
@@ -61,7 +63,7 @@ class PhiFunction:
 
 def phi(g: Element, ball: BallTable, spec: Optional[LengthFunction] = None) -> PhiFunction:
     spec = spec or ball.spec
-    values = spec.lengths(ball.elements) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
+    values = spec.lengths(ball.coords) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
     return PhiFunction(g, ball, dict(zip(ball.elements, values.tolist())))
 
 
@@ -74,7 +76,7 @@ def cocycle_defect(g: Element, h: Element, ball: BallTable,
     """
     spec = spec or ball.spec
     group = ball.group
-    lx = spec.lengths(ball.elements)
+    lx = spec.lengths(ball.coords)
     l_gx = spec.lengths(ball.left_translates(group.inverse(g)))
     l_ghx = spec.lengths(ball.left_translates(group.inverse(group.multiply(g, h))))
     defect = (lx - l_ghx) - (l_gx - l_ghx) - (lx - l_gx)
@@ -321,11 +323,12 @@ def busemann_along_ray(ray: RaySpec, g: Element, spec: LengthFunction) -> Busema
     """
     group = ray.group
     g_inv = group.inverse(g)
-    times = []
-    vals = []
-    for t, x in ray.schedule[1:]:
-        times.append(t)
-        vals.append(float(spec.length(x) - spec.length(group.multiply(g_inv, x))))
+    times = [t for t, _ in ray.schedule[1:]]
+    # l(x) and l(g^-1 x) interleaved, so the first failing lookup is the one
+    # a per-point loop would meet first
+    rows = [y for _, x in ray.schedule[1:] for y in (x, group.multiply(g_inv, x))]
+    lengths = spec.lengths(rows)
+    vals = [float(v) for v in (lengths[0::2] - lengths[1::2]).tolist()]
     if not vals:
         raise ValueError("ray schedule is empty")
     window = max(2, len(vals) // 4)
@@ -344,15 +347,18 @@ def check_ray_geodesic(ray: RaySpec, spec: LengthFunction,
     """Almost-geodesic defect max |d(y(t),y(s)) + d(y(s),y(0)) - t| over s <= t."""
     group = ray.group
     sched = ray.schedule if horizon is None else ray.schedule[: horizon + 1]
-    worst = 0.0
-    count = 0
+    # l(y(s)), then l(y(s)^-1 y(t)) for t >= s, for each s in turn: the
+    # order a per-pair loop looks them up in
+    rows, s_rows, times = [], [], []
     for i in range(1, len(sched)):
-        s, xs = sched[i]
-        ls = float(spec.length(xs))
+        xs = sched[i][1]
         xs_inv = group.inverse(xs)
-        for j in range(i, len(sched)):
-            t, xt = sched[j]
-            d = float(spec.length(group.multiply(xs_inv, xt)))
-            worst = max(worst, abs(d + ls - t))
-            count += 1
-    return GeodesicReport(worst, count)
+        s_rows.append(len(rows))
+        rows += [xs] + [group.multiply(xs_inv, xt) for _, xt in sched[i:]]
+        times += [t for t, _ in sched[i:]]
+    lengths = spec.lengths(rows).astype(float)
+    d = np.delete(lengths, np.array(s_rows, dtype=int))
+    # l(y(s)) once per pair (s, t): len(sched) - i pairs for the i-th s
+    ls = np.repeat(lengths[s_rows], np.arange(len(s_rows), 0, -1))
+    defects = np.abs(d + ls - np.array(times))
+    return GeodesicReport(float(defects.max(initial=0.0)), len(defects))

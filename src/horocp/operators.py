@@ -88,7 +88,7 @@ class TruncatedHilbert:
     @cached_property
     def lengths(self) -> np.ndarray:
         """Lengths of the ball elements, in ball order."""
-        return np.array([float(self.ball.values[h]) for h in self.ball.elements])
+        return self.ball.lengths.astype(float)
 
     @property
     def n_ball(self) -> int:

@@ -61,9 +61,8 @@ def sublinearity_witness(spec: LengthFunction, g: Element, horizon: int = 10_000
     if group.is_torsion(g):
         raise ValueError(f"{g!r} is a torsion element; its cyclic subgroup is finite")
     samples = sorted({max(1, horizon // 2**k) for k in range(5)})
-    ratios = []
-    for i in samples:
-        ratios.append(float(spec.length(group.power(g, i))) / i)
+    lengths = spec.lengths([group.power(g, i) for i in samples]).tolist()
+    ratios = [float(v) / i for v, i in zip(lengths, samples)]
     ratio_at_horizon = ratios[-1]
     fekete_value = min(ratios)
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))

@@ -96,7 +96,7 @@ def uniform_deviation(g: Element, i: int, ball: BallTable, spec: LengthFunction,
     worst = 0.0
     big_c = 0.0
     for h, s, lh, ls in zip(ball.elements, _tuples(shifted),
-                            spec.lengths(ball.elements).tolist(), spec.lengths(shifted).tolist()):
+                            spec.lengths(ball.coords).tolist(), spec.lengths(shifted).tolist()):
         lh, ls = float(lh), float(ls)
         phi_l = lh - ls
         phi_as = dual(h) - dual(s)

@@ -1,9 +1,11 @@
 import math
 import pickle
 import time
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -250,17 +252,27 @@ def test_mismatched_elements_are_rejected(group, bad):
         spec.length(bad)
 
 
+def cached(spec):
+    """A word length's BFS cache as {element: length}, in cache order; no
+    element is cached twice."""
+    ends = spec._ends
+    lengths = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
+    cache = dict(zip(map(tuple, spec._cache_rows().tolist()), lengths.tolist()))
+    assert len(cache) == ends[-1]
+    return cache
+
+
 def test_element_off_the_generators_span_is_refused_at_once():
     # (0, 1) is not in the rational span of the images of (+-1, 0): the length
     # refuses it before growing the BFS along the x-axis.
     spec = LengthFunction.word(GroupSpec.free_abelian(2), [(1, 0), (-1, 0)])
     assert spec.length((3, 0)) == 3
-    cache = dict(spec._dist)
+    cache = cached(spec)
     started = time.perf_counter()
     with pytest.raises(GroupMismatchError, match="not generated"):
         spec.length((0, 1))
     assert time.perf_counter() - started < 0.1
-    assert spec._dist == cache
+    assert cached(spec) == cache
 
 
 # Elements in the rational span of the generators but not in their integer
@@ -283,12 +295,12 @@ OFF_LATTICE = [
 def test_element_outside_the_integer_span_is_refused_at_once(group, gens, g):
     spec = LengthFunction.word(group, gens, cap=200_000)
     assert spec.length(gens[0]) == 1
-    cache = dict(spec._dist)
+    cache = cached(spec)
     started = time.perf_counter()
     with pytest.raises(GroupMismatchError, match="not generated"):
         spec.length(g)
     assert time.perf_counter() - started < 0.1
-    assert spec._dist == cache
+    assert cached(spec) == cache
 
 
 def lattice_bfs(gens, torsion, target, cap=20_000):
@@ -459,8 +471,8 @@ def test_whole_sphere_bfs_matches_per_element_bfs(case):
     dist, ends, complete = dict_bfs(group, gens, radius)
     order = sorted(dist, key=lambda g: (dist[g], g))
     # the cache holds exactly the spheres up to the radius, in (length, tuple) order
-    assert spec._dist == dist
-    assert list(spec._dist) == order
+    assert cached(spec) == dist
+    assert list(cached(spec)) == order
     assert spec._ends == ends
     assert ball.elements == tuple(order)
     assert dict(ball.values) == dist
@@ -472,7 +484,7 @@ def test_ball_cap_keeps_whole_spheres_and_resumes():
     spec = LengthFunction.word(group, gens, cap=1000)
     with pytest.raises(BallCapError, match="while expanding radius"):
         spec.ball(10)
-    cache, ends = list(spec._dist.items()), list(spec._ends)
+    cache, ends = list(cached(spec).items()), list(spec._ends)
     assert len(cache) <= 1000
     # what is cached is exact: the whole spheres below the one refused
     dist, ref_ends, _ = dict_bfs(group, gens, len(ends) - 1)
@@ -480,7 +492,7 @@ def test_ball_cap_keeps_whole_spheres_and_resumes():
     far = max(dict_bfs(group, gens, len(ends))[0].items(), key=lambda kv: kv[1])[0]
     with pytest.raises(BallCapError):
         spec.length(far)
-    assert list(spec._dist.items()) == cache and spec._ends == ends
+    assert list(cached(spec).items()) == cache and spec._ends == ends
     spec.cap = 10**6
     fresh = LengthFunction.word(group, gens).ball(10)
     resumed = spec.ball(10)
@@ -497,7 +509,7 @@ def test_ball_cap_counts_whole_spheres():
     spec = LengthFunction.word(z2, cap=24)
     with pytest.raises(BallCapError, match="radius 3"):
         spec.ball(3)
-    assert len(spec._dist) == 13 and spec._ends == [1, 5, 13]
+    assert len(cached(spec)) == 13 and spec._ends == [1, 5, 13]
 
 
 def test_bfs_refuses_keys_beyond_int64():
@@ -509,7 +521,7 @@ def test_bfs_refuses_keys_beyond_int64():
     spec = LengthFunction.word(z3, gens)
     with pytest.raises(CoordinateOverflowError, match="int64"):
         spec.length((big, 0, 0))
-    assert spec._dist == {(0, 0, 0): 0} and spec._ends == [1]
+    assert cached(spec) == {(0, 0, 0): 0} and spec._ends == [1]
     # one coordinate: the keys fit, but radius 2 passes the coordinate limit
     z1 = LengthFunction.word(GroupSpec.free_abelian(1), [(big,), (-big,)], cap=100)
     assert z1.length((-big,)) == 1
@@ -574,3 +586,155 @@ def test_heisenberg_membership_matches_bfs_reachability(steps):
     reached = LengthFunction.word(h3, gens, cap=10**6).ball(18)
     assert all(generated(g) for g in reached)
     assert all(g in reached for g in H3_BOX if generated(g))
+
+
+# ---------------------------------------------------------------------------
+# The array word-length cache against a per-element dict BFS (dict_bfs).
+
+Z3_EXTRA = [*GroupSpec.free_abelian(3).generators,
+            (1, 1, 0), (-1, -1, 0), (0, 1, 1), (0, -1, -1), (1, 0, -1), (-1, 0, 1)]
+# name -> (group, generators, an element they do not generate or None)
+ORACLE_CASES = {
+    "Z": (GroupSpec.free_abelian(1), None, None),
+    "2Z": (GroupSpec.free_abelian(1), [(2,), (-2,)], (1,)),
+    "Z2": (GroupSpec.free_abelian(2), None, None),
+    "Z2-hex": (GroupSpec.free_abelian(2), hexagonal_generators(), None),
+    "Z2-axis": (GroupSpec.free_abelian(2), [(1, 0), (-1, 0)], (0, 1)),
+    "Z3-extra": (GroupSpec.free_abelian(3), Z3_EXTRA, None),
+    "H3": (GroupSpec.heisenberg3(), None, None),
+    "H3-even": (GroupSpec.heisenberg3(), [(2, 0, 0), (-2, 0, 0), H3_B, (0, -1, 0)], H3_C),
+    "ZxC5": (GroupSpec.free_abelian_times_cyclic(1, 5), None, None),
+    "ZxC5-free": (GroupSpec.free_abelian_times_cyclic(1, 5), [(1, 0), (-1, 0)], (0, 1)),
+    "C7": (GroupSpec.finite_cyclic(7), None, None),
+}
+ORACLE_RADIUS = 6
+_ORACLES = {}
+
+
+def oracle(name):
+    """({element: length} up to ORACLE_RADIUS, the elements in (length, tuple) order)."""
+    if name not in _ORACLES:
+        group, gens, _ = ORACLE_CASES[name]
+        dist = dict_bfs(group, gens or group.generators, ORACLE_RADIUS)[0]
+        _ORACLES[name] = dist, sorted(dist, key=lambda g: (dist[g], g))
+    return _ORACLES[name]
+
+
+def check_ball_against(ball, dist, order, radius):
+    expect = [g for g in order if dist[g] <= radius]
+    assert ball.elements == tuple(expect) and len(ball) == len(expect)
+    assert list(ball.values.items()) == [(g, dist[g]) for g in expect]
+    assert ball.index == {g: i for i, g in enumerate(expect)}
+    assert ball.coords.dtype == np.int64 and ball.coords.flags.f_contiguous
+    assert ball.coords.tolist() == [list(g) for g in expect]
+    assert ball.lengths.dtype == np.int64 and ball.lengths.tolist() == [dist[g] for g in expect]
+
+
+oracle_ops = st.lists(st.one_of(
+    st.tuples(st.just("ball"), st.integers(0, 4 * ORACLE_RADIUS).map(lambda q: q / 4)),
+    st.tuples(st.just("length"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["tuples", "rows"]), st.lists(st.integers(0, 10**6), max_size=12)),
+    st.tuples(st.just("mismatch"), st.integers(0, 10**6)),
+    st.tuples(st.just("cap"), st.integers(0, 10**6))), max_size=8)
+
+
+@given(st.sampled_from(sorted(ORACLE_CASES)), oracle_ops)
+@settings(max_examples=120, deadline=None)
+def test_word_cache_matches_dict_bfs_oracle(name, ops):
+    # length, lengths (tuples and int64 rows) and ball(r) in any order, with
+    # rows beyond the cache, rows the generators do not reach and cap hits:
+    # every answer is the oracle's, and so a fresh instance's.
+    group, gens, off = ORACLE_CASES[name]
+    dist, order = oracle(name)
+    top = max(dist.values())
+    spec = LengthFunction.word(group, gens)
+    reached = 0  # the cache holds the whole spheres of length <= reached
+
+    def pick(i):
+        return order[i % len(order)]
+
+    for op in ops:
+        if op[0] == "ball":
+            check_ball_against(spec.ball(op[1]), dist, order, op[1])
+            reached = max(reached, min(math.floor(op[1]), top))
+        elif op[0] == "length":
+            g = pick(op[1])
+            assert spec.length(g) == dist[g] and type(spec.length(g)) is int
+            reached = max(reached, dist[g])
+        elif op[0] in ("tuples", "rows"):
+            gs = [pick(i) for i in op[1]]
+            points = gs if op[0] == "tuples" else \
+                np.array(gs, dtype=np.int64).reshape(len(gs), len(group.identity()))
+            out = spec.lengths(points)
+            assert out.dtype == np.int64 and out.tolist() == [dist[g] for g in gs]
+            reached = max([reached] + [dist[g] for g in gs])
+        elif op[0] == "mismatch" and off is not None:
+            # the first row the cache misses is off: refused before any growth
+            before = cached(spec)
+            held = [g for g in order if dist[g] <= reached]
+            rows = [held[op[1] % len(held)], off, pick(op[1])]
+            for points in (rows, np.array(rows, dtype=np.int64)):
+                with pytest.raises(GroupMismatchError, match="not generated"):
+                    spec.lengths(points)
+            with pytest.raises(GroupMismatchError, match="not generated"):
+                spec.length(off)
+            assert cached(spec) == before
+        elif op[0] == "cap":
+            # a cap one below the ball that g needs: refused unless cached
+            g = pick(op[1])
+            spec.cap = sum(1 for d in dist.values() if d <= dist[g]) - 1
+            if dist[g] > reached:
+                with pytest.raises(BallCapError, match="while expanding radius"):
+                    spec.lengths([g])
+                reached = dist[g] - 1
+            else:
+                assert spec.lengths([g]).tolist() == [dist[g]]
+            spec.cap = 10**6
+    assert cached(spec) == {g: d for g, d in dist.items() if d <= reached}
+    fresh = LengthFunction.word(group, gens)
+    for radius in (0, 2.5, top):
+        check_ball_against(spec.ball(radius), dist, order, radius)
+        assert spec.ball(radius).elements == fresh.ball(radius).elements
+
+
+TRANSLATE_CASES = {
+    "H3-14": (GroupSpec.heisenberg3(), None, 14),
+    "Z2-hex-10": (GroupSpec.free_abelian(2), hexagonal_generators(), 10),
+    "ZxC5-10": (GroupSpec.free_abelian_times_cyclic(1, 5), None, 10),
+}
+
+
+@pytest.mark.parametrize("case", TRANSLATE_CASES.values(), ids=TRANSLATE_CASES.keys())
+def test_translate_matches_per_element_lookup(case):
+    # BallTable.translate finds rows through the cache's key index; a per-element
+    # dict lookup of g h must agree, also once the cache holds more than the ball
+    group, gens, radius = case
+    spec = LengthFunction.word(group, gens)
+    ball = spec.ball(radius)
+    position = {g: i for i, g in enumerate(ball.elements)}
+    far = ball.elements[-1]
+    for grown in (False, True):
+        if grown:
+            spec.ball(radius + 2)
+        for g in (*spec.generators, far):
+            expect = [position.get(group.multiply(g, h), -1) for h in ball.elements]
+            out = ball.translate(g)
+            assert out.dtype == np.intp and out.tolist() == expect
+
+
+def test_h3_ball_22_stays_small_in_memory():
+    # ball(22) on H3 holds 99,689 elements; kept as arrays, these steps make
+    # no tuple (a tuple-keyed cache of the same ball needs about 45 MB)
+    tracemalloc.start()
+    try:
+        spec = LengthFunction.word(GroupSpec.heisenberg3())
+        ball = spec.ball(22)
+        assert len(ball) == 99_689
+        coords = ball.coords
+        assert (ball.translate((1, 0, 0)) >= 0).sum() > 0
+        out = spec.lengths(coords)
+        assert len(out) == len(ball) and out[0] == 0 and out[-1] == 22
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6

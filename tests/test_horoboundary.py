@@ -18,6 +18,8 @@ from horocp import (
     phi,
     H3_A,
     H3_B,
+    LengthFunction,
+    NormSpec,
 )
 from horocp.groups import _solve_linear
 from horocp.horoboundary import facet_functionals
@@ -232,3 +234,63 @@ def test_facets_of_rational_points_match_fraction_arithmetic(extra):
     for f in funs:
         for x in extra:
             assert f(x) == sum((c * Fraction(v) for c, v in zip(f.coefficients, x)), Fraction(0))
+
+
+def loop_busemann(ray, g, spec):
+    """busemann_along_ray's evaluations, one length lookup at a time."""
+    group = ray.group
+    g_inv = group.inverse(g)
+    return [float(spec.length(x) - spec.length(group.multiply(g_inv, x))) for _, x in ray.schedule[1:]]
+
+
+def loop_geodesic(ray, spec, horizon=None):
+    """check_ray_geodesic's (max defect, pairs), one pair at a time."""
+    group = ray.group
+    sched = ray.schedule if horizon is None else ray.schedule[: horizon + 1]
+    worst, count = 0.0, 0
+    for i in range(1, len(sched)):
+        s, xs = sched[i]
+        ls = float(spec.length(xs))
+        for t, xt in sched[i:]:
+            d = float(spec.length(group.multiply(group.inverse(xs), xt)))
+            worst, count = max(worst, abs(d + ls - t)), count + 1
+    return worst, count
+
+
+def ray_cases():
+    z1, z2, h3 = GroupSpec.free_abelian(1), GroupSpec.free_abelian(2), GroupSpec.heisenberg3()
+    thirds = {(k,): Fraction(3 * abs(k) + 1, 3) if k else Fraction(0) for k in range(-30, 31)}
+    return [
+        (RaySpec.lattice_direction(z1, [1], 12), (3,), LengthFunction.word(z1)),
+        (RaySpec.word_repetition(z1, [(1,), (-1,)], 4), (1,), LengthFunction.word(z1)),
+        (RaySpec.lattice_direction(z2, [2, 1], 8), (1, -1),
+         LengthFunction.word(z2, hexagonal_generators())),
+        (RaySpec.lattice_direction(z2, [1, 1], 6), (0, 1),
+         LengthFunction.norm_restriction(z2, NormSpec.l2())),
+        (RaySpec.word_repetition(h3, [H3_A, H3_B, H3_B], 5), H3_A, LengthFunction.word(h3)),
+        (RaySpec.lattice_direction(z1, [2], 10), (2,), LengthFunction.explicit_table(z1, thirds)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_gathered_rays_match_loops(case):
+    # one gathered lookup per call gives the per-element loops' floats
+    ray, g, spec = ray_cases()[case]
+    _, _, ref = ray_cases()[case]
+    est = busemann_along_ray(ray, g, spec)
+    assert list(est.evaluations) == loop_busemann(ray, g, ref)
+    for horizon in (None, 3):
+        report = check_ray_geodesic(ray, spec, horizon)
+        assert (report.max_defect, report.pairs_checked) == loop_geodesic(ray, ref, horizon)
+
+
+def test_gathered_rays_keep_the_first_error():
+    # a table that ends inside the ray: the gathered lookups raise the error
+    # the per-element loop met first
+    z1 = GroupSpec.free_abelian(1)
+    spec = LengthFunction.explicit_table(z1, {(k,): abs(k) for k in range(-5, 6)})
+    ray = RaySpec.lattice_direction(z1, [1], 8)
+    for fn in (lambda s: busemann_along_ray(ray, (2,), s), lambda s: loop_busemann(ray, (2,), s),
+               lambda s: check_ray_geodesic(ray, s), lambda s: loop_geodesic(ray, s)):
+        with pytest.raises(ValueError, match=r"\(6,\) is outside the tabulated domain"):
+            fn(spec)
