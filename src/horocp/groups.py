@@ -21,11 +21,10 @@ request.  Exact elimination (rref) runs on integer rows and divides once at the 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -271,10 +270,15 @@ class GroupSpec:
         if rank < 1 or torsion < 2:
             raise ValueError("need rank >= 1 and torsion order >= 2")
         if generators is None:
-            generators = [g + (0,) for g in _standard_lattice_generators(rank)]
-            generators += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]
-        return cls(FREE_ABELIAN_TIMES_CYCLIC, rank=rank, torsion=torsion,
-                   generators=_closed_generators(generators))
+            gens = [g + (0,) for g in _standard_lattice_generators(rank)]
+            gens += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]
+            generators = gens
+        return cls(
+            FREE_ABELIAN_TIMES_CYCLIC,
+            rank=rank,
+            torsion=torsion,
+            generators=_closed_generators(generators),
+        )
 
     @classmethod
     def heisenberg3(cls, generators: Optional[Iterable[Element]] = None) -> "GroupSpec":
@@ -353,7 +357,8 @@ class GroupSpec:
     def power(self, g: Element, n: int) -> Element:
         if n < 0:
             return self.power(self.inverse(g), -n)
-        result, base = self.identity(), g
+        result = self.identity()
+        base = g
         while n:
             if n & 1:
                 result = self.multiply(result, base)
@@ -368,12 +373,23 @@ class GroupSpec:
 
 
 def _standard_lattice_generators(rank: int) -> list[Element]:
-    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
-    return [g for e in units for g in (e, tuple(-c for c in e))]
+    gens = []
+    for i in range(rank):
+        e = [0] * rank
+        e[i] = 1
+        gens.append(tuple(e))
+        e[i] = -1
+        gens.append(tuple(e))
+    return gens
 
 
 def _closed_generators(generators: Iterable[Element]) -> tuple[Element, ...]:
-    return tuple(dict.fromkeys(tuple(g) for g in generators))
+    seen = []
+    for g in generators:
+        t = tuple(g)
+        if t not in seen:
+            seen.append(t)
+    return tuple(seen)
 
 
 def hexagonal_generators() -> tuple[Element, ...]:
@@ -517,6 +533,8 @@ def _in_lattice(basis: Sequence[tuple[int, tuple[int, ...]]], v: Sequence[int]) 
 
 def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     """Vertices of {x : sigma(x) <= 1 for all sigma}; errors if unbounded."""
+    from itertools import combinations
+
     rows = [tuple(Fraction(c) for c in f) for f in functionals]
     if len(rref(rows)[1]) < dim:
         raise ValueError("polytope norm functionals do not span; unit ball is unbounded")
@@ -524,9 +542,11 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
     ones = [Fraction(1)] * dim
     for subset in combinations(rows, dim):
         x = _solve_linear(subset, ones)
-        if x is not None and x not in verts and all(
-                sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
-            verts.append(x)
+        if x is None:
+            continue
+        if all(sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
+            if x not in verts:
+                verts.append(x)
     if not verts:
         raise ValueError("polytope norm unit ball has no vertices")
     return verts
@@ -540,15 +560,16 @@ def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
 class BallTable:
     """All elements with length <= radius, in (length, lexicographic) order,
     held as `lengths` (int64 for word lengths, the length's objects otherwise)
-    and `rows`: a prefix of the word length's int32 BFS cache, or element
-    tuples.  `coords`, `elements`, `values` and `index` are made on first use."""
+    and integer coordinate `rows`: a prefix of the word length's int32 BFS
+    cache, or int64 rows (object rows beyond int64) for norm and table
+    balls.  `coords`, `elements`, `values` and `index` are made on first use."""
 
     group: GroupSpec
     radius: float
     lengths: np.ndarray
     complete_group: bool
     spec: "LengthFunction"
-    rows: object
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -561,7 +582,7 @@ class BallTable:
 
     @cached_property
     def elements(self) -> tuple[Element, ...]:
-        return self.rows if isinstance(self.rows, tuple) else tuple(_tuples(self.rows))
+        return tuple(_tuples(self.rows))
 
     @cached_property
     def values(self) -> dict[Element, object]:
@@ -589,7 +610,7 @@ class BallTable:
     def translate(self, g: Element) -> np.ndarray:
         """Ball index of g h for every ball element h, in ball order; -1 where
         g h lies outside the ball.  A word ball's index is the cache position."""
-        index = self.spec._cache_index() if isinstance(self.rows, np.ndarray) else self._keys
+        index = self.spec._cache_index() if self.spec.kind == LengthFunction.WORD else self._keys
         out = index.find(self.left_translates(g))
         out[out >= len(self)] = -1
         return out
@@ -605,7 +626,6 @@ class _KeyIndex:
         keys = _box_keys(coords, self.lo, self.strides)
         self.order = np.argsort(keys, kind="stable")
         self.keys = keys[self.order]
-        self.box = list(zip(self.lo.tolist(), self.hi.tolist(), self.strides.tolist()))
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Position of each int64 row among the indexed rows, or -1.  Keys of
@@ -615,25 +635,19 @@ class _KeyIndex:
         pos = np.minimum(np.searchsorted(self.keys, codes), len(self.keys) - 1)
         return np.where(inside & (self.keys[pos] == codes), self.order[pos], -1)
 
-    def find_one(self, g: Element) -> int:
-        """find for one element tuple, in Python ints."""
-        if not all(low <= c <= high for c, (low, high, _) in zip(g, self.box)):
-            return -1
-        key = sum((c - low) * stride for c, (low, _, stride) in zip(g, self.box))
-        i = int(self.keys.searchsorted(key))
-        return int(self.order[i]) if i < len(self.keys) and self.keys[i] == key else -1
-
 
 def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(strides, spans) of the mixed-radix keys of the box [lo, hi]
     (_box_keys): exact in int64 and in tuple order, or
     CoordinateOverflowError."""
     spans = (hi - lo + 1).tolist()
-    size = math.prod(spans)
+    strides, size = [], 1
+    for span in reversed(spans):
+        strides.append(size)
+        size *= span
     if size > np.iinfo(np.int64).max:
         raise CoordinateOverflowError(f"bounding box of {size} points does not fit int64 keys")
-    strides = [math.prod(spans[j + 1:]) for j in range(len(spans))]
-    return np.array(strides, dtype=np.int64), np.array(spans, dtype=np.int64)
+    return np.array(strides[::-1], dtype=np.int64), np.array(spans, dtype=np.int64)
 
 
 def _box_keys(coords: np.ndarray, lo: np.ndarray, strides: np.ndarray) -> np.ndarray:
@@ -652,17 +666,18 @@ def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
 
     The translates s h of the last sphere lie in it, in the one before or in
     the next: mixed-radix keys over their bounding box (tuple order) find the
-    new ones.
+    new ones.  Each generator's int64 translates are formed, reduced and
+    dropped one at a time.
     """
     sphere = sphere.astype(np.int64)
-    moved = [translate(s, sphere) for s in generators]
-    parts = [p for p in (previous, sphere, *moved) if len(p)]
-    lo = np.min([p.min(axis=0) for p in parts], axis=0)
-    hi = np.max([p.max(axis=0) for p in parts], axis=0)
+    lo, hi = sphere.min(axis=0), sphere.max(axis=0)
+    for part in (previous, *(translate(s, sphere) for s in generators)):
+        if len(part):
+            lo, hi = np.minimum(lo, part.min(axis=0)), np.maximum(hi, part.max(axis=0))
     if lo.min() < -COORD_LIMIT or hi.max() > COORD_LIMIT:
         raise CoordinateOverflowError(f"a coordinate exceeds the translation limit {COORD_LIMIT}")
     strides, spans = _mixed_radix(lo, hi)
-    keys = np.concatenate([_box_keys(m, lo, strides) for m in moved])
+    keys = np.concatenate([_box_keys(translate(s, sphere), lo, strides) for s in generators])
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     for old in (previous, sphere):
@@ -677,7 +692,8 @@ def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
 
 
 def _tuples(coords: np.ndarray) -> Iterator[Element]:
-    """The rows of a coordinate array as tuples of Python ints, made from the columns."""
+    """The rows of a coordinate array as tuples of Python ints, made one by
+    one from the columns."""
     return zip(*[coords[:, j].tolist() for j in range(coords.shape[1])])
 
 
@@ -732,8 +748,10 @@ class LengthFunction:
             self.generators = tuple(generators) if generators is not None else group.generators
             if not self.generators:
                 raise ValueError("word length needs a generating set")
-            if not {group.inverse(s) for s in self.generators} <= set(self.generators):
-                raise ValueError("word-length generating set must be symmetric")
+            gen_set = set(self.generators)
+            for s in self.generators:
+                if group.inverse(s) not in gen_set:
+                    raise ValueError("word-length generating set must be symmetric")
             # the cache: whole spheres, concatenated lazily; _ends[k] = number
             # of elements of length <= k; _spheres, the last two (first empty)
             sphere = np.array([group.identity()], dtype=np.int32, order="F")
@@ -753,7 +771,9 @@ class LengthFunction:
             if table is None:
                 raise ValueError("explicit length needs a table")
             self.table = dict(table)
-            self.table.setdefault(group.identity(), 0)
+            e = group.identity()
+            if e not in self.table:
+                self.table[e] = 0
         else:
             raise ValueError(f"unknown length kind {kind!r}")
 
@@ -782,8 +802,7 @@ class LengthFunction:
     def length(self, g: Element):
         self.group.validate(g)
         if self.kind == self.WORD:
-            pos = self._cache_index().find_one(g)
-            return bisect_right(self._ends, pos) if pos >= 0 else int(self._gather([g])[0][0])
+            return int(self._gather([g])[0][0])
         if self.kind == self.NORM:
             return self.norm.evaluate(g)
         try:
@@ -795,9 +814,10 @@ class LengthFunction:
         """Exact lengths of the elements given as the rows of an int64
         coordinate array (BallTable.coords, BallTable.left_translates) or as
         canonical tuples (all validated first), in order: int64 for word
-        lengths, found through the cache's key index, with the rows it misses
-        taking the `length` path in order (growth just as far as they need,
-        and its errors); objects, row by row as `length`, otherwise."""
+        lengths, found through the cache's key index; a row it misses is
+        refused (GroupMismatchError) unless canonical and generated, or the
+        BFS grows just as far as the row needs (BallCapError at the cap).
+        Objects, row by row as `length`, otherwise."""
         return self._gather(points)[0]
 
     def _gather(self, points, skip_errors: bool = False) -> tuple[np.ndarray, list[int]]:
@@ -873,6 +893,13 @@ class LengthFunction:
     def _generator_coords(self) -> np.ndarray:
         return _int64_coordinates(self.generators, self.group)
 
+    def _ensure_radius(self, radius: float):
+        """Grow the cache to every sphere of length <= radius (all of them at
+        an infinite radius), or until it is exhausted."""
+        target = radius if math.isinf(radius) else math.floor(radius)
+        while not self._exhausted and len(self._ends) - 1 < target:
+            self._grow()
+
     # -- balls ---------------------------------------------------------------
 
     def ball(self, radius: float) -> BallTable:
@@ -883,34 +910,47 @@ class LengthFunction:
         if self.kind == self.WORD:
             if math.isinf(radius) and not self.group.is_finite:
                 raise ValueError("infinite radius needs a finite group")
-            # every sphere of length <= radius, or all of them
-            while not self._exhausted and len(self._ends) <= radius:
-                self._grow()
+            self._ensure_radius(radius)
             ends = self._ends[:int(min(len(self._ends) - 1, radius)) + 1]
             rows = self._cache_rows()[:ends[-1]]
             lengths = np.repeat(np.arange(len(ends)), np.diff(ends, prepend=0))
             complete = self._exhausted and ends[-1] == self._ends[-1]
         else:
             if self.kind == self.NORM:
-                halfwidth = self.norm.box_halfwidth(self.group.rank)
-                bounds = [int(math.floor(hw * Fraction(radius))) for hw in halfwidth]
-                count = math.prod(2 * b + 1 for b in bounds)
-                if count > 4 * self.cap:
-                    raise BallCapError(f"norm ball bounding box of {count} points exceeds cap {self.cap}")
-                points = product(*[range(-b, b + 1) for b in bounds])
-                items = [(p, v) for p in points if (v := self.norm.evaluate(p)) <= radius]
+                items = self._norm_ball_items(radius)
+                complete = False
             else:
                 items = [(g, v) for g, v in self.table.items() if v <= radius]
-            complete = self.kind == self.TABLE and self.group.is_finite and len(items) == self.group.torsion
+                complete = self.group.is_finite and len(items) == self.group.torsion
             values = dict(items)
             e = self.group.identity()
-            rows = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
-            lengths = np.array([values[g] if g in values else self.length(g) for g in rows], dtype=object)
+            elements = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
+            lengths = np.array([values[g] if g in values else self.length(g) for g in elements], dtype=object)
+            try:
+                rows = np.array(elements, dtype=np.int64)
+            except OverflowError:  # kept exact here; coords refuses it
+                rows = np.array(elements, dtype=object)
         table = BallTable(self.group, radius, lengths, complete, self, rows)
         if len(table) > self.cap:
             raise BallCapError(f"ball at radius {radius} has {len(table)} > cap {self.cap} elements")
         self._ball_cache[radius] = table
         return table
+
+    def _norm_ball_items(self, radius):
+        m = self.group.rank
+        halfwidth = self.norm.box_halfwidth(m)
+        bounds = [int(math.floor(hw * Fraction(radius))) for hw in halfwidth]
+        count = 1
+        for b in bounds:
+            count *= 2 * b + 1
+        if count > 4 * self.cap:
+            raise BallCapError(f"norm ball bounding box of {count} points exceeds cap {self.cap}")
+        items = []
+        for point in product(*[range(-b, b + 1) for b in bounds]):
+            v = self.norm.evaluate(point)
+            if v <= radius:
+                items.append((point, v))
+        return items
 
     # -- axioms --------------------------------------------------------------
 
@@ -944,6 +984,12 @@ class LengthFunction:
 
 
 def central_heisenberg_table(horizon: int) -> dict[Element, int]:
-    """Explicit table on Z of the Heisenberg central word lengths 2*ceil(2*sqrt(|k|));
-    ceil(sqrt(n)) = isqrt(n - 1) + 1 for n >= 1."""
-    return {(k,): 2 * (math.isqrt(4 * abs(k) - 1) + 1) if k else 0 for k in range(-horizon, horizon + 1)}
+    """Explicit table on Z of the Heisenberg central word lengths 2*ceil(2*sqrt(|k|))."""
+    table = {}
+    for k in range(-horizon, horizon + 1):
+        a = abs(k)
+        root = math.isqrt(4 * a)
+        if root * root < 4 * a:
+            root += 1
+        table[(k,)] = 2 * root
+    return table
