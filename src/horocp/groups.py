@@ -926,6 +926,9 @@ class LengthFunction:
             e = self.group.identity()
             elements = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
             lengths = np.array([values[g] if g in values else self.length(g) for g in elements], dtype=object)
+            if self.kind == self.TABLE:  # the rows hold canonical elements only
+                for g in elements:
+                    self.group.validate(g)
             try:
                 rows = np.array(elements, dtype=np.int64)
             except OverflowError:  # kept exact here; coords refuses it

@@ -179,6 +179,11 @@ def test_explicit_table_outside_domain():
     spec = LengthFunction.explicit_table(z1, central_heisenberg_table(10))
     with pytest.raises(ValueError):
         spec.length((11,))
+    # a ball lists canonical elements only: a key of the wrong shape is refused
+    z2 = GroupSpec.free_abelian(2)
+    for key in [(1,), (1.5, 0)]:
+        with pytest.raises(GroupMismatchError):
+            LengthFunction.explicit_table(z2, {(1, 0): 1, key: 1}).ball(1)
 
 
 def test_free_abelian_times_cyclic_length():

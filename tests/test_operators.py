@@ -651,6 +651,11 @@ def test_ball_translation_refuses_int64_overflow(h3, z3):
     wide = LengthFunction.explicit_table(h3, {(top + 1, 0, 0): 1}).ball(1)
     with pytest.raises(CoordinateOverflowError):
         wide.translate((0, 0, 0))
+    # a table key beyond int64: the ball still lists it exactly
+    huge = LengthFunction.explicit_table(h3, {(2**70, 0, 0): 1}).ball(1)
+    assert huge.elements == ((0, 0, 0), (2**70, 0, 0)) and huge.values[(2**70, 0, 0)] == 1
+    with pytest.raises(CoordinateOverflowError):
+        huge.translate((0, 0, 0))
     # a bounding box of more than 2**63 points has no exact int64 key
     corners = {(-top, -top, -top): 1, (top, top, top): 1}
     with pytest.raises(CoordinateOverflowError):
