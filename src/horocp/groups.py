@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import combinations, islice, product
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
@@ -33,6 +33,9 @@ DEFAULT_BALL_CAP = 5_000_000
 # Largest |coordinate| in the int64 arrays of ball translation: a Heisenberg
 # product z + z' + x y' of two such elements stays below 2**63.
 COORD_LIMIT = 2**31 - 1
+# Entries of the polytope kernel's rows x subsets side-test matrix per block
+# of subsets: bounds its memory whatever the number of rows.
+_KERNEL_BLOCK = 2**20
 
 FREE_ABELIAN = "free_abelian"
 FREE_ABELIAN_TIMES_CYCLIC = "free_abelian_times_cyclic"
@@ -489,15 +492,6 @@ def _primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [a // g for a in row]
 
 
-def _solve_linear(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]):
-    """Exact rational solve of a square system; None if singular."""
-    m = len(rows)
-    mat, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    if pivots != list(range(m)):
-        return None
-    return tuple(r[m] for r in mat)
-
-
 def _integer_echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, tuple[int, ...]]]:
     """Echelon basis of the integer lattice the rows span: (pivot column, row)
     pairs in increasing column order, each row zero before its positive pivot."""
@@ -532,24 +526,63 @@ def _in_lattice(basis: Sequence[tuple[int, tuple[int, ...]]], v: Sequence[int]) 
 
 
 def _polytope_vertices(functionals: Sequence[Sequence[Fraction]], dim: int):
-    """Vertices of {x : sigma(x) <= 1 for all sigma}; errors if unbounded."""
-    from itertools import combinations
-
-    rows = [tuple(Fraction(c) for c in f) for f in functionals]
-    if len(rref(rows)[1]) < dim:
+    """Vertices of {x : sigma(x) <= 1 for all sigma}, exact, from the vertex
+    kernel on the functionals' integer rows (numerators, denominator); a
+    ValueError if that set is unbounded."""
+    if len(rref(functionals)[1]) < dim:
         raise ValueError("polytope norm functionals do not span; unit ball is unbounded")
-    verts = []
-    ones = [Fraction(1)] * dim
-    for subset in combinations(rows, dim):
-        x = _solve_linear(subset, ones)
-        if x is None:
-            continue
-        if all(sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
-            if x not in verts:
-                verts.append(x)
-    if not verts:
-        raise ValueError("polytope norm unit ball has no vertices")
+    rows = [nums + [den] for nums, den in map(_integer_row, functionals)]
+    verts, _, ray = _polyhedron_vertices(rows, combinations(range(len(rows)), dim))
+    if ray is not None:
+        raise ValueError(f"polytope norm unit ball contains the ray t*{ray}; it is unbounded")
     return verts
+
+
+def _polyhedron_vertices(rows: Sequence[Sequence[int]], subsets: Iterable[Sequence[int]]):
+    """The exact polytope kernel: vertices of P = {x : a_i . x <= b_i}, for
+    integer rows (a_i, b_i), b_i > 0, over candidate m-subsets of row indices.
+    Per block of subsets, each subset's null vector w comes from its signed
+    m x m minors, x = -w[:m] / w[m], one integer product tests every row's
+    side, and vertices are deduplicated by the gcd-normalised w.  Returns
+    (vertices as Fraction tuples, first met first; the rows tight at each;
+    ray): ray is None, or u = w[:m] with every a_i . u <= 0 (P unbounded, no
+    vertices) from a one-sided subset with 0 on its hyperplane or beyond.
+    int64 while (m+1)! max|entry|^(m+1), bounding every minor's partial sums
+    and row product, is below 2**63, else the same code on Python ints.
+    """
+    m = len(rows[0]) - 1
+    top = max(abs(c) for row in rows for c in row)
+    dtype = np.int64 if math.factorial(m + 1) * top ** (m + 1) < 2**63 else object
+    mat = np.array(rows, dtype=dtype)
+    found: dict = {}
+    subsets = iter(subsets)
+    while chunk := list(islice(subsets, max(1, _KERNEL_BLOCK // len(rows)))):
+        w = _null_vectors(mat[np.array(chunk)])
+        w = w[w.any(axis=1)]
+        side = mat @ w.T
+        # the one-sided subsets, each oriented so that every row reads <= 0
+        keep = np.concatenate([(side <= 0).all(axis=0), (side >= 0).all(axis=0)])
+        w, side = np.concatenate([w, -w])[keep], np.concatenate([side, -side], axis=1)[:, keep]
+        w //= np.gcd.reduce(w, axis=1)[:, None]
+        if (w[:, m] >= 0).any():
+            return [], [], tuple(w[w[:, m] >= 0][0, :m].tolist())
+        for face, on in zip(map(tuple, w.tolist()), (side == 0).T):
+            found.setdefault(face, tuple(np.flatnonzero(on).tolist()))
+    return [tuple(Fraction(c, -w[m]) for c in w[:m]) for w in found], list(found.values()), None
+
+
+def _null_vectors(sub: np.ndarray) -> np.ndarray:
+    """w with w[j] = (-1)^j det(sub without column j), so sub @ w = 0, for a
+    stack of m x (m+1) integer matrices: Laplace expansion from the last row
+    up, each row's minors kept by column set for the row above."""
+    m, n = sub.shape[1:]
+    minors = {(c,): sub[:, m - 1, c] for c in range(n)}
+    for r in range(m - 2, -1, -1):
+        minors = {cols: sum((-1) ** i * sub[:, r, c] * minors[cols[:i] + cols[i + 1:]]
+                            for i, c in enumerate(cols))
+                  for cols in combinations(range(n), m - r)}
+    return np.stack([(-1) ** j * minors[tuple(c for c in range(n) if c != j)]
+                     for j in range(n)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -758,6 +791,7 @@ class LengthFunction:
             self._parts, self._ends, self._spheres = [sphere], [1], (sphere[:0], sphere)
             self._index: Optional[_KeyIndex] = None  # None after growth
             self._exhausted = False
+            self._refused = 0  # size of the next sphere once the cap refused it
             # Elements the generators do not reach are refused at once rather
             # than after the BFS has grown to the cap; the test is exact.
             self._generated = group.law.membership(self.generators)
@@ -866,12 +900,16 @@ class LengthFunction:
     def _grow(self) -> Optional[np.ndarray]:
         """Add the next sphere to the cache, whole, and return it, or mark the
         cache exhausted and return None when it is empty.  BallCapError, with
-        the cache intact, past the cap; CoordinateOverflowError past int64."""
-        new = _next_sphere(self.group.law.translate, self._generator_coords, *self._spheres)
-        self._exhausted = not len(new)
-        if self._exhausted:
-            return None
-        if self._ends[-1] + len(new) > self.cap:
+        the cache intact, past the cap; the refused sphere's size is kept, so
+        a later call refuses it without forming it again.
+        CoordinateOverflowError past int64."""
+        if not self._refused or self._ends[-1] + self._refused <= self.cap:
+            new = _next_sphere(self.group.law.translate, self._generator_coords, *self._spheres)
+            self._exhausted = not len(new)
+            if self._exhausted:
+                return None
+            self._refused = len(new) if self._ends[-1] + len(new) > self.cap else 0
+        if self._refused:
             raise BallCapError(f"ball cap {self.cap} exceeded while expanding radius {len(self._ends)}")
         self._spheres = (self._spheres[1], new)
         self._parts.append(new)

@@ -29,20 +29,22 @@ from .groups import (
     GroupSpec,
     LengthFunction,
     _integer_row,
-    _solve_linear,
+    _polyhedron_vertices,
     rref,
 )
 
 
 class DegeneratePolytopeError(ValueError):
-    """The projected generators lie in a proper hyperplane."""
+    """0 is not an interior point of the hull of the projected generators:
+    they lie in the hyperplane {x : normal . x = 0}, or, with half_space, in
+    the closed half-space {x : normal . x <= 0}."""
 
-    def __init__(self, normal: tuple[Fraction, ...]):
+    def __init__(self, normal: tuple[Fraction, ...], half_space: bool = False):
         self.normal = normal
         super().__init__(
-            "generators project into the hyperplane {x : "
+            f"generators project into the {'half-space' if half_space else 'hyperplane'} {{x : "
             + " + ".join(f"({c})*x{i+1}" for i, c in enumerate(normal) if c != 0)
-            + " = 0}"
+            + (" <= 0}" if half_space else " = 0}")
         )
 
 
@@ -121,36 +123,43 @@ def facets(group: GroupSpec, generators: Optional[Iterable[Element]] = None
     if m > 4:
         raise ValueError("facet enumeration is limited to abelianization rank <= 4")
     gens = tuple(generators) if generators is not None else group.generators
-    points = []
-    for s in gens:
-        p = tuple(Fraction(c) for c in group.abelianization(s))
-        if p not in points:
-            points.append(p)
-    return facet_functionals(points, m)
+    return facet_functionals([group.abelianization(s) for s in gens], m)
 
 
 def facet_functionals(points: Sequence[tuple[Fraction, ...]], m: int
                       ) -> tuple[SupportFunctional, ...]:
-    """Facets of conv(points) for a point set whose hull has 0 in its interior."""
+    """Facets of conv(points), for a point set whose hull has 0 in its interior:
+    the vertices of the polar {sigma : sigma(p) <= 1}, from the polytope
+    kernel on the points' integer rows over their extreme points (m = 1),
+    hull edges (m = 2) or all m-subsets.  DegeneratePolytopeError if 0 is not
+    interior, naming a hyperplane or closed half-space through 0 that holds
+    every point (for m = 1, the normal (1,) either way)."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     pts = list(dict.fromkeys(pts))
     if len(rref(pts)[1]) < m:
         raise DegeneratePolytopeError(_span_normal(pts, m))
     if m == 1:
-        return _facets_1d(pts)
-    if m == 2:
-        return _facets_2d(pts)
-    return _facets_brute(pts, m)
+        vals = [p[0] for p in pts]
+        if not max(vals) > 0 > min(vals):
+            raise DegeneratePolytopeError((Fraction(1),))
+        subsets = [(vals.index(max(vals)),), (vals.index(min(vals)),)]
+    else:
+        subsets = _hull_edges(pts) if m == 2 else combinations(range(len(pts)), m)
+    rows = [xs + [q] for xs, q in map(_integer_row, pts)]
+    sigmas, tight, ray = _polyhedron_vertices(rows, subsets)
+    if ray is not None:
+        raise DegeneratePolytopeError(tuple(map(Fraction, ray)), half_space=True)
+    return tuple(sorted(
+        (SupportFunctional(sigma, tuple(sorted(pts[i] for i in on)))
+         for sigma, on in zip(sigmas, tight)),
+        key=lambda f: f.coefficients))
 
 
 def _span_normal(pts, m) -> tuple[Fraction, ...]:
     """A non-zero rational vector orthogonal to every point (the points span a
     proper subspace when this is called)."""
     mat, pivots = rref(pts)
-    free = [c for c in range(m) if c not in pivots]
-    if not free:
-        return tuple([Fraction(1)] + [Fraction(0)] * (m - 1))
-    j = free[0]
+    j = next(c for c in range(m) if c not in pivots)
     nu = [Fraction(0)] * m
     nu[j] = Fraction(1)
     for r, col in enumerate(pivots):
@@ -158,81 +167,24 @@ def _span_normal(pts, m) -> tuple[Fraction, ...]:
     return tuple(nu)
 
 
-def _facets_1d(pts) -> tuple[SupportFunctional, ...]:
-    vals = [p[0] for p in pts]
-    hi, lo = max(vals), min(vals)
-    if not (hi > 0 > lo):
-        raise DegeneratePolytopeError((Fraction(1),))
-    out = [
-        SupportFunctional((Fraction(1) / hi,), ((hi,),)),
-        SupportFunctional((Fraction(1) / lo,), ((lo,),)),
-    ]
-    return tuple(sorted(out, key=lambda f: f.coefficients))
-
-
-def _hull_2d(pts):
-    pts = sorted(set(pts))
+def _hull_edges(pts) -> list[tuple[int, int]]:
+    """Index pairs of consecutive vertices of the planar convex hull
+    (Andrew's monotone chain; points on an edge are not vertices)."""
+    order = sorted(range(len(pts)), key=pts.__getitem__)
 
     def cross(o, a, b):
+        o, a, b = pts[o], pts[a], pts[b]
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _facets_2d(pts) -> tuple[SupportFunctional, ...]:
-    hull = _hull_2d(pts)
-    scaled = [_integer_row(p) for p in pts]
-    out = {}
-    n = len(hull)
-    ones = [Fraction(1), Fraction(1)]
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        sigma = _solve_linear([list(a), list(b)], ones)
-        if sigma is None:
-            raise DegeneratePolytopeError(_span_normal(pts, 2))
-        out[sigma] = _contact(pts, _levels(sigma, scaled))
-    return tuple(
-        SupportFunctional(s, c) for s, c in sorted(out.items(), key=lambda kv: kv[0])
-    )
-
-
-def _facets_brute(pts, m) -> tuple[SupportFunctional, ...]:
-    out = {}
-    scaled = [_integer_row(p) for p in pts]
-    for subset in combinations(scaled, m):
-        # sigma(xs / q) = 1 is sigma(xs) = q: an integer system
-        sigma = _solve_linear([xs for xs, _ in subset], [q for _, q in subset])
-        if sigma is None:
-            continue
-        levels = _levels(sigma, scaled)
-        if max(levels) <= 0:
-            out[sigma] = _contact(pts, levels)
-    return tuple(
-        SupportFunctional(s, c) for s, c in sorted(out.items(), key=lambda kv: kv[0])
-    )
-
-
-def _levels(sigma, scaled) -> list[int]:
-    """sigma(p) - 1 times a positive integer, for each point p given as
-    (integer numerators, common denominator): negative below the level set
-    sigma = 1, zero on it, positive above."""
-    nums, den = _integer_row(sigma)
-    return [sum(map(mul, nums, xs)) - den * q for xs, q in scaled]
-
-
-def _contact(pts, levels) -> tuple:
-    """The points on the level set sigma = 1, sorted."""
-    return tuple(sorted(p for p, v in zip(pts, levels) if v == 0))
+    hull = []
+    for chain in (order, order[::-1]):  # lower, then upper
+        part = []
+        for p in chain:
+            while len(part) >= 2 and cross(part[-2], part[-1], p) <= 0:
+                part.pop()
+            part.append(p)
+        hull += part[:-1]
+    return list(zip(hull, hull[1:] + hull[:1]))
 
 
 # ---------------------------------------------------------------------------

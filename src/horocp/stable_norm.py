@@ -8,11 +8,13 @@ hull of the generating set; the two routes cross-check each other.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
-from .groups import BallTable, Element, GroupSpec, LengthFunction, _tuples
+from .groups import BallTable, Element, GroupSpec, LengthFunction, _integer_row, _tuples
 from .horoboundary import SupportFunctional
 
 DEFAULT_HORIZON = 40
@@ -52,10 +54,18 @@ def asymptotic_length(g: Element, spec: LengthFunction, horizon: int = DEFAULT_H
 
 
 def stable_norm_dual(x: Sequence, functionals: Sequence[SupportFunctional]) -> Fraction:
-    """Exact polytope norm max_F sigma_F(x) with unit ball conv(S)."""
+    """Exact polytope norm max_F sigma_F(x) with unit ball conv(S).
+
+    The maximum is taken over integers: each functional's integer value
+    nums . xs brought to the common denominator of all of them, so one
+    Fraction is built.
+    """
     if not functionals:
         raise ValueError("no support functionals given")
-    return max(f(x) for f in functionals)
+    xs, q = _integer_row(x)
+    lcm = math.lcm(*(f._integers[1] for f in functionals))
+    best = max(sum(map(mul, nums, xs)) * (lcm // den) for nums, den in (f._integers for f in functionals))
+    return Fraction(best, lcm * q)
 
 
 @dataclass(frozen=True)

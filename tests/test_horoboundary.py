@@ -1,5 +1,6 @@
+import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -21,8 +22,18 @@ from horocp import (
     LengthFunction,
     NormSpec,
 )
-from horocp.groups import _solve_linear
+from horocp.groups import _integer_row, _polytope_vertices, rref
 from horocp.horoboundary import facet_functionals
+
+
+def _solve_linear(rows, rhs):
+    """Exact rational solve of a square system; None if singular (the
+    per-subset Fraction elimination the polytope kernel replaced)."""
+    m = len(rows)
+    mat, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    if pivots != list(range(m)):
+        return None
+    return tuple(r[m] for r in mat)
 
 
 def test_phi_examples(len_z1, len_z2):
@@ -227,13 +238,116 @@ def test_facets_of_rational_points_match_fraction_arithmetic(extra):
     # the integer facet tests and functional values against Fraction
     # arithmetic, on points with denominators (as from length tables)
     m = len(extra[0])
-    axes = [tuple(Fraction(s if i == j else 0) for i in range(m)) for j in range(m) for s in (1, -1)]
-    pts = list(dict.fromkeys(axes + [tuple(map(Fraction, p)) for p in extra]))
+    pts = list(dict.fromkeys(axes(m) + [tuple(map(Fraction, p)) for p in extra]))
     funs = facet_functionals(pts, m)
     assert [(f.coefficients, f.facet) for f in funs] == fraction_facets(pts, m)
     for f in funs:
         for x in extra:
             assert f(x) == sum((c * Fraction(v) for c, v in zip(f.coefficients, x)), Fraction(0))
+
+
+def loop_polytope_vertices(functionals, dim):
+    """The vertex loop the kernel replaced: every dim-subset's Fraction solve
+    of sigma(x) = 1, kept when no functional exceeds 1 at x."""
+    rows = [tuple(map(Fraction, f)) for f in functionals]
+    verts = []
+    for subset in combinations(rows, dim):
+        x = _solve_linear(subset, [Fraction(1)] * dim)
+        if x is not None and x not in verts and all(
+                sum(f * c for f, c in zip(row, x)) <= 1 for row in rows):
+            verts.append(x)
+    return verts
+
+
+def axes(m):
+    return [tuple(Fraction(s if i == j else 0) for i in range(m)) for j in range(m) for s in (1, -1)]
+
+
+def assert_hull_functionals(funs, pts):
+    """Each functional is within 1e-9 of an equation of scipy's float hull,
+    and each equation of one functional (coplanar simplices share one)."""
+    scipy_spatial = pytest.importorskip("scipy.spatial")
+    eqs = scipy_spatial.ConvexHull(np.array(pts, dtype=float)).equations
+    hull = -eqs[:, :-1] / eqs[:, -1:]
+    ours = np.array([[float(c) for c in f.coefficients] for f in funs])
+    close = np.abs(hull[:, None, :] - ours[None, :, :]).max(axis=2) < 1e-9
+    assert close.any(axis=0).all() and close.any(axis=1).all()
+
+
+halves = st.sampled_from([Fraction(k, 2) for k in range(-2, 3)])
+
+
+@given(st.integers(3, 4), st.data())
+@settings(max_examples=60, deadline=None)
+def test_kernel_facets_match_fraction_loop_and_hull(m, data):
+    # the polytope kernel against the per-subset Fraction loop and scipy, on
+    # the cross-polytope plus rational points; half-integer points such as
+    # (1/2, 1/2, 0) lie on its facets (coplanar boundary points), and some
+    # points come twice
+    extra = data.draw(st.lists(st.tuples(*[st.one_of(halves, rational)] * m), max_size=6 - m))
+    if extra:
+        extra += data.draw(st.lists(st.sampled_from(extra), max_size=2))
+    pts = axes(m) + [tuple(map(Fraction, p)) for p in extra]
+    funs = facet_functionals(pts, m)
+    assert [(f.coefficients, f.facet) for f in funs] == fraction_facets(list(dict.fromkeys(pts)), m)
+    assert_hull_functionals(funs, pts)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_kernel_python_int_branch_matches_fraction_loop(m):
+    # denominators of 2**62 put (m+1)! max|entry|^(m+1) above 2**63, so the
+    # kernel runs on Python ints; (1/2 + eps, 1/2, 0, ...) sits eps outside
+    # a facet of the cross-polytope, which floats would not see
+    eps = Fraction(1, 2**62)
+    pad = (Fraction(0),) * (m - 2)
+    pts = axes(m) + [(Fraction(1, 2) + eps, Fraction(1, 2)) + pad,
+                     (Fraction(1, 3), -eps) + pad, (Fraction(1, 2), Fraction(1, 2)) + pad]
+    assert math.factorial(m + 1) * max(_integer_row(p)[1] for p in pts) ** (m + 1) >= 2**63
+    funs = facet_functionals(pts, m)
+    assert [(f.coefficients, f.facet) for f in funs] == fraction_facets(pts, m)
+
+
+@pytest.mark.parametrize("pts", [
+    [(2, -1), (2, 1), (4, -1), (4, 1)],  # the unit square shifted by 3 e1
+    [(c[0] + 3, *c[1:]) for c in product((-1, 1), repeat=3)],  # the cube
+    [(0, -1), (0, 1), (2, -1), (2, 1)],  # 0 on an edge
+    [(1, 0), (0, 1)],  # a segment off 0: spans, but has no interior
+])
+def test_facets_refuse_a_hull_without_0_inside(pts):
+    # the brute-force and planar paths returned functionals here (the square
+    # gave sigma = (1/2, 0), violated at (4, +-1); the cube five functionals)
+    m = len(pts[0])
+    with pytest.raises(DegeneratePolytopeError, match="half-space") as err:
+        facet_functionals([tuple(map(Fraction, p)) for p in pts], m)
+    normal = err.value.normal
+    assert any(normal) and all(sum(a * b for a, b in zip(normal, p)) <= 0 for p in pts)
+
+
+def test_facets_keep_the_segment_error():
+    for pts in ([(1,), (2,)], [(-1,), (0,), (-3,)]):
+        with pytest.raises(DegeneratePolytopeError, match="hyperplane") as err:
+            facet_functionals([tuple(map(Fraction, p)) for p in pts], 1)
+        assert err.value.normal == (Fraction(1),)
+
+
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_polytope_vertices_match_fraction_loop(m, data):
+    # box_halfwidth of polytope norms through the kernel against the old loop
+    extra = data.draw(st.lists(st.tuples(*[rational] * m), max_size=4))
+    functionals = axes(m) + [tuple(map(Fraction, f)) for f in extra]
+    verts = loop_polytope_vertices(functionals, m)
+    assert set(_polytope_vertices(functionals, m)) == set(verts)
+    assert NormSpec.polytope(functionals).box_halfwidth(m) == [
+        max(abs(v[i]) for v in verts) for i in range(m)]
+
+
+def test_polytope_norm_refuses_an_unbounded_ball():
+    # x1 <= 1 and x2 <= 1 span but bound nothing below; the loop returned
+    # the lone vertex (1, 1) and with it a halfwidth of [1, 1]
+    assert loop_polytope_vertices([(1, 0), (0, 1)], 2) == [(1, 1)]
+    with pytest.raises(ValueError, match="unbounded"):
+        NormSpec.polytope([(1, 0), (0, 1)]).box_halfwidth(2)
 
 
 def loop_busemann(ray, g, spec):

@@ -35,7 +35,7 @@ from horocp import (
     shift_matrix,
     truncate,
 )
-from horocp import operators
+from horocp import groups, operators
 from horocp.checks import check_commutator_identity
 from horocp.groups import COORD_LIMIT, AxiomReport, CoordinateOverflowError
 from horocp.operators import (
@@ -785,6 +785,26 @@ def test_gathered_axioms_skip_pairs_beyond_the_cap():
     assert report.pairs_skipped > 0 and report.pairs_checked > 0
     assert spec._ends == ref._ends
     assert np.array_equal(spec._cache_rows(), ref._cache_rows())
+
+
+def test_refused_sphere_is_formed_once(monkeypatch):
+    # a sphere refused at the cap leaves the cache as it was, so the
+    # skipped pairs of check_axioms past the cap must not form it again for
+    # each missing row (58,309 _next_sphere calls and 9 s before); the report
+    # is the one the retrying code gave
+    real, calls = groups._next_sphere, []
+
+    def counted(*args):
+        calls.append(args)
+        assert len(calls) <= 100, "the refused sphere is formed again and again"
+        return real(*args)
+
+    monkeypatch.setattr(groups, "_next_sphere", counted)
+    spec = LengthFunction.word(GroupSpec.free_abelian(2), cap=400)
+    assert spec.check_axioms(26) == AxiomReport(0.0, 0.0, 0.0, 74929, 58296)
+    assert len(calls) == 14  # radii 1 to 13, then radius 14 refused once
+    spec.cap = 421  # a cap that holds radius 14 forms it afresh
+    assert len(spec.ball(14)) == 421 and len(calls) == 15
 
 
 def dense_commutator_residual(x, spec, action, radius):

@@ -15,6 +15,7 @@ from horocp import (
     stable_norm_dual,
     uniform_deviation,
 )
+from horocp.horoboundary import facet_functionals
 
 
 def test_z_homogeneous_direction(len_z1):
@@ -55,6 +56,22 @@ def test_dual_homogeneity_exact(x, y, k):
     z2 = GroupSpec.free_abelian(2)
     funs = facets(z2, hexagonal_generators())
     assert stable_norm_dual((k * x, k * y), funs) == abs(k) * stable_norm_dual((x, y), funs)
+
+
+rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@given(st.integers(2, 3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_dual_matches_max_over_functionals(m, data):
+    # the integer argmax against max(f(x)) in Fractions, on rational x and on
+    # functionals with denominators (facets of rational symmetric point sets)
+    extra = data.draw(st.lists(st.tuples(*[rational] * m), max_size=3))
+    pts = [tuple(Fraction(s if i == j else 0) for i in range(m)) for j in range(m) for s in (2, -1)]
+    pts += [p for q in extra for p in (q, tuple(-c for c in q))]
+    funs = facet_functionals(pts, m)
+    for x in data.draw(st.lists(st.tuples(*[rational] * m), min_size=1, max_size=5)):
+        assert stable_norm_dual(x, funs) == max(f(x) for f in funs)
 
 
 def test_oracle_agreement_small(len_z2, len_z2_hex, z2):
