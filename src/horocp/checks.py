@@ -34,8 +34,10 @@ from .operators import (
     ActionSpec,
     CrossedElement,
     SubgroupSpec,
+    TruncatedHilbert,
+    TruncatedOperator,
     clock_matrix,
-    coset_compress,
+    coset_codes,
     lambda_op,
     m_ell,
     m_phi,
@@ -84,6 +86,43 @@ class CheckReport:
 
 def _max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat), initial=0.0))
+
+
+def _diagonal_of(op: TruncatedOperator) -> np.ndarray:
+    """Dense diagonal of a multiplication operator such as m_ell or m_phi."""
+    return np.tile(op.data[:, 0, 0], op.hilbert.coeff_dim)
+
+
+def _diagonal_commutator(values: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[diag(values), y] entrywise as v_i y_ij - y_ij v_j.
+
+    These are the nonzero bits of diag(v) @ y - y @ diag(v); (v_i - v_j) y_ij
+    would round differently.
+    """
+    return values[:, np.newaxis] * y - y * values[np.newaxis, :]
+
+
+def _coefficient_commutator(d_a: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """[D_A (x) 1, y] on the (d, n, d, n) view of y, without forming D_A (x) 1."""
+    d = len(d_a)
+    n = len(y) // d
+    y4 = y.reshape(d, n, d, n)
+    comm = np.einsum("ab,bicj->aicj", d_a, y4) - np.einsum("aibj,bc->aicj", y4, d_a)
+    return comm.reshape(y.shape)
+
+
+def _coset_shift_mask(H: TruncatedHilbert, subgroup: SubgroupSpec, g: Element) -> np.ndarray:
+    """Ball entries (i, j) that T -> E_H(T lambda_{g^-1}) lambda_g keeps.
+
+    The two translations move column j to g h_j and back, and the compression
+    between them keeps row h_i there when g h_j shares its right coset of H; so
+    the map keeps T's entry where g h_j is in the ball and in the coset H h_i,
+    and writes 0 elsewhere.
+    """
+    codes = coset_codes(H, subgroup)
+    ahead = H.ball.translate(g)
+    shifted = np.where(ahead >= 0, codes[ahead], -1)  # -1 matches no code
+    return codes[:, np.newaxis] == shifted[np.newaxis, :]
 
 
 def random_crossed(rng: np.random.Generator, spec: LengthFunction, support_radius: float,
@@ -214,30 +253,25 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
 
     x_mat = realize(x, H, action).matrix
     d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
-    t_coeff = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
-    t_len = m_ell(H).matrix
-    lam_g = lambda_op(H, g).matrix
-    lam_g_inv = lambda_op(H, group.inverse(g)).matrix
+    ell = _diagonal_of(m_ell(H))
+    kept = np.tile(_coset_shift_mask(H, subgroup, g), (d, d))
 
     shifted = conditional_shifted(x, g, subgroup, group)
     shifted_mat = realize(shifted, H, action).matrix
 
     mask = window_column_mask(H, window).astype(bool)
-    residuals = {}
-    length_lhs = None
-    for label, t in (("coefficient", t_coeff), ("length", t_len)):
-        lhs = coset_compress((t @ x_mat - x_mat @ t) @ lam_g_inv, H, subgroup) @ lam_g
-        rhs = t @ shifted_mat - shifted_mat @ t
-        residuals[label] = _max_abs((lhs - rhs)[:, mask])
-        if label == "length":
-            length_lhs = lhs
+    residuals, lhs = {}, {}
+    for label, comm in (("coefficient", lambda y: _coefficient_commutator(d_a, y)),
+                        ("length", lambda y: _diagonal_commutator(ell, y))):
+        lhs[label] = np.where(kept, comm(x_mat), 0)
+        residuals[label] = _max_abs((lhs[label] - comm(shifted_mat))[:, mask])
 
     from .operators import conditional_expectation
 
     ex = conditional_expectation(x, subgroup)
     contraction = op_norm(x_mat) - op_norm(realize(ex, H, action).matrix)
     # coset compression of the length commutator is itself a contraction
-    coset_slack = op_norm(t_len @ x_mat - x_mat @ t_len) - op_norm(length_lhs)
+    coset_slack = op_norm(_diagonal_commutator(ell, x_mat)) - op_norm(lhs["length"])
     residual = max(residuals.values())
     return CheckReport(
         name="conditional-expectation",
@@ -317,8 +351,8 @@ def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float,
         lhs = 0.0
     h_big = truncate(spec, radius + delta_radius, d)
     x_mat = realize(x, h_big, action).matrix
-    mphi = m_phi(h_big, vec).matrix
-    rhs = op_norm(mphi @ x_mat - x_mat @ mphi + float(shift) * x_mat)
+    rhs = op_norm(_diagonal_commutator(_diagonal_of(m_phi(h_big, vec)), x_mat)
+                  + float(shift) * x_mat)
     factor = tail_series_factor(n_cut, float(shift))
     slack = factor * rhs - lhs
     if slack < -tol and not _escalated:
@@ -432,12 +466,11 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
     if x is None:
         x = CrossedElement.from_dict(group, {(1,): u, (-1,): u.conj().T})
     H = truncate(spec, radius, q)
-    mell = m_ell(H).matrix
+    ell = _diagonal_of(m_ell(H))
 
     bound = 0.0
     for g, a in x.coeffs:
-        lam = lambda_op(H, g).matrix
-        bound += op_norm(a) * op_norm(mell @ lam - lam @ mell)
+        bound += op_norm(a) * op_norm(_diagonal_commutator(ell, lambda_op(H, g).matrix))
 
     worst_slack = math.inf
     norms = []
@@ -446,8 +479,7 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
         twisted = x.map_coefficients(
             lambda g, a: np.exp(-2j * np.pi * n * g[0] * theta) * (wn @ a @ wn.conj().T)
         )
-        mat = realize(twisted, H, action).matrix
-        value = op_norm(mell @ mat - mat @ mell)
+        value = op_norm(_diagonal_commutator(ell, realize(twisted, H, action).matrix))
         norms.append(value)
         worst_slack = min(worst_slack, bound - value)
 

@@ -133,7 +133,7 @@ def facet_functionals(points: Sequence[tuple[Fraction, ...]], m: int
     kernel on the points' integer rows over their extreme points (m = 1),
     hull edges (m = 2) or all m-subsets.  DegeneratePolytopeError if 0 is not
     interior, naming a hyperplane or closed half-space through 0 that holds
-    every point (for m = 1, the normal (1,) either way)."""
+    every point."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     pts = list(dict.fromkeys(pts))
     if len(rref(pts)[1]) < m:
@@ -141,7 +141,8 @@ def facet_functionals(points: Sequence[tuple[Fraction, ...]], m: int
     if m == 1:
         vals = [p[0] for p in pts]
         if not max(vals) > 0 > min(vals):
-            raise DegeneratePolytopeError((Fraction(1),))
+            side = Fraction(1 if max(vals) <= 0 else -1)
+            raise DegeneratePolytopeError((side,), half_space=True)
         subsets = [(vals.index(max(vals)),), (vals.index(min(vals)),)]
     else:
         subsets = _hull_edges(pts) if m == 2 else combinations(range(len(pts)), m)

@@ -603,11 +603,16 @@ def realize_phi_twisted(x: CrossedElement, H: TruncatedHilbert, action: ActionSp
     return _translation_sum(x, H, action, "realize((1(x)phi_g) a_g lambda_g)", twisted=True)
 
 
+def coset_codes(H: TruncatedHilbert, subgroup: SubgroupSpec) -> np.ndarray:
+    """Integer code of each ball element's right coset of H, in ball order."""
+    codes: dict[Hashable, int] = {}
+    return np.array([codes.setdefault(subgroup.coset_key(h), len(codes))
+                     for h in H.ball.elements])
+
+
 def coset_compress(T: np.ndarray, H: TruncatedHilbert, subgroup: SubgroupSpec) -> np.ndarray:
     """Matrix-level E_H: zero every entry joining different right cosets of H."""
-    codes: dict[Hashable, int] = {}
-    keys = np.array([codes.setdefault(subgroup.coset_key(h), len(codes))
-                     for h in H.ball.elements])
+    keys = coset_codes(H, subgroup)
     mask = (keys[:, np.newaxis] == keys[np.newaxis, :]).astype(float)
     full = np.tile(mask, (H.coeff_dim, H.coeff_dim))
     return np.asarray(T) * full

@@ -11,7 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Optional
+
+import numpy as np
 
 from .groups import Element, GroupSpec, LengthFunction, rref
 from .horoboundary import SupportFunctional, facet_functionals, facets
@@ -154,16 +157,24 @@ def _table_certificate(group: GroupSpec, spec: LengthFunction) -> SeparationCert
 
 
 def _table_direction_horizon(group: GroupSpec, spec: LengthFunction) -> list[int]:
+    """Per coordinate axis j, the largest i with e_j, 2 e_j, ..., i e_j all in the table.
+
+    The integer keys are read into one array (object dtype where they exceed
+    int64); along each axis the run 1, 2, ..., i of positive steps ends at the
+    first sorted step that is not its own rank.
+    """
     m = group.abelianization_rank
+    count = len(spec.table) * m
+    try:
+        keys = np.fromiter(chain.from_iterable(spec.table), dtype=np.int64, count=count)
+    except OverflowError:
+        keys = np.fromiter(chain.from_iterable(spec.table), dtype=object, count=count)
+    keys = keys.reshape(len(spec.table), m)
     horizons = []
     for j in range(m):
-        i = 0
-        while True:
-            probe = tuple((i + 1) if k == j else 0 for k in range(m))
-            if probe not in spec.table:
-                break
-            i += 1
-        horizons.append(i)
+        steps = keys[~(np.delete(keys, j, axis=1) != 0).any(axis=1), j]
+        steps = np.sort(steps[steps > 0])
+        horizons.append(int(np.argmin(np.append(steps == np.arange(1, len(steps) + 1), False))))
     return horizons
 
 

@@ -3,7 +3,9 @@
 Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
+import ast
 import hashlib
+import importlib
 import importlib.util
 import math
 import os
@@ -294,6 +296,26 @@ def recorded_verify_digest(argv: str):
     env = {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
            "blas_threads": int(threads) if threads and threads.isdigit() else None}
     return oracles.verify_reference(argv, env)
+
+
+def test_perfbench_traced_names_resolve():
+    """Every (module, attr) perfbench/tracing.py patches exists in horocp, so
+    renaming or deleting a traced function fails here, not in a traced
+    benchmark run.  SPANS is read from the file's source; nothing is imported
+    from perfbench."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text())
+    spans = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "SPANS" for t in node.targets))
+    # Tracer.install also wraps these two methods by name
+    names = list(spans) + [("groups", "LengthFunction.length"), ("groups", "GroupSpec.multiply")]
+    assert len(spans) > 30
+    for module, attr in names:
+        owner = importlib.import_module(f"horocp.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        assert callable(owner), f"perfbench traces horocp.{module}.{attr}, which is gone"
 
 
 def test_criterion_13_cli_determinism(capsys):

@@ -39,7 +39,8 @@ from horocp.checks import (
     random_hermitian,
     run_family,
 )
-from horocp.operators import lambda_op, pi_tilde, truncate
+from horocp.operators import (coset_compress, lambda_op, m_ell, m_phi, pi_tilde, realize,
+                              truncate)
 from horocp.cli import render_json, run
 
 
@@ -294,6 +295,128 @@ def test_nctorus_check(len_z1):
     assert report.details["relation_residual"] < 1e-12
     assert report.details["action_residual"] < 1e-12
     assert report.slack >= -1e-9
+
+
+# The conditional-expectation, tail-bound and nctorus checks form no dense
+# product: the arrays they pass to op_norm must still carry the bits of the
+# dense products below, or printed norms would drift.
+
+
+def _bits(a):
+    # BLAS sums start from +0, so where the entrywise form keeps a -0 factor's
+    # sign the dense product has +0; adding +0 clears that sign on both sides
+    return (np.asarray(a) + 0.0).tobytes()
+
+
+def _record(monkeypatch, name):
+    """Copies of what checks.<name> returns (or, for op_norm, is given)."""
+    seen, original = [], getattr(checks, name)
+
+    def wrapper(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append(np.array(args[0] if name == "op_norm" else out.matrix, copy=True))
+        return out
+
+    monkeypatch.setattr(checks, name, wrapper)
+    return seen
+
+
+def _dense_commutator(t, y):
+    return t @ y - y @ t
+
+
+@pytest.mark.parametrize("rank, g", [(1, (1,)), (1, (-2,)), (2, (1, -1)), (2, (0, 2))])
+def test_conditional_expectation_arrays_match_dense_products(rank, g, monkeypatch):
+    group = GroupSpec.free_abelian(rank)
+    spec = LengthFunction.word(group)
+    rng = np.random.default_rng([14, rank, *(c % 5 for c in g)])
+    sub = SubgroupSpec.multiples(group, 2) if rank == 1 else SubgroupSpec.kernel_of(group, (1, 0))
+    x = random_crossed(rng, spec, 3.0, coeff_dim=2, terms=6)  # six of Z's seven: some even
+    d_a = random_hermitian(rng, 2)
+    action = random_diagonal_action(rng, group, 2)
+    seen = _record(monkeypatch, "op_norm")
+    report = check_conditional_expectation(x, g, sub, d_a, spec, action)
+
+    H = truncate(spec, report.params["radius"], 2)
+    x_mat = realize(x, H, action).matrix
+    s_mat = realize(checks.conditional_shifted(x, g, sub, group), H, action).matrix
+    mell, t_coeff = m_ell(H).matrix, np.kron(d_a, np.eye(H.n_ball))
+    lam_g, lam_g_inv = lambda_op(H, g).matrix, lambda_op(H, group.inverse(g)).matrix
+    comm = _dense_commutator(mell, x_mat)
+    compressed = coset_compress(comm @ lam_g_inv, H, sub) @ lam_g
+    assert 0 < np.count_nonzero(compressed) < np.count_nonzero(comm)
+    # op_norm sees x, E_H(x), the length commutator and its compression
+    assert [_bits(a) for a in seen[2:]] == [_bits(comm), _bits(compressed)]
+
+    # both sides of the identity residuals
+    ell = checks._diagonal_of(m_ell(H))
+    kept = np.tile(checks._coset_shift_mask(H, sub, g), (2, 2))
+    assert _bits(np.where(kept, checks._diagonal_commutator(ell, x_mat), 0)) == _bits(compressed)
+    assert _bits(checks._diagonal_commutator(ell, s_mat)) == \
+        _bits(_dense_commutator(mell, s_mat))
+    # [D_A (x) 1, .] sums in another order than the Kronecker product, the same on
+    # both sides, so its residual stays exactly 0
+    coeff = checks._coefficient_commutator(d_a, x_mat)
+    dense_coeff = _dense_commutator(t_coeff, x_mat)
+    assert np.max(np.abs(coeff - dense_coeff)) <= 1e-14 * np.max(np.abs(dense_coeff))
+    assert np.array_equal(np.where(kept, coeff, 0) != 0,
+                          coset_compress(dense_coeff @ lam_g_inv, H, sub) @ lam_g != 0)
+    assert report.details["identity_residuals"] == {"coefficient": 0.0, "length": 0.0}
+
+
+@pytest.mark.parametrize("d, functional, shift", [(1, (1, 1), 0.5), (2, (0, 1), -1.0)])
+def test_tail_bound_rhs_matches_dense_product(d, functional, shift, monkeypatch):
+    z2 = GroupSpec.free_abelian(2)
+    spec = LengthFunction.word(z2)
+    rng = np.random.default_rng([14, d])
+    x = random_crossed(rng, spec, 4.0, coeff_dim=d, terms=5)
+    action = random_diagonal_action(rng, z2, d)
+    seen = _record(monkeypatch, "op_norm")
+    report = check_tail_bound(x, functional, shift, 1, spec, action, radius=4.0)
+    assert not report.details["escalated"]
+    H = truncate(spec, 8.0, d)
+    x_mat = realize(x, H, action).matrix
+    mphi = m_phi(H, functional).matrix
+    assert _bits(seen[-1]) == _bits(_dense_commutator(mphi, x_mat) + shift * x_mat)
+
+
+def test_nctorus_commutators_match_dense_products(len_z1, monkeypatch):
+    norms_of = _record(monkeypatch, "op_norm")
+    realized = _record(monkeypatch, "realize")
+    check_nctorus_equicontinuity(1, 3, len_z1, n_range=range(-2, 3), radius=4.0)
+    H = truncate(len_z1, 4.0, 3)
+    mell = m_ell(H).matrix
+    lams = [lambda_op(H, g).matrix for g in ((-1,), (1,))]  # x's support, sorted
+    # op_norm(a_g), op_norm([M_l, lambda_g]) per term, then one commutator per n
+    assert [_bits(a) for a in norms_of[1:4:2]] == \
+        [_bits(_dense_commutator(mell, lam)) for lam in lams]
+    assert [_bits(a) for a in norms_of[4:]] == \
+        [_bits(_dense_commutator(mell, mat)) for mat in realized]
+    assert len(realized) == 5
+
+
+def test_conditional_expectation_fails_on_unrestricted_shift(len_z2, z2, monkeypatch):
+    # planted defect: E_H(x lambda_{g^-1}) lambda_g replaced by x itself
+    rng = np.random.default_rng([14, 3])
+    x = random_crossed(rng, len_z2, 3.0, coeff_dim=2, terms=4)
+    sub = SubgroupSpec.kernel_of(z2, (1, 0))
+    args = (x, (1, 0), sub, random_hermitian(rng, 2), len_z2, random_diagonal_action(rng, z2, 2))
+    assert check_conditional_expectation(*args).passed
+    monkeypatch.setattr(checks, "conditional_shifted", lambda x, g, subgroup, group: x)
+    report = check_conditional_expectation(*args)
+    assert not report.passed
+    assert report.details["identity_residuals"]["length"] > report.tolerance
+
+
+def test_tail_bound_fails_on_small_series_factor(len_z1, z1, monkeypatch):
+    # planted defect: a factor ten times too small fails after the escalation too
+    x = CrossedElement.from_dict(z1, {(2,): [[1.0]], (1,): [[0.5]]})
+    args = (x, (1,), 0.0, 1, len_z1, ActionSpec.trivial(z1, 1))
+    assert check_tail_bound(*args, radius=6.0).passed
+    monkeypatch.setattr(checks, "tail_series_factor", lambda n, s: 0.1 * tail_series_factor(n, s))
+    report = check_tail_bound(*args, radius=6.0)
+    assert not report.passed and report.details["escalated"]
+    assert report.slack < -report.tolerance
 
 
 def test_af_triple_check():

@@ -324,10 +324,12 @@ def test_facets_refuse_a_hull_without_0_inside(pts):
 
 
 def test_facets_keep_the_segment_error():
-    for pts in ([(1,), (2,)], [(-1,), (0,), (-3,)]):
-        with pytest.raises(DegeneratePolytopeError, match="hyperplane") as err:
+    # the m = 1 error named the hyperplane {x1 = 0}, which holds neither set
+    for pts, side in (([(1,), (2,)], -1), ([(-1,), (0,), (-3,)], 1)):
+        with pytest.raises(DegeneratePolytopeError,
+                           match=rf"half-space \{{x : \({side}\)\*x1 <= 0\}}") as err:
             facet_functionals([tuple(map(Fraction, p)) for p in pts], 1)
-        assert err.value.normal == (Fraction(1),)
+        assert err.value.normal == (Fraction(side),)
 
 
 @given(st.integers(2, 3), st.data())

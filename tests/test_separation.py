@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horocp import (
     GroupSpec,
@@ -13,6 +15,7 @@ from horocp import (
     separation_certificate,
     sublinearity_witness,
 )
+from horocp.separation import _table_direction_horizon
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
@@ -134,3 +137,41 @@ def test_basis_indices_are_the_greedy_independent_rows(extra):
         if np.linalg.matrix_rank(np.array([rows[j] for j in greedy] + [row])) == len(greedy) + 1:
             greedy.append(i)
     assert list(cert.basis_indices) == greedy and cert.rank == 3
+
+
+def loop_direction_horizon(group, spec):
+    """The per-probe loop _table_direction_horizon replaced: one tuple per step."""
+    m = group.abelianization_rank
+    horizons = []
+    for j in range(m):
+        i = 0
+        while tuple((i + 1) if k == j else 0 for k in range(m)) in spec.table:
+            i += 1
+        horizons.append(i)
+    return horizons
+
+
+@given(st.integers(1, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_direction_horizon_matches_probe_loop(m, data):
+    # runs along each axis with gaps, negative-only axes, and keys off the axes
+    table = {}
+    for j in range(m):
+        steps = data.draw(st.lists(st.integers(-6, 9), max_size=8))
+        table.update({tuple(s if k == j else 0 for k in range(m)): abs(s) for s in steps})
+    coords = st.tuples(*[st.integers(-4, 4)] * m)
+    table.update({g: 1 for g in data.draw(st.lists(coords, max_size=6))})
+    group = GroupSpec.free_abelian(m)
+    spec = LengthFunction.explicit_table(group, table)
+    assert _table_direction_horizon(group, spec) == loop_direction_horizon(group, spec)
+
+
+def test_direction_horizon_on_wide_keys_and_the_central_table():
+    z2 = GroupSpec.free_abelian(2)
+    # a key beyond int64 makes the key array object-typed; the gap at 3 e1 still ends the run
+    table = {(1, 0): 1, (2, 0): 2, (4, 0): 4, (2**70, 0): 1, (0, -1): 1, (-1, -1): 2}
+    spec = LengthFunction.explicit_table(z2, table)
+    assert _table_direction_horizon(z2, spec) == loop_direction_horizon(z2, spec) == [2, 0]
+    z1 = GroupSpec.free_abelian(1)
+    spec = LengthFunction.explicit_table(z1, central_heisenberg_table(500))
+    assert _table_direction_horizon(z1, spec) == loop_direction_horizon(z1, spec) == [500]
