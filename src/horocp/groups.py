@@ -33,6 +33,9 @@ DEFAULT_BALL_CAP = 5_000_000
 # Largest |coordinate| in the int64 arrays of ball translation: a Heisenberg
 # product z + z' + x y' of two such elements stays below 2**63.
 COORD_LIMIT = 2**31 - 1
+# Most points a bounding box may hold: its mixed-radix keys (_mixed_radix)
+# are int64.  A literal, since np.iinfo at import adds to the peak RSS.
+_INT64_MAX = 2**63 - 1
 # Entries of the polytope kernel's rows x subsets side-test matrix per block
 # of subsets: bounds its memory whatever the number of rows.
 _KERNEL_BLOCK = 2**20
@@ -678,7 +681,7 @@ def _mixed_radix(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray
     for span in reversed(spans):
         strides.append(size)
         size *= span
-    if size > np.iinfo(np.int64).max:
+    if size > _INT64_MAX:
         raise CoordinateOverflowError(f"bounding box of {size} points does not fit int64 keys")
     return np.array(strides[::-1], dtype=np.int64), np.array(spans, dtype=np.int64)
 
@@ -694,30 +697,29 @@ def _box_keys(coords: np.ndarray, lo: np.ndarray, strides: np.ndarray) -> np.nda
 def _next_sphere(translate, generators: np.ndarray, previous: np.ndarray,
                  sphere: np.ndarray) -> np.ndarray:
     """The BFS sphere after `sphere` (the one before it is `previous`), in
-    tuple order.  Spheres are int32 (COORD_LIMIT fits) and column-major, so
-    the per-column numpy work is contiguous.
-
-    The translates s h of the last sphere lie in it, in the one before or in
-    the next: mixed-radix keys over their bounding box (tuple order) find the
-    new ones.  Each generator's int64 translates are formed, reduced and
-    dropped one at a time.
-    """
-    sphere = sphere.astype(np.int64)
-    lo, hi = sphere.min(axis=0), sphere.max(axis=0)
-    for part in (previous, *(translate(s, sphere) for s in generators)):
-        if len(part):
-            lo, hi = np.minimum(lo, part.min(axis=0)), np.maximum(hi, part.max(axis=0))
+    tuple order; spheres are int32 (COORD_LIMIT fits) and column-major.  The
+    translates s h of the last sphere lie in it, in the one before or in the
+    next: mixed-radix keys over their bounding box (tuple order) find the new
+    ones.  Each generator's translates are formed once in int64, which gives
+    the box and the limit test, and kept narrowed in one int32 stack."""
+    n, wide = len(sphere), sphere.astype(np.int64)
+    moved = np.empty((len(generators) * n, wide.shape[1]), dtype=np.int32, order="F")
+    lo, hi = previous.min(axis=0), previous.max(axis=0)
+    for i, s in enumerate(generators):
+        moved[i * n:(i + 1) * n] = part = translate(s, wide)
+        lo, hi = np.minimum(lo, part.min(axis=0)), np.maximum(hi, part.max(axis=0))
+    del wide, part  # the keys need only the int32 stack
+    lo, hi = np.minimum(lo, sphere.min(axis=0)), np.maximum(hi, sphere.max(axis=0))
     if lo.min() < -COORD_LIMIT or hi.max() > COORD_LIMIT:
         raise CoordinateOverflowError(f"a coordinate exceeds the translation limit {COORD_LIMIT}")
     strides, spans = _mixed_radix(lo, hi)
-    keys = np.concatenate([_box_keys(translate(s, sphere), lo, strides) for s in generators])
+    keys = _box_keys(moved, lo, strides)
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
     for old in (previous, sphere):
-        if len(old):
-            known = _box_keys(old, lo, strides)  # sorted: old is in tuple order
-            pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
-            keys = keys[known[pos] != keys]
+        known = _box_keys(old, lo, strides)  # sorted: old is in tuple order
+        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        keys = keys[known[pos] != keys]
     new = np.empty((len(keys), len(lo)), dtype=np.int32, order="F")
     for j, (low, stride, span) in enumerate(zip(lo, strides, spans)):
         new[:, j] = keys // stride % span + low
@@ -786,9 +788,10 @@ class LengthFunction:
                 if group.inverse(s) not in gen_set:
                     raise ValueError("word-length generating set must be symmetric")
             # the cache: whole spheres, concatenated lazily; _ends[k] = number
-            # of elements of length <= k; _spheres, the last two (first empty)
+            # of elements of length <= k; _spheres, the last two (the identity
+            # stands in for the empty one before it: it is known either way)
             sphere = np.array([group.identity()], dtype=np.int32, order="F")
-            self._parts, self._ends, self._spheres = [sphere], [1], (sphere[:0], sphere)
+            self._parts, self._ends, self._spheres = [sphere], [1], (sphere, sphere)
             self._index: Optional[_KeyIndex] = None  # None after growth
             self._exhausted = False
             self._refused = 0  # size of the next sphere once the cap refused it

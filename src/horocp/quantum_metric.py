@@ -218,8 +218,11 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     deterministic pattern search on the homogeneous ratio.  The best one,
     scaled to seminorm 1, is the witness w, and ``lower_bound`` is the ratio
     |(psi - psi')(w)| / ||[D, w]|| that w attains, every seminorm being a
-    LAPACK largest singular value.  ``converged`` means the two best polished
-    runs agree; it is not a two-sided bracket.
+    LAPACK largest singular value.  ``converged`` means the best polished run
+    agrees with the best polished run of another ascent orbit, and is False
+    without one; it is not a two-sided bracket.  Restarts 0 and 1 form one
+    orbit: they start at +-c with target +-c, and the objective is even, so
+    each is the other's mirror image, bit for bit.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -260,18 +263,19 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
                 local_step /= 2.0
                 if local_step < 1e-13:
                     break
-        finals.append((current, theta.copy()))
-    finals.sort(key=lambda pair: -pair[0])
-    polished = [_polish(triple, c, theta / np.linalg.norm(theta)) for _, theta in finals[:4]]
-    polished.sort(key=lambda pair: -pair[0])
-    best_val, best_theta = polished[0]
+        finals.append((current, theta.copy(), max(restart - 1, 0)))  # orbit
+    finals.sort(key=lambda run: -run[0])
+    polished = [(*_polish(triple, c, theta / np.linalg.norm(theta)), orbit)
+                for _, theta, orbit in finals[:4]]
+    polished.sort(key=lambda run: -run[0])
+    best_val, best_theta, best_orbit = polished[0]
     witness = triple.element(best_theta)
     witness = witness / triple.seminorm(witness)
     s = triple.seminorm(witness)
     attained = abs((psi.evaluate(witness) - psi_prime.evaluate(witness)).real) / s
-    converged = (len(polished) >= 2
-                 and abs(polished[0][0] - polished[1][0])
-                 <= max(100 * tol, 1e-7 * max(best_val, 1.0)))
+    rival = next((value for value, _, orbit in polished if orbit != best_orbit), None)
+    converged = (rival is not None
+                 and abs(best_val - rival) <= max(100 * tol, 1e-7 * max(best_val, 1.0)))
     return MKResult(attained, converged, witness, s, restarts, total_iter)
 
 

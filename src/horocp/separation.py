@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .groups import Element, GroupSpec, LengthFunction, rref
+from .groups import Element, GroupSpec, LengthFunction, _is_int, rref
 from .horoboundary import SupportFunctional, facet_functionals, facets
 
 WITNESS_FACET_SPAN = "facet_span"
@@ -24,6 +24,8 @@ WITNESS_SUBLINEARITY = "sublinearity_failure"
 
 SUBLINEAR_TOL = 1e-6
 MIN_DECAY_EXPONENT = 0.25
+
+_is_tuple = tuple.__instancecheck__
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,13 @@ def _table_certificate(group: GroupSpec, spec: LengthFunction) -> SeparationCert
     m = group.abelianization_rank
     if not group.is_free_abelian:
         raise ValueError("table certificates are supported on free abelian groups only")
+    # The keys must be elements, as in LengthFunction.ball: checked in bulk,
+    # and key by key (naming the first bad one) only when that fails.
+    keys = spec.table.keys()
+    if not (all(map(_is_tuple, keys)) and all(map(_is_int, chain.from_iterable(keys)))
+            and set(map(len, keys)) == {m}):
+        for g in keys:
+            group.validate(g)
 
     # Failure first: a direction with sublinear growth kills separatedness.
     horizon = _table_direction_horizon(group, spec)
@@ -159,9 +168,9 @@ def _table_certificate(group: GroupSpec, spec: LengthFunction) -> SeparationCert
 def _table_direction_horizon(group: GroupSpec, spec: LengthFunction) -> list[int]:
     """Per coordinate axis j, the largest i with e_j, 2 e_j, ..., i e_j all in the table.
 
-    The integer keys are read into one array (object dtype where they exceed
-    int64); along each axis the run 1, 2, ..., i of positive steps ends at the
-    first sorted step that is not its own rank.
+    The keys, checked to be elements, are read into one array (object dtype
+    where they exceed int64); along each axis the run 1, 2, ..., i of positive
+    steps ends at the first sorted step that is not its own rank.
     """
     m = group.abelianization_rank
     count = len(spec.table) * m

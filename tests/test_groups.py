@@ -534,6 +534,33 @@ def test_bfs_refuses_keys_beyond_int64():
         z1.length((2 * big,))
 
 
+def test_bfs_checks_the_limit_before_narrowing():
+    # 2**16 x 2**16 = 2**32 in the centre of H3 wraps to 0 in int32: the
+    # limit is tested on the int64 translates, so ball(2) is refused and the
+    # cache keeps ball(1)
+    b = 2**16
+    spec = LengthFunction.word(GroupSpec.heisenberg3(), [(b, 0, 0), (-b, 0, 0), (0, b, 0), (0, -b, 0)])
+    assert len(spec.ball(1)) == 5
+    with pytest.raises(CoordinateOverflowError, match="translation limit"):
+        spec.ball(2)
+    assert spec._ends == [1, 5]
+
+
+def test_h3_sphere_step_keeps_translates_int32():
+    # the radius 21 -> 22 step translates a 14,676-row sphere by 4 generators;
+    # the stack of translates is int32 (704 kB; int64 would double it)
+    spec = LengthFunction.word(GroupSpec.heisenberg3())
+    spec.ball(21)
+    tracemalloc.start()
+    try:
+        new = spec._grow()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(new) == 16_934 and spec._ends[-1] == 99_689
+    assert peak < 2.1e6
+
+
 def fraction_rref(rows):
     """Plain Gauss-Jordan over Fractions, the reference for rref."""
     mat = [[Fraction(c) for c in r] for r in rows]

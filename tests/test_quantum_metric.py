@@ -206,3 +206,18 @@ def test_one_point_space_distance_zero():
     # C_1 has no non-constant test element; it used to fail stacking an empty basis
     chi = StateSpec.character(1, 0)
     assert mk_distance(cyclic_triple(1, [0.0]), chi, chi).lower_bound == 0.0
+
+
+def test_converged_needs_a_second_ascent_orbit():
+    # Restarts 0 and 1 start at +-c with target +-c: the objective is even, so
+    # the second is the first's mirror image and cannot confirm it.
+    triple = cyclic_triple(6, [0.0, 1.0, 2.0, 3.0, 2.0, 1.0])
+    chi0, chi1 = StateSpec.character(6, 0), StateSpec.character(6, 1)
+    runs = {r: mk_distance(triple, chi0, chi1, restarts=r, iterations=200) for r in (1, 2, 4)}
+    assert not runs[1].converged and not runs[2].converged
+    # at 4 restarts the random restarts 2 and 3 reach the same polished value
+    assert runs[4].converged
+    for r in (1, 2):
+        assert runs[r].lower_bound == runs[4].lower_bound == 1.4936422363871849
+        assert runs[r].witness.tobytes() == runs[4].witness.tobytes()
+    assert runs[4].iterations == 232

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horocp import (
+    GroupMismatchError,
     GroupSpec,
     LengthFunction,
     NormSpec,
@@ -103,6 +104,22 @@ def test_inhomogeneous_table_rejected(z2, len_z2):
     table[(4, 0)] = 5  # breaks l(4x) = 4 l(x) without sublinearity
     with pytest.raises(ValueError):
         separation_certificate(z2, LengthFunction.explicit_table(z2, table))
+
+
+@pytest.mark.parametrize("key", [(1.5, 0), (1,), (1, 0, 0)])
+def test_table_certificate_refuses_non_elements(z2, key):
+    # unchecked, the key (1.5, 0) of length 1 reads as (1, 0) in the int64
+    # direction horizon, and the facets of the hull of g / l(g), which holds
+    # the non-element (3/2, 0), certify separatedness with (2/3) x1 +- x2
+    table = {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1,
+             (2, 0): 2, (-2, 0): 2, (0, 2): 2, (0, -2): 2}
+    assert separation_certificate(z2, LengthFunction.explicit_table(z2, table)).separated
+    spec = LengthFunction.explicit_table(z2, {**table, key: 1})
+    with pytest.raises(GroupMismatchError) as ball_error:
+        spec.ball(2)
+    with pytest.raises(GroupMismatchError) as cert_error:
+        separation_certificate(z2, spec)
+    assert str(cert_error.value) == str(ball_error.value)
 
 
 def test_norm_restriction_certificates():
