@@ -1029,11 +1029,9 @@ class LengthFunction:
 
 def central_heisenberg_table(horizon: int) -> dict[Element, int]:
     """Explicit table on Z of the Heisenberg central word lengths 2*ceil(2*sqrt(|k|))."""
-    table = {}
-    for k in range(-horizon, horizon + 1):
-        a = abs(k)
-        root = math.isqrt(4 * a)
-        if root * root < 4 * a:
-            root += 1
-        table[(k,)] = 2 * root
-    return table
+    four = 4 * np.abs(np.arange(-horizon, horizon + 1, dtype=np.int64))
+    # the float root is within one of the exact one; correct it to ceil(sqrt(4|k|))
+    root = np.sqrt(four).astype(np.int64)
+    root -= root * root > four
+    root += root * root < four
+    return dict(zip(zip(range(-horizon, horizon + 1)), (2 * root).tolist()))

@@ -4,12 +4,13 @@ d(psi, psi') = sup { |psi(a) - psi'(a)| : ||[D, a]|| <= 1 } over hermitian a.
 Only exact spaces are admitted (finite cyclic group algebras, finite-depth
 filtration levels); truncations of infinite groups are excluded because the
 feasible set would depend on the truncation.  The seminorm ||[D, a]|| is the
-largest singular value from one LAPACK SVD, taken on sum_k theta_k [D, b_k]
-over the commutator stack each triple builds once.  The reported value is a
-lower bound attained by its witness w (the ratio |(psi - psi')(w)| /
-||[D, w]||), found by normalized ascent with restarts and a pattern-search
-polish; a grid start with the same polish over the same feasible ball serves
-as an independent maximizer at tiny parameter dimension.
+largest singular value from LAPACK, taken on sum_k theta_k [D, b_k] over the
+commutator stack each triple builds once.  The reported value is a lower bound
+attained by its witness w (the ratio |(psi - psi')(w)| / ||[D, w]||), found by
+normalized ascent with restarts and a pattern-search polish; a grid start with
+the same polish over the same feasible ball serves as an independent maximizer
+at tiny parameter dimension.  The searches run in lock-step, one stacked SVD
+per step, and reach the same bits as when run one after another.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import islice, product
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,10 +60,17 @@ class FiniteTriple:
         """
         a = np.asarray(a)
         if a.ndim == 1:
-            comm = (a @ self.commutators).reshape(self.dim, self.dim)
-        else:
-            comm = self.dirac @ a - a @ self.dirac
-        return float(np.linalg.svd(comm, compute_uv=False)[0])
+            return float(self.seminorms(a[None])[0])
+        return float(np.linalg.svd(self.dirac @ a - a @ self.dirac, compute_uv=False)[0])
+
+    def seminorms(self, thetas: np.ndarray) -> np.ndarray:
+        """||[D, a]|| for each row theta of a (k, p) array, from one stacked SVD.
+
+        Each row is multiplied as a (1, p) matrix: those products, unlike a
+        2-D ``thetas @ commutators``, equal the 1-D product bit for bit.
+        """
+        comms = (thetas[:, None, :] @ self.commutators).reshape(len(thetas), self.dim, self.dim)
+        return np.linalg.svd(comms, compute_uv=False)[:, 0]
 
 
 def cyclic_triple(order: int, lengths: Sequence[float]) -> FiniteTriple:
@@ -172,21 +180,38 @@ def _reject_degenerate(triple: FiniteTriple) -> None:
         )
 
 
-def _ratio(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray) -> float:
+def _lockstep(triple: FiniteTriple, runs: list) -> list:
+    """Drive generator runs to their return values.  A run yields each
+    coefficient vector it needs a seminorm of and is sent that seminorm; one
+    ``seminorms`` call per tick serves every live run."""
+    results = [None] * len(runs)
+    live, norms = range(len(runs)), [None] * len(runs)
+    while live:
+        asked = {}
+        for i, s in zip(live, norms):
+            try:
+                asked[i] = runs[i].send(s)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = list(asked)
+        norms = triple.seminorms(np.array(list(asked.values()))).tolist() if asked else []
+    return results
+
+
+def _ratio(c: np.ndarray, theta: np.ndarray):
     value = abs(float(c @ theta))
     if value == 0.0:
         return 0.0
-    s = triple.seminorm(theta)
+    s = yield theta
     if s < 1e-13:
         raise DegenerateTripleError("objective is unbounded on a seminorm-null direction")
     return value / s
 
 
-def _polish(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray,
-            floor: float = 1e-8) -> tuple[float, np.ndarray]:
+def _polish(c: np.ndarray, theta: np.ndarray, floor: float = 1e-8):
     """Pattern search on the homogeneous ratio |c.theta| / L(theta), from a
-    unit vector theta."""
-    best = _ratio(triple, c, theta)
+    unit vector theta; a run for ``_lockstep``."""
+    best = yield from _ratio(c, theta)
     radius = 0.5
     while radius > floor:
         improved = False
@@ -197,13 +222,37 @@ def _polish(triple: FiniteTriple, c: np.ndarray, theta: np.ndarray,
                 norm = np.linalg.norm(trial)
                 if norm == 0.0:
                     continue
-                value = _ratio(triple, c, trial / norm)
+                value = yield from _ratio(c, trial / norm)
                 if value > best + 1e-15:
                     best, theta = value, trial / norm
                     improved = True
         if not improved:
             radius /= 2.0
     return best, theta
+
+
+def _ascent(target: np.ndarray, theta: np.ndarray, iterations: int, step: float):
+    """Normalized ascent on target.theta over the seminorm ball; a run for
+    ``_lockstep`` returning (value, theta, iterations made)."""
+    s = yield theta
+    if s > 1.0:
+        theta = theta / s
+    current = float(target @ theta)
+    local_step = step
+    made = 0
+    for made in range(1, iterations + 1):
+        trial = theta + local_step * target
+        s = yield trial
+        if s > 1.0:
+            trial = trial / s
+        value = float(target @ trial)
+        if value > current + 1e-15:
+            theta, current = trial, value
+        else:
+            local_step /= 2.0
+            if local_step < 1e-13:
+                break
+    return current, theta, made
 
 
 def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
@@ -223,6 +272,10 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     without one; it is not a two-sided bracket.  Restarts 0 and 1 form one
     orbit: they start at +-c with target +-c, and the objective is even, so
     each is the other's mirror image, bit for bit.
+
+    The restarts, then the polish runs, advance in lock-step with one stacked
+    SVD per step; each makes the trial vectors it would make alone, so every
+    field is bit-identical to running them one after another.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")
@@ -235,8 +288,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
         return MKResult(0.0, True, np.zeros((triple.dim, triple.dim), dtype=complex),
                         0.0, restarts, 0)
     rng = np.random.default_rng([seed, 0x4D4B])
-    finals = []
-    total_iter = 0
+    runs = []
     for restart in range(restarts):
         sign = 1.0 if restart % 2 == 0 else -1.0
         target = sign * c
@@ -245,28 +297,16 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
         else:
             theta = rng.normal(size=p)
             theta /= np.linalg.norm(theta)
-        s = triple.seminorm(theta)
-        if s > 1.0:
-            theta = theta / s
-        current = float(target @ theta)
-        local_step = step
-        for _ in range(iterations):
-            total_iter += 1
-            trial = theta + local_step * target
-            s = triple.seminorm(trial)
-            if s > 1.0:
-                trial = trial / s
-            value = float(target @ trial)
-            if value > current + 1e-15:
-                theta, current = trial, value
-            else:
-                local_step /= 2.0
-                if local_step < 1e-13:
-                    break
-        finals.append((current, theta.copy(), max(restart - 1, 0)))  # orbit
+        runs.append(_ascent(target, theta, iterations, step))
+    ascents = _lockstep(triple, runs)
+    total_iter = sum(made for _, _, made in ascents)
+    # restarts 0 and 1 are one orbit; the stable sort keeps restart order on ties
+    finals = [(current, theta, max(restart - 1, 0))
+              for restart, (current, theta, _) in enumerate(ascents)]
     finals.sort(key=lambda run: -run[0])
-    polished = [(*_polish(triple, c, theta / np.linalg.norm(theta)), orbit)
-                for _, theta, orbit in finals[:4]]
+    top = finals[:4]
+    polished = _lockstep(triple, [_polish(c, theta / np.linalg.norm(theta)) for _, theta, _ in top])
+    polished = [(value, theta, orbit) for (value, theta), (_, _, orbit) in zip(polished, top)]
     polished.sort(key=lambda run: -run[0])
     best_val, best_theta, best_orbit = polished[0]
     witness = triple.element(best_theta)
@@ -281,8 +321,9 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
 
 def mk_brute_force(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
                    grid: int = 3) -> float:
-    """Oracle maximizer: the best direction of a grid on the unit sphere of
-    coefficients, polished by the same pattern search as ``mk_distance``."""
+    """Oracle maximizer: the first best direction of a grid on the unit sphere
+    of coefficients, polished by the same pattern search as ``mk_distance``.
+    The grid is evaluated in blocks, one stacked SVD per block."""
     p = len(triple.basis)
     if p > 6:
         raise ValueError("brute force is limited to parameter dimension <= 6")
@@ -290,14 +331,14 @@ def mk_brute_force(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     c = _objective_vector(triple, psi, psi_prime)
     if np.linalg.norm(c) == 0.0:
         return 0.0
+    # blocks of grid directions keep each stacked commutator array near 4 MB
+    rows = max(1, (4 << 20) // (16 * triple.dim**2))
+    points = (np.array(point, dtype=float)
+              for point in product(range(-grid, grid + 1), repeat=p) if any(point))
     best_theta = None
     best = -1.0
-    for point in product(range(-grid, grid + 1), repeat=p):
-        if all(v == 0 for v in point):
-            continue
-        theta = np.array(point, dtype=float)
-        theta /= np.linalg.norm(theta)
-        value = _ratio(triple, c, theta)
-        if value > best:
-            best, best_theta = value, theta
-    return _polish(triple, c, best_theta)[0]
+    while block := [theta / np.linalg.norm(theta) for theta in islice(points, rows)]:
+        for value, theta in zip(_lockstep(triple, [_ratio(c, theta) for theta in block]), block):
+            if value > best:
+                best, best_theta = value, theta
+    return _lockstep(triple, [_polish(c, best_theta)])[0][0]

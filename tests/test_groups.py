@@ -778,3 +778,16 @@ def test_h3_ball_22_stays_small_in_memory():
     finally:
         tracemalloc.stop()
     assert peak < 15e6
+
+
+def test_central_table_matches_isqrt_loop():
+    # oracle: the exact integer ceil-sqrt, key by key in key order
+    expected = {}
+    for k in range(-10_000, 10_001):
+        root = math.isqrt(4 * abs(k))
+        if root * root < 4 * abs(k):
+            root += 1
+        expected[(k,)] = 2 * root
+    table = central_heisenberg_table(10_000)
+    assert list(table.items()) == list(expected.items())
+    assert all(type(k) is int and type(v) is int for (k,), v in table.items())

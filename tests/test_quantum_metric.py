@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from scipy.linalg import svdvals
@@ -10,6 +12,7 @@ from horocp import (
     mk_brute_force,
     mk_distance,
 )
+from horocp.quantum_metric import _objective_vector
 
 
 def test_z2_characters_distance_two():
@@ -221,3 +224,176 @@ def test_converged_needs_a_second_ascent_orbit():
         assert runs[r].lower_bound == runs[4].lower_bound == 1.4936422363871849
         assert runs[r].witness.tobytes() == runs[4].witness.tobytes()
     assert runs[4].iterations == 232
+
+
+# Reference: the sequential search, one seminorm and one SVD per trial vector.
+# mk_distance and mk_brute_force, which run their searches in lock-step, must
+# reproduce it bit for bit.
+def _ref_seminorm(triple, theta):
+    comm = (theta @ triple.commutators).reshape(triple.dim, triple.dim)
+    return float(np.linalg.svd(comm, compute_uv=False)[0])
+
+
+def _ref_ratio(triple, c, theta):
+    value = abs(float(c @ theta))
+    if value == 0.0:
+        return 0.0
+    s = _ref_seminorm(triple, theta)
+    if s < 1e-13:
+        raise DegenerateTripleError("objective is unbounded on a seminorm-null direction")
+    return value / s
+
+
+def _ref_polish(triple, c, theta, floor=1e-8):
+    best = _ref_ratio(triple, c, theta)
+    radius = 0.5
+    while radius > floor:
+        improved = False
+        for j in range(len(theta)):
+            for sign in (-1.0, 1.0):
+                trial = theta.copy()
+                trial[j] += sign * radius
+                norm = np.linalg.norm(trial)
+                if norm == 0.0:
+                    continue
+                value = _ref_ratio(triple, c, trial / norm)
+                if value > best + 1e-15:
+                    best, theta = value, trial / norm
+                    improved = True
+        if not improved:
+            radius /= 2.0
+    return best, theta
+
+
+def _ref_mk_distance(triple, psi, psi_prime, restarts, iterations, step=0.1, tol=1e-9, seed=0):
+    c = _objective_vector(triple, psi, psi_prime)
+    p = len(triple.basis)
+    rng = np.random.default_rng([seed, 0x4D4B])
+    finals = []
+    total_iter = 0
+    for restart in range(restarts):
+        sign = 1.0 if restart % 2 == 0 else -1.0
+        target = sign * c
+        if restart < 2:
+            theta = target / np.linalg.norm(target)
+        else:
+            theta = rng.normal(size=p)
+            theta /= np.linalg.norm(theta)
+        s = _ref_seminorm(triple, theta)
+        if s > 1.0:
+            theta = theta / s
+        current = float(target @ theta)
+        local_step = step
+        for _ in range(iterations):
+            total_iter += 1
+            trial = theta + local_step * target
+            s = _ref_seminorm(triple, trial)
+            if s > 1.0:
+                trial = trial / s
+            value = float(target @ trial)
+            if value > current + 1e-15:
+                theta, current = trial, value
+            else:
+                local_step /= 2.0
+                if local_step < 1e-13:
+                    break
+        finals.append((current, theta.copy(), max(restart - 1, 0)))
+    finals.sort(key=lambda run: -run[0])
+    polished = [(*_ref_polish(triple, c, theta / np.linalg.norm(theta)), orbit)
+                for _, theta, orbit in finals[:4]]
+    polished.sort(key=lambda run: -run[0])
+    best_val, best_theta, best_orbit = polished[0]
+    witness = triple.element(best_theta)
+    witness = witness / triple.seminorm(witness)
+    s = triple.seminorm(witness)
+    attained = abs((psi.evaluate(witness) - psi_prime.evaluate(witness)).real) / s
+    rival = next((value for value, _, orbit in polished if orbit != best_orbit), None)
+    converged = (rival is not None
+                 and abs(best_val - rival) <= max(100 * tol, 1e-7 * max(best_val, 1.0)))
+    return attained, converged, total_iter, s, witness.tobytes()
+
+
+def _ref_brute_force(triple, psi, psi_prime, grid):
+    c = _objective_vector(triple, psi, psi_prime)
+    best_theta, best = None, -1.0
+    for point in product(range(-grid, grid + 1), repeat=len(triple.basis)):
+        if all(v == 0 for v in point):
+            continue
+        theta = np.array(point, dtype=float)
+        theta /= np.linalg.norm(theta)
+        value = _ref_ratio(triple, c, theta)
+        if value > best:
+            best, best_theta = value, theta
+    return _ref_polish(triple, c, best_theta)[0]
+
+
+def _cyclic_case(order, lengths, j):
+    triple = cyclic_triple(order, lengths)
+    return triple, StateSpec.character(order, 0), StateSpec.character(order, j)
+
+
+def _af_case(orders, eigenvalues, x):
+    triple = af_level_triple(orders, eigenvalues)
+    basis = np.eye(triple.dim)
+    return triple, StateSpec.vector_state(basis[0]), StateSpec.vector_state(basis[x])
+
+
+_REFERENCE_CASES = {
+    # the finite_triples workload's cyclic cases and its C6 known defects
+    "c5-1": lambda: _cyclic_case(5, (0, 1, 2, 2, 1), 1),
+    "c5-2": lambda: _cyclic_case(5, (0, 1, 2, 2, 1), 2),
+    "c6-1": lambda: _cyclic_case(6, (0, 1, 2, 3, 2, 1), 1),
+    "c6-2": lambda: _cyclic_case(6, (0, 1, 2, 3, 2, 1), 2),
+    "c6-3": lambda: _cyclic_case(6, (0, 1, 2, 3, 2, 1), 3),
+    "af22": lambda: _af_case((2, 2), (0.0, 0.7, 1.9), 3),
+    "c7-2": lambda: _cyclic_case(7, (0, 1, 2, 3, 3, 2, 1), 2),
+    "c8-3": lambda: _cyclic_case(8, (0, 1, 2, 3, 4, 3, 2, 1), 3),
+    "af23": lambda: _af_case((2, 3), (0.0, 1.0, 2.0), 4),
+}
+
+
+@pytest.mark.parametrize("restarts,iterations", [(4, 200), (32, 2000)])
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_lockstep_search_matches_sequential_reference(case, restarts, iterations):
+    triple, psi, psi_prime = _REFERENCE_CASES[case]()
+    result = mk_distance(triple, psi, psi_prime, restarts=restarts, iterations=iterations)
+    got = (result.lower_bound, result.converged, result.iterations,
+           result.witness_seminorm, result.witness.tobytes())
+    assert got == _ref_mk_distance(triple, psi, psi_prime, restarts, iterations)
+
+
+@pytest.mark.parametrize("case,grid", [("c5-2", 3), ("c6-1", 2), ("af22", 3), ("af23", 2)])
+def test_brute_force_matches_sequential_reference(case, grid):
+    triple, psi, psi_prime = _REFERENCE_CASES[case]()
+    assert mk_brute_force(triple, psi, psi_prime, grid=grid) == _ref_brute_force(
+        triple, psi, psi_prime, grid)
+
+
+@pytest.mark.parametrize("triple", [
+    cyclic_triple(5, [0, 1, 2, 2, 1]),
+    cyclic_triple(6, [0, 1, 2, 3, 2, 1]),
+    af_level_triple((2, 2), [0.0, 0.7, 1.9]),
+    af_level_triple((2, 3), [0.0, 1.0, 2.0]),
+], ids=["c5", "c6", "af22", "af23"])
+def test_stacked_seminorms_equal_single_svds(triple):
+    thetas = np.random.default_rng(11).normal(size=(64, len(triple.basis)))
+    single = [_ref_seminorm(triple, theta) for theta in thetas]
+    assert triple.seminorms(thetas).tobytes() == np.array(single).tobytes()
+    assert [triple.seminorm(theta) for theta in thetas] == single
+
+
+def test_search_stacks_its_svds(monkeypatch):
+    svd = np.linalg.svd
+    calls, matrices = [], []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(1)
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    triple, psi, psi_prime = _REFERENCE_CASES["c6-2"]()
+    mk_distance(triple, psi, psi_prime, restarts=4, iterations=200)
+    # one SVD per matrix would be 2411 calls; lock-step makes 640
+    assert sum(matrices) == 2411
+    assert len(calls) < sum(matrices) / 3
