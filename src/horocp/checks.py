@@ -49,6 +49,7 @@ from .operators import (
     window_column_mask,
     _act_inv_blocks,
     _check_nonzeros,
+    _homomorphism,
     _unitary_stack,
 )
 
@@ -335,13 +336,9 @@ def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float,
     group = spec.group
     if delta_radius is None:
         delta_radius = radius
-    vec = tuple(int(c) for c in functional)
+    vec, phi_value = _homomorphism(group, functional)
     if all(c == 0 for c in vec):
         raise ValueError("the homomorphism must be non-trivial")
-
-    def phi_value(g: Element) -> int:
-        return sum(a * b for a, b in zip(vec, group.abelianization(g)))
-
     d = x.coeff_dim if x.coeffs else 1
     tail = x.restrict(lambda g: abs(phi_value(g)) > n_cut)
     if tail.coeffs:

@@ -36,8 +36,9 @@ window is tracked explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
+from functools import cached_property, reduce
+from itertools import combinations
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -47,6 +48,7 @@ from .groups import BallTable, Element, GroupSpec, LengthFunction
 DIM_CAP = 20_000  # rows of a dense matrix (one complex 20,000^2 matrix is 6.4 GB)
 NONZERO_CAP = 20_000_000  # stored block entries of one operator (320 MB complex)
 HERMITIAN_TOL = 1e-12
+NORM_TOL = 1e-10  # relative Ritz residual (Lanczos), relative increment (power iteration)
 
 
 class DenseCapError(ValueError):
@@ -117,12 +119,7 @@ def truncate(spec: LengthFunction, radius: float, coeff_dim: int = 1) -> Truncat
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperator:
-    """Block-sparse operator on C^blocks (x) H (see the module docstring).
-
-    ``dense`` builds ``.matrix`` where scattering the blocks into zeros would
-    not reproduce its bits: the Dirac operators' Kronecker products carry
-    signed zeros off the block diagonal.
-    """
+    """Block-sparse operator on C^blocks (x) H (see the module docstring)."""
 
     hilbert: TruncatedHilbert
     provenance: str
@@ -131,7 +128,6 @@ class TruncatedOperator:
     data: np.ndarray
     window_radius: Optional[float] = None
     blocks: int = 1
-    dense: Optional[Callable[[], np.ndarray]] = field(default=None, repr=False)
 
     @property
     def width(self) -> int:
@@ -144,12 +140,10 @@ class TruncatedOperator:
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        """Dense view; DenseCapError above DIM_CAP rows."""
+        """Dense view, the blocks scattered into zeros; DenseCapError above DIM_CAP rows."""
         n = self.dim
         if n > DIM_CAP:
             raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
-        if self.dense is not None:
-            return self.dense()
         mat = np.zeros((n, n), dtype=complex)
         rows, cols = self._entry_indices()
         mat[rows, cols] = self.data
@@ -295,28 +289,22 @@ class ActionSpec:
         w = self.unitary(h, spec)
         return w.conj().T @ np.asarray(a, dtype=complex) @ w
 
-    def relator_consistency(self, spec: Optional[LengthFunction] = None):
-        """Scalar defects W(left) ~ c W(right) along the group kind's relators."""
-        group = self.group
+    def relator_consistency(self):
+        """Scalar defects W(left) ~ c W(right) along the group's relators:
+        s t = t s on an abelian group, s^m = 1 for each generator s of finite
+        order m, and s s^-1 = 1."""
+        group, gens = self.group, sorted(self.unitaries)
+        pairs = [((s, t), (t, s)) for s, t in combinations(gens, 2)] if group.is_abelian else []
+        for s in filter(group.is_torsion, gens):
+            power, order = s, 1
+            while power != group.identity():
+                power, order = group.multiply(power, s), order + 1
+            pairs.append(((s,) * order, ()))
+        pairs += [((s, group.inverse(s)), ()) for s in gens]
         reports = []
-        pairs = []
-        gens = sorted(self.unitaries)
-        if group.is_abelian:
-            for i, s in enumerate(gens):
-                for t in gens[i + 1:]:
-                    pairs.append(((s, t), (t, s)))
-        if group.is_finite:
-            n = group.torsion
-            pairs.append(((gens[0],) * n, ()))
-        for s in gens:
-            pairs.append(((s, group.inverse(s)), ()))
         for left, right in pairs:
-            wl = np.eye(self.dim, dtype=complex)
-            for s in left:
-                wl = wl @ self.unitaries[s]
-            wr = np.eye(self.dim, dtype=complex)
-            for s in right:
-                wr = wr @ self.unitaries[s]
+            wl, wr = (reduce(np.matmul, (self.unitaries[s] for s in word),
+                             np.eye(self.dim, dtype=complex)) for word in (left, right))
             scalar = np.trace(wr.conj().T @ wl) / self.dim
             if abs(scalar) > 0:
                 scalar = scalar / abs(scalar)
@@ -342,6 +330,9 @@ class CrossedElement:
         for g, a in data.items():
             group.validate(g)
             mat = np.atleast_2d(np.asarray(a, dtype=complex))
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ValueError(f"coefficient of {g!r} must be a square matrix, "
+                                 f"got shape {mat.shape}")
             if np.max(np.abs(mat), initial=0.0) == 0.0:
                 continue
             items.append((g, mat))
@@ -384,6 +375,17 @@ class CrossedElement:
 # Subgroups for conditional expectations.
 
 
+def _homomorphism(group: GroupSpec, functional: Sequence[int]
+                  ) -> tuple[tuple[int, ...], Callable[[Element], int]]:
+    """An integer homomorphism of the abelianization Z^m: its m coefficients
+    and its value on group elements.  ValueError unless there are m of them."""
+    vec = tuple(int(c) for c in functional)
+    if len(vec) != group.abelianization_rank:
+        raise ValueError(f"functional {vec} has {len(vec)} coefficients, but the "
+                         f"abelianization has rank {group.abelianization_rank}")
+    return vec, lambda g: sum(a * b for a, b in zip(vec, group.abelianization(g)))
+
+
 @dataclass(frozen=True)
 class SubgroupSpec:
     """Decidable subgroup with a coset key (two elements share a right coset
@@ -407,12 +409,8 @@ class SubgroupSpec:
                   modulus: Optional[int] = None) -> "SubgroupSpec":
         """Kernel of an integer homomorphism through the abelianization,
         optionally reduced mod n (e.g. nZ inside Z)."""
-        vec = tuple(int(c) for c in functional)
-
-        def value(g: Element):
-            v = sum(a * b for a, b in zip(vec, group.abelianization(g)))
-            return v % modulus if modulus else v
-
+        vec, phi = _homomorphism(group, functional)
+        value = (lambda g: phi(g) % modulus) if modulus else phi
         mod_txt = f" mod {modulus}" if modulus else ""
         return cls(f"ker({vec}{mod_txt})", group,
                    lambda g: value(g) == 0, value)
@@ -443,11 +441,11 @@ def conditional_expectation(x: CrossedElement, subgroup: SubgroupSpec) -> Crosse
 # Operator constructors.
 
 
-def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *, blocks: int = 1,
-                    dense: Optional[Callable[[], np.ndarray]] = None) -> TruncatedOperator:
+def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *,
+                    blocks: int = 1) -> TruncatedOperator:
     idx = np.arange(H.n_ball)
     return TruncatedOperator(H, provenance, idx, idx, data, window_radius=H.ball.radius,
-                             blocks=blocks, dense=dense)
+                             blocks=blocks)
 
 
 def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
@@ -541,11 +539,8 @@ def m_ell(H: TruncatedHilbert) -> TruncatedOperator:
 
 def m_phi(H: TruncatedHilbert, functional: Sequence[int]) -> TruncatedOperator:
     """Diagonal multiplication by an integer homomorphism of the abelianization."""
-    vec = tuple(int(c) for c in functional)
-    group = H.group
-    values = [float(sum(a * b for a, b in zip(vec, group.abelianization(h))))
-              for h in H.ball.elements]
-    return _diagonal(H, values, f"m_phi({vec})")
+    vec, phi = _homomorphism(H.group, functional)
+    return _diagonal(H, [float(phi(h)) for h in H.ball.elements], f"m_phi({vec})")
 
 
 def m_phi_g(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
@@ -622,12 +617,12 @@ def coset_compress(T: np.ndarray, H: TruncatedHilbert, subgroup: SubgroupSpec) -
 # Dirac operators.
 
 
-def _kron_dirac(H: TruncatedHilbert, c: np.ndarray, g: np.ndarray, provenance: str,
-                dense: Callable[[], np.ndarray]) -> TruncatedOperator:
+def _kron_dirac(H: TruncatedHilbert, c: np.ndarray, g: np.ndarray, provenance: str
+                ) -> TruncatedOperator:
     """D = C (x) 1_N + G (x) M_l on C^{2d} (x) l2(ball): block C + l(h) G at (h, h)."""
     _check_nonzeros(H.n_ball * c.size)
     data = c[np.newaxis] + H.lengths[:, np.newaxis, np.newaxis] * g[np.newaxis]
-    return _block_diagonal(H, data, provenance, blocks=2, dense=dense)
+    return _block_diagonal(H, data, provenance, blocks=2)
 
 
 def even_dirac(H: TruncatedHilbert, d_a: np.ndarray) -> TruncatedOperator:
@@ -641,18 +636,8 @@ def even_dirac(H: TruncatedHilbert, d_a: np.ndarray) -> TruncatedOperator:
     if d_a.shape != (H.coeff_dim, H.coeff_dim):
         raise ValueError("coefficient Dirac block has the wrong shape")
     zero, eye = np.zeros_like(d_a), np.eye(H.coeff_dim, dtype=complex)
-
-    def dense() -> np.ndarray:
-        a = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
-        b = m_ell(H).matrix
-        dim = H.dim
-        mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        mat[:dim, dim:] = a - 1j * b
-        mat[dim:, :dim] = a + 1j * b
-        return mat
-
     return _kron_dirac(H, np.block([[zero, d_a], [d_a, zero]]),
-                       np.block([[zero, -1j * eye], [1j * eye, zero]]), "even_dirac", dense)
+                       np.block([[zero, -1j * eye], [1j * eye, zero]]), "even_dirac")
 
 
 def odd_dirac(H: TruncatedHilbert, d_a_block: np.ndarray) -> TruncatedOperator:
@@ -664,29 +649,8 @@ def odd_dirac(H: TruncatedHilbert, d_a_block: np.ndarray) -> TruncatedOperator:
     if d_a_block.shape != (H.coeff_dim, H.coeff_dim):
         raise ValueError("coefficient Dirac block has the wrong shape")
     zero, eye = np.zeros_like(d_a_block), np.eye(H.coeff_dim, dtype=complex)
-
-    def dense() -> np.ndarray:
-        k = np.kron(d_a_block, np.eye(H.n_ball, dtype=complex))
-        b = m_ell(H).matrix
-        dim = H.dim
-        mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-        mat[:dim, :dim] = b
-        mat[dim:, dim:] = -b
-        mat[:dim, dim:] = k
-        mat[dim:, :dim] = k.conj().T
-        return mat
-
     return _kron_dirac(H, np.block([[zero, d_a_block], [d_a_block.conj().T, zero]]),
-                       np.block([[eye, zero], [zero, -eye]]), "odd_dirac", dense)
-
-
-def doubled(T: np.ndarray) -> np.ndarray:
-    """x (+) x on the doubled space."""
-    dim = T.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    out[:dim, :dim] = T
-    out[dim:, dim:] = T
-    return out
+                       np.block([[eye, zero], [zero, -eye]]), "odd_dirac")
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +713,14 @@ class OpNormResult:
     residual: float
 
 
-def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
+def op_norm_certified(T: TruncatedOperator) -> OpNormResult:
     """Largest singular value of a block-sparse operator, bracketed.
 
     Thick-restart Lanczos in Krylov-Schur form on T*T over the nonzero
     entries: a seeded random start, full (twice-iterated classical
     Gram-Schmidt) reorthogonalisation, LANCZOS_KEEP Ritz vectors kept at
     each restart of a LANCZOS_BASIS-vector basis.  It stops when the top Ritz
-    pair's relative residual is at most tol, or when the basis spans an
+    pair's relative residual is at most NORM_TOL, or when the basis spans an
     invariant subspace.  The basis of (LANCZOS_BASIS + 1) * N entries is
     counted against NONZERO_CAP before it is allocated.
     """
@@ -806,7 +770,7 @@ def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
         theta, y = np.linalg.eigh((rayleigh + rayleigh.conj().T) / 2)
         theta, y = theta[::-1], y[:, ::-1]
         residual = float(abs(h[size, :size] @ y[:, 0])) / max(float(theta[0]), 1e-300)
-        if invariant or residual <= tol or restart == LANCZOS_RESTARTS:
+        if invariant or residual <= NORM_TOL or restart == LANCZOS_RESTARTS:
             break
         keep = LANCZOS_KEEP
         coupling = h[m, :m] @ y[:, :keep]
@@ -822,13 +786,13 @@ def op_norm_certified(T: TruncatedOperator, tol: float = 1e-10) -> OpNormResult:
     return OpNormResult(lower, upper, "lanczos", products, residual)
 
 
-def op_norm(T, tol: float = 1e-10) -> float:
+def op_norm(T) -> float:
     """Largest singular value; a certified lower bound that is attained.
 
-    A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos,
-    tol its relative Ritz residual) and returns its attained ``lower``.  A
-    dense array (DenseCapError above DIM_CAP rows) runs a block power
-    iteration on T*T with matrix products: a deterministic start block
+    A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos
+    to a relative Ritz residual of NORM_TOL) and returns its attained
+    ``lower``.  A dense array (DenseCapError above DIM_CAP rows) runs a block
+    power iteration on T*T with matrix products: a deterministic start block
     (all-ones plus leading coordinate vectors), one seeded random restart on
     stagnation, and an error with the residual if that also fails to
     converge within max(50,000, 100 n) steps for n rows; it can stop below
@@ -837,7 +801,7 @@ def op_norm(T, tol: float = 1e-10) -> float:
     in the ball radius.
     """
     if isinstance(T, TruncatedOperator):
-        return op_norm_certified(T, tol).lower
+        return op_norm_certified(T).lower
     a = np.asarray(T, dtype=complex)
     n = a.shape[0]
     if n > DIM_CAP:
@@ -886,7 +850,7 @@ def op_norm(T, tol: float = 1e-10) -> float:
             if np.linalg.norm(w) == 0.0:
                 return 0.0, 0.0, it
             delta = abs(lam_new - lam)
-            floor = tol * max(abs(lam_new), 1e-300)
+            floor = NORM_TOL * max(abs(lam_new), 1e-300)
             converged = False
             if it > 0 and delta <= floor:
                 if delta == 0.0:
@@ -924,15 +888,14 @@ def op_norm(T, tol: float = 1e-10) -> float:
 
 
 def element_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
-                 radius: float, tol: float = 1e-10) -> float:
+                 radius: float) -> float:
     """Norm of the compression of a crossed element at the given radius."""
     H = truncate(spec, radius, x.coeff_dim if x.coeffs else 1)
-    return op_norm(realize(x, H, action), tol=tol)
+    return op_norm(realize(x, H, action))
 
 
 def cauchy_gap_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
-                    radius: float, gap_radius: Optional[float] = None,
-                    tol: float = 1e-10) -> tuple[float, float]:
+                    radius: float, gap_radius: Optional[float] = None) -> tuple[float, float]:
     """(norm at the larger radius, increment over the smaller one).
 
     The increment is the two-radius Cauchy diagnostic for how far the
@@ -940,8 +903,8 @@ def cauchy_gap_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
     """
     if gap_radius is None:
         gap_radius = 2 * radius
-    small = element_norm(x, spec, action, radius, tol)
-    large = element_norm(x, spec, action, gap_radius, tol)
+    small = element_norm(x, spec, action, radius)
+    large = element_norm(x, spec, action, gap_radius)
     return large, large - small
 
 
@@ -955,31 +918,17 @@ def window_column_mask(H: TruncatedHilbert, window_radius: float, blocks: int = 
     return np.tile(per_block, blocks)
 
 
-def _from_dense(H: TruncatedHilbert, mat) -> TruncatedOperator:
-    """Block pairs of a dense operator on C^b (x) H, b = rows / dim H."""
-    mat = np.asarray(mat, dtype=complex)
-    n, dim = H.n_ball, H.dim
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % dim:
-        raise ValueError("operand and Dirac operator live on different spaces")
-    width = mat.shape[0] // n
-    grid = mat.reshape(width, n, width, n).transpose(1, 3, 0, 2)
-    rows, cols = np.nonzero(np.any(grid != 0, axis=(2, 3)))
-    return TruncatedOperator(H, "dense operand", rows, cols, grid[rows, cols],
-                             blocks=mat.shape[0] // dim)
-
-
-def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec] = None,
-                       tol: float = 1e-10) -> tuple[float, float]:
+def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec] = None
+                       ) -> tuple[float, float]:
     """Certified lower bound for ||[D, x]|| plus the exactness window radius.
 
     The commutator blocks in columns outside the radius-(R - r) window are
     dropped before the norm is taken, so the value never exceeds the
     untruncated seminorm.  Accepts a CrossedElement (realized on the Dirac
-    operator's space), an already-realized TruncatedOperator, or a dense
-    matrix (converted to block pairs).  The Dirac operator must be block
-    diagonal over the ball, D = sum_h D_h (x) e_hh, as M_l and the even and
-    odd Dirac operators C (x) 1 + G (x) M_l are; block (t, j) of the
-    commutator is D_t X_tj - X_tj D_j.
+    operator's space) or an already-realized TruncatedOperator.  The Dirac
+    operator must be block diagonal over the ball, D = sum_h D_h (x) e_hh, as
+    M_l and the even and odd Dirac operators C (x) 1 + G (x) M_l are; block
+    (t, j) of the commutator is D_t X_tj - X_tj D_j.
     """
     H = dirac.hilbert
     if isinstance(x, CrossedElement):
@@ -987,12 +936,12 @@ def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec]
             raise ValueError("realizing a crossed element needs an action")
         support_radius = x.support_radius(H.spec)
         base = realize(x, H, action)
+    elif isinstance(x, TruncatedOperator):
+        base, window = x, x.window_radius
+        support_radius = 0.0 if window is None or math.isinf(window) else H.ball.radius - window
     else:
-        base = x if isinstance(x, TruncatedOperator) else _from_dense(H, x)
-        support_radius = 0.0
-        if isinstance(x, TruncatedOperator) and x.window_radius is not None \
-                and not math.isinf(x.window_radius):
-            support_radius = H.ball.radius - x.window_radius
+        raise TypeError(f"operand must be a CrossedElement or a TruncatedOperator, "
+                        f"not {type(x).__name__}")
     if not np.array_equal(dirac.rows, dirac.cols):
         raise ValueError("the Dirac operator must be block diagonal over the ball")
     doubling = dirac.blocks == 2 and base.blocks == 1
@@ -1018,7 +967,7 @@ def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec]
     diag[dirac.rows] = dirac.data
     comm = diag[rows] @ blocks - blocks @ diag[cols]
     return op_norm(TruncatedOperator(H, "[D, x]", rows, cols, comm, window_radius=window,
-                                     blocks=dirac.blocks), tol=tol), window
+                                     blocks=dirac.blocks)), window
 
 
 # ---------------------------------------------------------------------------

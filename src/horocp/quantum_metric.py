@@ -24,7 +24,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aftriple import af_filtration
-from .operators import op_norm  # not called here; perfbench's tracer patches this binding
+from .operators import op_norm  # not called here; perfbench's tests pin its traced binding
+
+MK_STEP = 0.1  # initial ascent step along the objective
+MK_TOL = 1e-9  # ``converged``: two orbits' polished values agree within 100 * MK_TOL
 
 
 class DegenerateTripleError(ValueError):
@@ -231,14 +234,14 @@ def _polish(c: np.ndarray, theta: np.ndarray, floor: float = 1e-8):
     return best, theta
 
 
-def _ascent(target: np.ndarray, theta: np.ndarray, iterations: int, step: float):
+def _ascent(target: np.ndarray, theta: np.ndarray, iterations: int):
     """Normalized ascent on target.theta over the seminorm ball; a run for
     ``_lockstep`` returning (value, theta, iterations made)."""
     s = yield theta
     if s > 1.0:
         theta = theta / s
     current = float(target @ theta)
-    local_step = step
+    local_step = MK_STEP
     made = 0
     for made in range(1, iterations + 1):
         trial = theta + local_step * target
@@ -256,8 +259,7 @@ def _ascent(target: np.ndarray, theta: np.ndarray, iterations: int, step: float)
 
 
 def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
-                restarts: int = 32, iterations: int = 2000, step: float = 0.1,
-                tol: float = 1e-9, seed: int = 0) -> MKResult:
+                restarts: int = 32, iterations: int = 2000, seed: int = 0) -> MKResult:
     """Lower bound for the state-space distance, attained by the witness.
 
     Ascent on the linear objective (psi - psi')(a) over the seminorm ball:
@@ -297,7 +299,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
         else:
             theta = rng.normal(size=p)
             theta /= np.linalg.norm(theta)
-        runs.append(_ascent(target, theta, iterations, step))
+        runs.append(_ascent(target, theta, iterations))
     ascents = _lockstep(triple, runs)
     total_iter = sum(made for _, _, made in ascents)
     # restarts 0 and 1 are one orbit; the stable sort keeps restart order on ties
@@ -315,7 +317,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     attained = abs((psi.evaluate(witness) - psi_prime.evaluate(witness)).real) / s
     rival = next((value for value, _, orbit in polished if orbit != best_orbit), None)
     converged = (rival is not None
-                 and abs(best_val - rival) <= max(100 * tol, 1e-7 * max(best_val, 1.0)))
+                 and abs(best_val - rival) <= max(100 * MK_TOL, 1e-7 * max(best_val, 1.0)))
     return MKResult(attained, converged, witness, s, restarts, total_iter)
 
 

@@ -129,6 +129,12 @@ def test_tail_bound_lambda2(len_z1, z1):
     assert report.slack == pytest.approx(2 * math.sqrt(2 * (math.pi**2 / 6 - 1)) - 1, abs=1e-9)
 
 
+def test_tail_bound_refuses_wrong_length_functional(len_z1, z1):
+    x = CrossedElement.from_dict(z1, {(2,): [[1.0]]})
+    with pytest.raises(ValueError, match="rank 1"):
+        check_tail_bound(x, (1, 5), 0.0, 1, len_z1, ActionSpec.trivial(z1, 1), radius=6.0)
+
+
 def test_tail_bound_trivial_when_support_low(len_z1, z1):
     act = ActionSpec.trivial(z1, 1)
     x = CrossedElement.from_dict(z1, {(1,): [[1.0]], (0,): [[1.0]]})

@@ -44,10 +44,18 @@ from horocp.operators import (
     NonzeroCapError,
     _Entries,
     _unitary_stack,
-    doubled,
     realize_phi_twisted,
     window_column_mask,
 )
+
+
+def doubled(T):
+    """x (+) x on the doubled space of a Dirac operator."""
+    dim = T.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    out[:dim, :dim] = T
+    out[dim:, dim:] = T
+    return out
 
 
 def svd_norm(mat):
@@ -321,6 +329,28 @@ def test_action_projective_consistency(z1):
         assert abs(abs(scalar) - 1.0) < 1e-12
 
 
+def test_relator_consistency_checks_torsion_generators():
+    # W_(0,1)^3 must be scalar on Z x C3; with these phases it is not
+    group = GroupSpec.free_abelian_times_cyclic(1, 3)
+    w = np.diag(np.exp(2j * np.pi * np.array([0.1, 0.37])))
+    unitaries = {(1, 0): np.eye(2), (-1, 0): np.eye(2), (0, 1): w, (0, 2): w.conj().T}
+    residuals = {left: residual
+                 for left, _, _, residual in ActionSpec(group, unitaries).relator_consistency()}
+    cubed = w @ w @ w
+    expected = np.max(np.abs(cubed - np.trace(cubed) / abs(np.trace(cubed)) * np.eye(2)))
+    assert residuals[((0, 1),) * 3] == pytest.approx(expected, abs=1e-12)
+    assert residuals[((0, 1),) * 3] > 0.5 and residuals[((0, 2),) * 3] > 0.5
+    assert ((1, 0),) * 3 not in residuals  # (1, 0) has infinite order
+    # the same defect on C3, where a torsion relator was always checked
+    c3 = GroupSpec.finite_cyclic(3)
+    on_c3 = ActionSpec(c3, {(1,): w, (2,): w.conj().T}).relator_consistency()
+    assert max(residual for *_, residual in on_c3) == pytest.approx(expected, abs=1e-12)
+    # a consistent action has no defect: W^3 = 1
+    cube_root = np.diag(np.exp(2j * np.pi * np.array([1, 2]) / 3))
+    consistent = ActionSpec(group, {**unitaries, (0, 1): cube_root, (0, 2): cube_root.conj().T})
+    assert max(residual for *_, residual in consistent.relator_consistency()) < 1e-12
+
+
 def test_action_rejects_nonunitary(z1):
     with pytest.raises(ValueError):
         ActionSpec(z1, {(1,): [[2.0]], (-1,): [[0.5]]})
@@ -354,8 +384,9 @@ def test_coordinate_unitary_has_no_step_limit(z1):
 
 # ---------------------------------------------------------------------------
 # Block-sparse operators against dense loop builds.  The reference builders
-# below are the dense constructions the block-sparse ones replaced; the dense
-# views must match them bit for bit, signed zeros included.
+# below are the dense constructions the block-sparse ones replaced, and the
+# Dirac operators entry by entry; the dense views must match them bit for
+# bit, signed zeros included.
 
 
 def loop_lambda(H, g):
@@ -407,27 +438,38 @@ def loop_realize(x, H, action, twisted=False):
     return mat
 
 
-def loop_even_dirac(H, d_a):
-    d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
-    a = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
-    b = loop_diagonal(H, [float(H.ball.values[h]) for h in H.ball.elements])
-    dim = H.dim
-    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mat[:dim, dim:] = a - 1j * b
-    mat[dim:, :dim] = a + 1j * b
+def loop_dirac(H, c, g):
+    """D = C (x) 1 + G (x) M_l entry by entry: C[p, q] + l(h) G[p, q] at
+    (p N + h, q N + h), every other entry zero."""
+    n = H.n_ball
+    mat = np.zeros((2 * H.dim, 2 * H.dim), dtype=complex)
+    for i, h in enumerate(H.ball.elements):
+        length = float(H.ball.values[h])
+        for p in range(len(c)):
+            for q in range(len(c)):
+                mat[p * n + i, q * n + i] = c[p][q] + length * g[p][q]
     return mat
+
+
+def loop_even_dirac(H, d_a):
+    """Corner blocks D_A (x) 1 -/+ i (x) M_l."""
+    d = H.coeff_dim
+    c = [[d_a[p % d][q % d] if (p < d) != (q < d) else 0j for q in range(2 * d)]
+         for p in range(2 * d)]
+    g = [[(-1j if p < d else 1j) if (p < d) != (q < d) and p % d == q % d else 0j
+          for q in range(2 * d)] for p in range(2 * d)]
+    return loop_dirac(H, c, g)
 
 
 def loop_odd_dirac(H, k_a):
-    k = np.kron(np.atleast_2d(np.asarray(k_a, dtype=complex)), np.eye(H.n_ball, dtype=complex))
-    b = loop_diagonal(H, [float(H.ball.values[h]) for h in H.ball.elements])
-    dim = H.dim
-    mat = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    mat[:dim, :dim] = b
-    mat[dim:, dim:] = -b
-    mat[:dim, dim:] = k
-    mat[dim:, :dim] = k.conj().T
-    return mat
+    """Diagonal blocks +/- 1 (x) M_l, corners K (x) 1 and its adjoint."""
+    d = H.coeff_dim
+    k = np.asarray(k_a, dtype=complex)
+    c = [[0j if (p < d) == (q < d) else k[p][q - d] if p < d else k[q][p - d].conjugate()
+          for q in range(2 * d)] for p in range(2 * d)]
+    g = [[(1.0 if p < d else -1.0) if p == q else 0.0 for q in range(2 * d)]
+         for p in range(2 * d)]
+    return loop_dirac(H, c, g)
 
 
 def loop_coset_compress(T, H, subgroup):
@@ -546,8 +588,7 @@ def test_structured_norms_match_dense(gi, d, trivial):
     norms = [(op_norm(x_op), x_op.matrix)]
     for dirac in diracs:
         support = x.support_radius(spec)
-        windowed = [(x, support)] if H.exact else [(x, support), (x_op, support),
-                                                   (x_op.matrix, 0.0)]
+        windowed = [(x, support)] if H.exact else [(x, support), (x_op, support)]
         for operand, r in windowed:
             value, window = lipschitz_seminorm(operand, dirac, action)
             expected_window = math.inf if H.exact else H.ball.radius - r
@@ -559,6 +600,36 @@ def test_structured_norms_match_dense(gi, d, trivial):
     for value, dense in norms:
         lapack = float(np.linalg.norm(dense, 2))
         assert abs(value - lapack) <= 1e-12 * lapack
+
+
+def test_lipschitz_seminorm_refuses_dense_operands(len_z1, z1):
+    H = truncate(len_z1, 3)
+    x_op = realize(CrossedElement.from_dict(z1, {(1,): [[1.0]]}), H, ActionSpec.trivial(z1, 1))
+    with pytest.raises(TypeError):
+        lipschitz_seminorm(x_op.matrix, m_ell(H))
+
+
+def test_functionals_of_the_wrong_length_are_refused(len_z2, z2):
+    H = truncate(len_z2, 2)
+    for functional in [(1,), (1, 2, 3)]:
+        with pytest.raises(ValueError, match="rank 2"):
+            m_phi(H, functional)
+        with pytest.raises(ValueError, match="rank 2"):
+            SubgroupSpec.kernel_of(z2, functional)
+    c5 = GroupSpec.finite_cyclic(5)
+    with pytest.raises(ValueError, match="rank 0"):
+        SubgroupSpec.kernel_of(c5, (1,))
+    assert SubgroupSpec.kernel_of(c5, ()).contains((3,))
+
+
+def test_from_dict_refuses_non_square_coefficients(z1):
+    with pytest.raises(ValueError, match=r"\(2,\).*\(2, 3\)"):
+        CrossedElement.from_dict(z1, {(0,): np.eye(2), (2,): np.ones((2, 3))})
+    with pytest.raises(ValueError, match=r"\(1,\)"):
+        CrossedElement.from_dict(z1, {(1,): np.ones((2, 2, 2))})
+    # scalars and 1 x 1 lists stay 1 x 1 coefficients
+    x = CrossedElement.from_dict(z1, {(1,): 2.0, (2,): [[3.0]]})
+    assert x.coeff_dim == 1
 
 
 def test_lipschitz_seminorm_allocates_no_dense_matrix(len_z2, z2):
