@@ -11,12 +11,10 @@ radius-(R + dR) compression on the large side (default dR = R); both are
 certified lower bounds of the untruncated norms, and a failure triggers one
 automatic radius escalation before it is reported.
 
-The af-triple check forms no dim x dim matrix product: ranks are traces,
-Q_0 is compared entrywise with the projection onto the constants, Q_i Q_j is
-read off the row means the averaging projections reduce to (for non-dyadic
-orders that orthogonality residual is rounding noise, different from the
-dense product's), and [Q_j, pi(a)] is an entrywise product because pi(a) is
-diagonal.
+The af-triple check forms nothing dim x dim: it applies the filtration's
+averaging operators, both factors of every product included, to a seeded
+test block of Gaussian integers, so its residuals are exact zeros for dyadic
+orders and rounding noise otherwise.
 """
 
 from __future__ import annotations
@@ -503,11 +501,22 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
 # AF filtration.
 
 
+AF_TEST_VECTORS = 2     # columns of the af-triple check's seeded test block
+AF_BLOCK_SCALE = 0.25   # its entries are Gaussian integers in [-4, 4] + [-4, 4]i times this
+
+
 def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
                     seed: int = 0, tol: float = EQUALITY_TOL) -> CheckReport:
     """Projection ranks, mutual orthogonality, and level commutation for the
-    finite-depth odometer filtration (residuals as in `_af_residuals`)."""
+    finite-depth odometer filtration (residuals as in `_af_residuals`).
+
+    The eigenvalue count is validated, and the k + 1 test blocks of
+    (dim, AF_TEST_VECTORS) entries are counted against NONZERO_CAP, before any
+    work (ValueError, NonzeroCapError)."""
+    if len(eigenvalues) != len(orders) + 1:
+        raise ValueError(f"need {len(orders) + 1} eigenvalues (one per projection)")
     filt = af_filtration(orders)
+    _check_nonzeros((filt.depth + 1) * filt.dim * AF_TEST_VECTORS)
     res = _af_residuals(filt, eigenvalues, np.random.default_rng([seed, 0xAF]))
     residual = max(res["rank"], res["orthogonality"], res["commutation"], res["q0"])
     return CheckReport(
@@ -527,49 +536,51 @@ def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
     )
 
 
+def _gaussian_integers(rng: np.random.Generator, shape) -> np.ndarray:
+    return rng.integers(-4, 5, size=shape) + 1j * rng.integers(-4, 5, size=shape)
+
+
 def _af_residuals(filt: AFFiltration, eigenvalues: Sequence[float],
                   rng: np.random.Generator) -> dict:
-    """The af-triple ranks and residuals, in O(k^2 dim^2) and without any dim x dim product.
+    """The af-triple ranks and residuals, in O(k^2 dim r) time and O(k dim r) memory.
 
-    With x = q a + r, the averaging projection P_q replaces row x of a matrix
-    by the mean of its rows q a + r, and Q_i = P_{q_i} - P_{q_{i-1}}
-    (P_{q_{-1}} = 0).  So Q_i Q_j comes from the row means of the built Q_j,
-    broadcast against Q_j (i = j) or 0.  For dyadic orders the means are
-    exact; for other orders this residual is rounding noise, of a different
-    summation order than the dense product Q_i @ Q_j.  pi(a) is diagonal, so
-    [Q_j, pi(a)] is Q_j * (v_y - v_x) entrywise.  Ranks are traces, Q_0 is
-    compared with the projection onto the constants, and the Dirac operator's
-    hermitian residual is reported in details only.
+    Every residual applies the filtration's level operators, both factors
+    included, to a seeded test block V of r = AF_TEST_VECTORS columns:
+    |Q_i (Q_j V) - delta_ij Q_j V| (orthogonality and idempotency),
+    |Q_j (a o V) - a o (Q_j V)| for a seeded level-i function a and j > i
+    (commutation), and |V* D V - (V* D V)*| (the Dirac operator's hermitian
+    residual, in details only).  They are taken relative to the block's
+    scale.  V holds small Gaussian integers times a power of two, so for
+    dyadic orders and integer eigenvalues every mean is exact and every
+    residual is exactly 0.  Q_0 is compared with the projection onto the
+    constants on basis columns, entry by entry.  Tr P_q = dim / (dim / q) = q
+    exactly, so the ranks are the exact traces Tr Q_i = q_i - q_{i-1} and the
+    rank residual is 0 by construction.
     """
-    qs, k, dim, sizes = filt.projections, filt.depth, filt.dim, filt.level_sizes
-    ranks = [b - a for a, b in zip((0,) + sizes, sizes)]
-    rank = max(abs(float(np.real(np.trace(q))) - r) for q, r in zip(qs, ranks))
+    k, dim, sizes = filt.depth, filt.dim, filt.level_sizes
+    ranks = [q - p for p, q in zip((0,) + sizes, sizes)]
+    block = AF_BLOCK_SCALE * _gaussian_integers(rng, (dim, AF_TEST_VECTORS))
+    images = [filt.project(j, block) for j in range(k + 1)]
 
-    orthogonality = 0.0
-    for j, qj in enumerate(qs):
-        prev = np.zeros((1, dim))
-        for i, q in enumerate(sizes):
-            mean = qj.reshape(dim // q, q, dim).mean(axis=0)   # row x mod q of P_q Q_j
-            # block[c, s]: row q_{i-1} c + s of Q_i Q_j = P_{q_i} Q_j - P_{q_{i-1}} Q_j
-            block = mean.reshape(-1, len(prev), dim) - prev
-            ref = qj.reshape(dim // q, *block.shape) if i == j else 0.0
-            orthogonality = max(orthogonality, _max_abs(block - ref))
-            prev = mean
-    del mean, block, prev   # the last level's row means are dim x dim: free them here
+    orthogonality = max(_max_abs(filt.project(i, w) - (w if i == j else 0.0))
+                        for j, w in enumerate(images) for i in range(k + 1))
 
     commutation = 0.0
     for i in range(k):
-        values = rng.normal(size=sizes[i]) + 1j * rng.normal(size=sizes[i])
-        v = values[np.arange(dim) % sizes[i]]
-        gap = v[None, :] - v[:, None]
+        a = _gaussian_integers(rng, sizes[i])[np.arange(dim) % sizes[i], None]
+        moved = a * block
         for j in range(i + 1, k + 1):
-            commutation = max(commutation, _max_abs(qs[j] * gap))
+            commutation = max(commutation, _max_abs(filt.project(j, moved) - a * images[j]))
 
+    basis = np.eye(dim, AF_TEST_VECTORS, dtype=complex)
     constants = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    dirac = filt.dirac(eigenvalues)
-    return {"ranks": ranks, "rank": rank, "orthogonality": orthogonality, "commutation": commutation,
-            "q0": _max_abs(qs[0] - np.outer(constants, constants.conj())),
-            "dirac_hermitian": _max_abs(dirac - dirac.conj().T)}
+    q0 = _max_abs(filt.project(0, basis) - np.outer(constants, constants[:AF_TEST_VECTORS].conj()))
+
+    gram = block.conj().T @ filt.dirac(eigenvalues, block)
+    return {"ranks": ranks, "rank": 0.0,
+            "orthogonality": orthogonality / AF_BLOCK_SCALE,
+            "commutation": commutation / AF_BLOCK_SCALE, "q0": q0,
+            "dirac_hermitian": _max_abs(gram - gram.conj().T) / (dim * AF_BLOCK_SCALE**2)}
 
 
 # ---------------------------------------------------------------------------

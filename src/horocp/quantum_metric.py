@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .aftriple import af_filtration
+from .operators import _check_nonzeros
 from .operators import op_norm  # not called here; perfbench's tests pin its traced binding
 
 MK_STEP = 0.1  # initial ascent step along the objective
@@ -105,10 +106,16 @@ def cyclic_triple(order: int, lengths: Sequence[float]) -> FiniteTriple:
 
 
 def af_level_triple(orders: Sequence[int], eigenvalues: Sequence[float]) -> FiniteTriple:
-    """Top level of a finite odometer filtration with D = sum_i lambda_i Q_i."""
+    """Top level of a finite odometer filtration with D = sum_i lambda_i Q_i.
+
+    D is the filtration's Dirac operator applied to the identity.  Its
+    dim - 1 dense basis matrices, D and that identity, (dim + 1) dim^2
+    entries, are counted against NONZERO_CAP before anything is allocated
+    (NonzeroCapError)."""
     filt = af_filtration(orders)
-    dirac = filt.dirac(eigenvalues)
     dim = filt.dim
+    _check_nonzeros((dim + 1) * dim * dim)
+    dirac = filt.dirac(eigenvalues, np.eye(dim, dtype=complex))
     basis = []
     labels = []
     for x in range(dim - 1):

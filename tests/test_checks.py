@@ -32,6 +32,7 @@ from horocp import (
     tail_series_factor,
 )
 from horocp import checks, operators
+from horocp.aftriple import AFFiltration
 from horocp.checks import (
     CheckParams,
     random_crossed,
@@ -471,83 +472,145 @@ def test_default_suite_smoke(suite0):
     assert not failures, failures
 
 
+def _dense_af_projection(filt, i):
+    """Q_i from the block-average definition P_q[x, y] = [x = y mod q] / (dim / q)."""
+    x = np.arange(filt.dim)
+
+    def average(q):
+        return (x[:, None] % q == x[None, :] % q) / (filt.dim // q)
+
+    p = average(filt.level_sizes[i])
+    return p - average(filt.level_sizes[i - 1]) if i else p
+
+
 @pytest.mark.parametrize("orders", [(2, 2, 2, 2, 2), (4, 4, 4, 4), (3, 2, 5)])
 def test_af_projections_match_block_average_definition(orders):
-    filtration = af_filtration(orders)
-    total = filtration.dim
-    prev = np.zeros((total, total), dtype=complex)
-    for q, proj in zip(filtration.level_sizes, filtration.projections):
-        # P_q[x, y] = 1/(total/q) when x = y mod q: the averaging projection.
-        p = np.zeros((total, total), dtype=complex)
-        for x in range(total):
-            for y in range(total):
-                if x % q == y % q:
-                    p[x, y] = 1.0 / (total // q)
-        assert proj.dtype == p.dtype and np.array_equal(proj, p - prev)
-        prev = p
+    filt = af_filtration(orders)
+    block = np.random.default_rng(5).normal(size=(filt.dim, 3, 2)) @ [1.0, 1j]
+    for i in range(filt.depth + 1):
+        dense = _dense_af_projection(filt, i)
+        # on the identity, entry for entry; on other blocks, column by column
+        assert np.array_equal(filt.project(i, np.eye(filt.dim, dtype=complex)), dense)
+        for c in range(block.shape[1]):
+            column = filt.project(i, block[:, c:c + 1])[:, 0]
+            assert np.max(np.abs(column - dense @ block[:, c])) <= 1e-14
 
 
-def test_af_filtration_refuses_over_cap_before_allocating():
-    # (8,8,8,8,8) would be six dense 32768 x 32768 complex projections (103 GB)
+@pytest.mark.parametrize("orders", [(2, 2, 2, 2, 2), (4, 4, 4, 4), (3, 2, 5), (2, 3, 2, 3)])
+def test_af_spectrum_matches_dft_oracle(orders):
+    # Q_i is the projection onto the characters whose order divides q_i but not q_{i-1}
+    filt = af_filtration(orders)
+    dim, sizes = filt.dim, filt.level_sizes
+    x = np.arange(dim)
+    dft = np.exp(2j * np.pi * np.outer(x, x) / dim) / math.sqrt(dim)
+    order = dim // np.gcd(x, dim)   # of the character exp(2 pi i m x / dim), for each m
+    level = np.array([min(i for i, q in enumerate(sizes) if q % n == 0) for n in order])
+    eigenvalues = np.linspace(-1.0, 2.5, len(orders) + 1)
+    for i in range(filt.depth + 1):
+        assert np.max(np.abs(filt.project(i, dft) - dft * (level == i))) <= 1e-12
+    assert np.max(np.abs(filt.dirac(eigenvalues, dft) - dft * eigenvalues[level])) <= 1e-12
+    spectrum = np.linalg.eigvalsh(filt.dirac(eigenvalues, np.eye(dim, dtype=complex)))
+    assert np.max(np.abs(spectrum - np.sort(eigenvalues[level]))) <= 1e-12
+    report = check_af_triple(orders, eigenvalues)
+    assert report.passed
+    assert report.details["ranks"] == np.bincount(level, minlength=len(sizes)).tolist()
+
+
+def test_af_triple_refuses_over_cap_before_allocating():
+    # (4096, 4096) would need three test blocks of 2^24 x 2 complex entries (1.6 GB)
     tracemalloc.start()
     try:
         with pytest.raises(NonzeroCapError):
-            af_filtration((8, 8, 8, 8, 8))
+            check_af_triple((4096, 4096), [0, 1, 2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
 
 
+def test_af_triple_validates_eigenvalue_count_first():
+    # the parent built six dense 1024 x 1024 projections (101 MB) before refusing
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="need 6 eigenvalues"):
+            check_af_triple([4, 4, 4, 4, 4], [0, 1, 2])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_af_triple_sixteen_binary_levels_in_small_memory():
+    orders = [2] * 16
+    tracemalloc.start()
+    try:
+        report = check_af_triple(orders, list(range(17)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.residual == 0.0
+    assert report.details["ranks"] == [1] + [2 ** i for i in range(16)]
+    assert peak < 64 << 20   # the k + 1 = 17 stored test blocks are 2 MiB each
+
+
 def _dense_af_residuals(filt, eigenvalues, rng):
-    """Oracle: the af-triple residuals from dense dim x dim products."""
-    qs, sizes, dim = filt.projections, filt.level_sizes, filt.dim
-    rank = max(abs(float(np.real(np.trace(q))) - (sizes[i] - (sizes[i - 1] if i else 0)))
+    """Oracle: the af-triple residuals from the dense definition matrices applied to
+    the same seeded test block."""
+    qs = [_dense_af_projection(filt, i) for i in range(filt.depth + 1)]
+    sizes, dim, scale = filt.level_sizes, filt.dim, checks.AF_BLOCK_SCALE
+    block = scale * checks._gaussian_integers(rng, (dim, checks.AF_TEST_VECTORS))
+    rank = max(abs(float(np.trace(q)) - (sizes[i] - (sizes[i - 1] if i else 0)))
                for i, q in enumerate(qs))
-    orthogonality = max(checks._max_abs(qi @ qj - (qi if i == j else 0.0))
+    orthogonality = max(checks._max_abs(qi @ (qj @ block) - (qj @ block if i == j else 0.0))
                         for i, qi in enumerate(qs) for j, qj in enumerate(qs))
     commutation = 0.0
     for i in range(filt.depth):
-        values = rng.normal(size=sizes[i]) + 1j * rng.normal(size=sizes[i])
+        values = checks._gaussian_integers(rng, sizes[i])
         rep = np.diag(values[np.arange(dim) % sizes[i]])
         for qj in qs[i + 1:]:
-            commutation = max(commutation, checks._max_abs(qj @ rep - rep @ qj))
+            commutation = max(commutation, checks._max_abs((qj @ rep - rep @ qj) @ block))
     constants = np.ones(dim, dtype=complex) / math.sqrt(dim)
-    dirac = filt.dirac(eigenvalues)
-    return {"rank": rank, "orthogonality": orthogonality, "commutation": commutation,
+    dirac = sum(float(lam) * q for lam, q in zip(eigenvalues, qs))
+    gram = block.conj().T @ dirac @ block
+    return {"rank": rank, "orthogonality": orthogonality / scale,
+            "commutation": commutation / scale,
             "q0": checks._max_abs(qs[0] - np.outer(constants, constants.conj())),
-            "dirac_hermitian": checks._max_abs(dirac - dirac.conj().T)}
+            "dirac_hermitian": checks._max_abs(gram - gram.conj().T) / (dim * scale**2)}
 
 
 @pytest.mark.parametrize("orders", [(2, 2, 2, 2, 2), (4, 4, 4, 4), (3, 2, 5), (5, 3),
                                     (2, 3, 2, 3)])
 def test_af_residuals_match_dense_products(orders):
     filt = af_filtration(orders)
-    eigenvalues = np.linspace(-1.0, 2.5, len(orders) + 1)
+    eigenvalues = np.arange(len(orders) + 1.0)
     fast = checks._af_residuals(filt, eigenvalues, np.random.default_rng([7, 0xAF]))
     dense = _dense_af_residuals(filt, eigenvalues, np.random.default_rng([7, 0xAF]))
-    for key in ("rank", "commutation", "q0", "dirac_hermitian"):
-        assert np.float64(fast[key]).tobytes() == np.float64(dense[key]).tobytes(), key
-    # a different summation order than Q_i @ Q_j: equal up to rounding
-    assert abs(fast["orthogonality"] - dense["orthogonality"]) <= 1e-15
-    assert fast["orthogonality"] <= checks.EQUALITY_TOL
+    assert np.float64(fast["q0"]).tobytes() == np.float64(dense["q0"]).tobytes()
+    dyadic = all(n & (n - 1) == 0 for n in orders)
+    for key in ("rank", "orthogonality", "commutation", "dirac_hermitian"):
+        if dyadic:   # every mean and product is exact: both are exactly 0
+            assert fast[key] == dense[key] == 0.0, key
+        else:        # other summation orders: equal up to rounding
+            assert abs(fast[key] - dense[key]) <= 1e-13, key
+            assert fast[key] <= checks.EQUALITY_TOL, key
 
 
-def _plant_af_defect(monkeypatch, orders, index, defect):
-    filt = af_filtration(orders)
-    qs = list(filt.projections)
-    qs[index] = defect(qs[index].copy())
-    planted = dataclasses.replace(filt, projections=tuple(qs))
-    monkeypatch.setattr(checks, "af_filtration", lambda _orders: planted)
+def _plant_af_defect(monkeypatch, index, defect):
+    """Apply defect(q, block) instead of Q_index, where q applies the true Q_index."""
+    project = AFFiltration.project
+
+    def planted(self, i, block):
+        if i != index:
+            return project(self, i, block)
+        return defect(lambda b: project(self, i, b), block)
+
+    monkeypatch.setattr(AFFiltration, "project", planted)
 
 
 def test_af_triple_fails_on_perturbed_projection(monkeypatch):
-    def perturb(q):
-        q[0, 1] += 1e-6
-        q[1, 0] += 1e-6
-        return q
-
-    _plant_af_defect(monkeypatch, (3, 2, 2), 2, perturb)
+    e = np.zeros((12, 12))
+    e[0, 1] = e[1, 0] = 1e-6
+    _plant_af_defect(monkeypatch, 2, lambda q, v: q(v) + e @ v)
     report = check_af_triple([3, 2, 2], [0, 1, 2, 3])
     assert not report.passed
     assert report.details["orthogonality_residual"] > report.tolerance
@@ -557,10 +620,26 @@ def test_af_triple_fails_on_projection_mixing_residues(monkeypatch):
     # swapping x = 0 and x = 1 mixes the residues mod q_1 = 3 that level-1 functions see
     perm = np.arange(12)
     perm[[0, 1]] = [1, 0]
-    _plant_af_defect(monkeypatch, (3, 2, 2), 3, lambda q: q[np.ix_(perm, perm)])
+    _plant_af_defect(monkeypatch, 3, lambda q, v: q(v[perm])[perm])
     report = check_af_triple([3, 2, 2], [0, 1, 2, 3])
     assert not report.passed
     assert report.details["commutation_residual"] > report.tolerance
+
+
+def test_af_triple_fails_on_defect_inside_projection_range(monkeypatch):
+    # Q_2 + 1e-6 pi(b) Q_2 with b = (1, -1, 0) on Z/3 stays inside Q_2's range, so
+    # Q_i Q_2' = 0 for i != 2 and only the idempotency residual |Q_2'^2 - Q_2'| sees it
+    b = np.array([1.0, -1.0, 0.0])[np.arange(12) % 3, None]
+
+    def inside(q, v):
+        w = q(v)
+        return w + 1e-6 * b * w
+
+    _plant_af_defect(monkeypatch, 2, inside)
+    report = check_af_triple([3, 2, 2], [0, 1, 2, 3])
+    assert not report.passed
+    assert report.details["orthogonality_residual"] > 1e-8
+    assert report.details["commutation_residual"] <= report.tolerance
 
 
 @pytest.mark.parametrize("argv, first, stop", [

@@ -118,9 +118,20 @@ def test_af_triple_command(capsys):
     assert json.loads(out)["result"]["checks"][0]["passed"] is True
 
 
+def test_af_triple_command_runs_at_dim_32768(capsys):
+    # orders 8,8,8,8,8 were refused while the filtration stored six dense projections
+    code, out, _ = run_cli(capsys, "af-triple", "--orders", "8,8,8,8,8",
+                           "--eigenvalues", "0,1,2,3,4,5")
+    assert code == 0
+    check = json.loads(out)["result"]["checks"][0]
+    assert check["passed"] is True
+    assert check["details"]["ranks"] == [1, 7, 56, 448, 3584, 28672]
+
+
 def test_af_triple_over_cap_is_refused(capsys):
-    code, out, err = run_cli(capsys, "af-triple", "--orders", "8,8,8,8,8",
-                             "--eigenvalues", "0,1,2,3,4,5")
+    # three test blocks of 2^24 x 2 complex entries
+    code, out, err = run_cli(capsys, "af-triple", "--orders", "4096,4096",
+                             "--eigenvalues", "0,1,2")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "nonzero cap" in err

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy.linalg import svdvals
 
 from horocp import (
     DegenerateTripleError,
+    NonzeroCapError,
     StateSpec,
     af_level_triple,
     cyclic_triple,
@@ -97,6 +99,18 @@ def test_degenerate_triple_rejected():
         e1 = np.zeros(4)
         e1[1] = 1.0
         mk_distance(triple, StateSpec.vector_state(e0), StateSpec.vector_state(e1))
+
+
+def test_af_level_triple_refuses_over_cap_before_allocating():
+    # (8, 8, 8) used to pass the filtration's count and build 511 dense 512 x 512 matrices
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonzeroCapError):
+            af_level_triple((8, 8, 8), [0.0, 1.0, 2.0, 3.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_af_level_distance_runs():
