@@ -34,6 +34,7 @@ from .operators import (
     SubgroupSpec,
     TruncatedHilbert,
     TruncatedOperator,
+    act_inv_blocks,
     clock_matrix,
     coset_codes,
     lambda_op,
@@ -45,10 +46,8 @@ from .operators import (
     shift_matrix,
     truncate,
     window_column_mask,
-    _act_inv_blocks,
     _check_nonzeros,
     _homomorphism,
-    _unitary_stack,
 )
 
 EQUALITY_TOL = 1e-12
@@ -301,11 +300,12 @@ def conditional_shifted(x: CrossedElement, g: Element, subgroup: SubgroupSpec,
 # High-frequency tail bound.
 
 
-def tail_series_factor(n_cut: int, shift: float, tol: float = 1e-12) -> float:
+def tail_series_factor(n_cut: int, shift: float) -> float:
     """sqrt(sum_{|k| > N} 1/(k + L)^2) by partial sums with a tail correction.
 
-    The summation runs far enough that the Euler-Maclaurin remainder is far
-    below tol.
+    The partial sums always stop at k = N + 4000, whatever N and L; the
+    Euler-Maclaurin correction to the two tails beyond it ends at its 1/a^5
+    term.
     """
     if n_cut < abs(shift):
         raise ValueError("need N >= |L|")
@@ -404,10 +404,18 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
     k_in, t_in = np.nonzero((pair <= ball.radius) & ~lost)
     k_out, t_out = np.nonzero((pair <= ball.radius) & lost)
     # pi(a) (x) 1 has W(t)* a W(t) at (t, k), pi~(a) has W(j)* alpha_{h_k^-1}(a) W(j) at (j, k)
-    stack = _unitary_stack(H, action)
-    plain = _act_inv_blocks(stack, a, np.arange(n))
-    alphas = np.array([action.act(group.inverse(h), a, spec) for h in ball.elements])
-    moved = _act_inv_blocks(stack, alphas[k_in], back[k_in, t_in])
+    stack = action.stack(ball)
+    plain = act_inv_blocks(stack, a, np.arange(n))
+    if stack is None:
+        alphas = np.broadcast_to(a, (n, d, d))
+    else:
+        inverse = back[:, 0]  # ball index of h_k^-1: the identity is ball element 0
+        if (inverse < 0).any():
+            raise ValueError(f"{ball.elements[np.argmax(inverse < 0)]!r} lies in the ball but its "
+                             "inverse does not: the length function is not symmetric")
+        w = stack[inverse]
+        alphas = w @ a @ w.conj().transpose(0, 2, 1)
+    moved = act_inv_blocks(stack, alphas[k_in], back[k_in, t_in])
     # lambda_g (x) lambda_g sends (t, k) to (g t, g h_k), U lambda~_g U* only if h_k^-1 t is inside
     ahead = ball.translate(g) >= 0
     missed = (pair <= ball.radius - float(spec.length(g))) & lost & ahead[:, None] & ahead[None, :]

@@ -212,6 +212,16 @@ def apply_config(parser: argparse.ArgumentParser, argv) -> None:
         action.default, action.required = value, False
 
 
+def _cap(text: str) -> int:
+    """--cap's type; a bad value is a usage error that names HOROCP_CAP,
+    --cap's default when it is set."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r} (the default comes from {CAP_ENV} when set)") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations; each returns (result, diagnostics, exit_code).
 
@@ -417,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--table", default=None, help="central:<horizon>")
         p.add_argument("--table-file", dest="table_file", default=None)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--cap", type=int,
-                       default=int(os.environ.get(CAP_ENV, DEFAULT_BALL_CAP)))
+        # argparse converts a string default, HOROCP_CAP's included, with the type
+        p.add_argument("--cap", type=_cap, default=os.environ.get(CAP_ENV, DEFAULT_BALL_CAP))
         p.add_argument("--config", default=None, help="KEY=VALUE fallback file")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 

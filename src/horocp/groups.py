@@ -773,10 +773,9 @@ class LengthFunction:
     TABLE = "table"
 
     def __init__(self, group, kind, *, generators=None, norm=None, table=None,
-                 pseudo=False, cap=DEFAULT_BALL_CAP):
+                 cap=DEFAULT_BALL_CAP):
         self.group = group
         self.kind = kind
-        self.pseudo = bool(pseudo)
         self.cap = int(cap)
         self._ball_cache: dict[float, BallTable] = {}
         if kind == self.WORD:
@@ -825,14 +824,8 @@ class LengthFunction:
         return cls(group, cls.NORM, norm=norm, cap=cap)
 
     @classmethod
-    def explicit_table(cls, group: GroupSpec, table: Mapping[Element, object],
-                       pseudo=False) -> "LengthFunction":
-        return cls(group, cls.TABLE, table=table, pseudo=pseudo)
-
-    @property
-    def proper(self) -> bool:
-        # Sub-level sets of everything offered here are finite by construction.
-        return not self.pseudo
+    def explicit_table(cls, group: GroupSpec, table: Mapping[Element, object]) -> "LengthFunction":
+        return cls(group, cls.TABLE, table=table)
 
     # -- evaluation --------------------------------------------------------
 

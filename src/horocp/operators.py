@@ -15,9 +15,12 @@ the small-N checks and oracles and refused above DIM_CAP rows.
 Construction is array-native: the block pairs of a translation by g come
 from one ``BallTable.translate(g)`` (the ball index of g h for every ball
 element h, through the group law's vectorised product and a sorted key
-lookup), and the coefficient blocks W(h)* a W(h) from one stack of the
-action's unitaries over the ball, grown one sphere at a time, through
-batched matrix products.
+lookup), and the coefficient blocks W(h)* a W(h) from one
+``ActionSpec.stack`` of the action's unitaries over the ball: grown one
+sphere at a time through batched matrix products along geodesic words, or
+element by element along the coordinate walk where the length function's
+generators are not the action's.  The stack is built anew for each operator;
+nothing is cached.
 
 Norms of block-sparse operators are two-sided: ``op_norm_certified`` runs
 Krylov-Schur Lanczos on T*T over the nonzero entries and reports an attained
@@ -173,14 +176,13 @@ class TruncatedOperator:
 class ActionSpec:
     """Group action on the coefficient algebra, implemented by unitaries.
 
-    Each generator maps to a unitary W_s on C^d; along words the W's extend
-    multiplicatively.  Different words for the same element may differ by a
-    unimodular scalar, which cancels in the induced conjugation action
-    a -> W a W*.
+    Each generator maps to a unitary W_s on C^d; ``stack(ball)`` extends W
+    multiplicatively to every element of a ball, anew on each call.
+    Different words for the same element may differ by a unimodular scalar,
+    which cancels in the induced conjugation action a -> W a W*.
     """
 
-    def __init__(self, group: GroupSpec, unitaries: Mapping[Element, np.ndarray],
-                 atol: float = HERMITIAN_TOL):
+    def __init__(self, group: GroupSpec, unitaries: Mapping[Element, np.ndarray]):
         self.group = group
         self.unitaries = {}
         dim = None
@@ -192,15 +194,14 @@ class ActionSpec:
             if w.shape != (dim, dim):
                 raise ValueError("all action unitaries must share one square shape")
             residual = np.max(np.abs(w.conj().T @ w - np.eye(dim)))
-            if residual > 100 * atol:
+            if residual > 100 * HERMITIAN_TOL:
                 raise ValueError(f"matrix for {g} is not unitary (residual {residual:.3e})")
             self.unitaries[g] = w
         if dim is None:
             raise ValueError("need at least one generator unitary")
         self.dim = dim
-        self._cache: dict[Element, np.ndarray] = {group.identity(): np.eye(dim, dtype=complex)}
         self._trivial = all(
-            np.max(np.abs(w - np.eye(dim))) < atol for w in self.unitaries.values()
+            np.max(np.abs(w - np.eye(dim))) < HERMITIAN_TOL for w in self.unitaries.values()
         )
 
     @classmethod
@@ -212,45 +213,40 @@ class ActionSpec:
     def is_trivial(self) -> bool:
         return self._trivial
 
-    def unitary(self, g: Element, spec: Optional[LengthFunction] = None) -> np.ndarray:
-        """W(g) along a geodesic word for g (deterministic choice of word).
+    def stack(self, ball: BallTable) -> Optional[np.ndarray]:
+        """W(h) for every ball element h, in ball order; None for a trivial action.
 
-        The word runs through the length function's generators.  On an
-        abelian group whose length function uses generators without a
-        unitary (or that has no word length), W extends along the coordinate
-        walk through the action's generators instead.
+        On a word length W extends along geodesic words, one sphere of the
+        ball at a time: each h takes the first s, in sorted order, whose
+        s^-1 h lies on the sphere below (one ``translate`` per generator), and
+        W(h) = W_s W(s^-1 h) for the whole sphere in one batched product.  On
+        an abelian group whose length function uses generators without a
+        unitary (or that has no word length), each W(h) comes from the
+        coordinate walk through the action's generators instead.
         """
-        cached = self._cache.get(g)
-        if cached is not None:
-            return cached
-        group = self.group
-        if not self._walks_geodesics(spec):
-            return self._coordinate_unitary(g)
-        # W(g) = W_s W(s^-1 g) along geodesic predecessors, walked down to a
-        # cached element and multiplied back up without recursion, so word
-        # length is not bounded by the interpreter's recursion limit.
-        steps = []
-        while cached is None:
-            lg = spec.length(g)
-            for s in sorted(self.unitaries):
-                prev = group.multiply(group.inverse(s), g)
-                if spec.length(prev) == lg - 1:
-                    break
-            else:
-                raise ValueError(f"no geodesic predecessor found for {g!r}")
-            steps.append((g, s))
-            g = prev
-            cached = self._cache.get(g)
-        w = cached
-        for g, s in reversed(steps):
-            w = self.unitaries[s] @ w
-            self._cache[g] = w
-        return w
-
-    def _walks_geodesics(self, spec: Optional[LengthFunction]) -> bool:
-        """Whether unitary(g, spec) extends W along geodesic words of spec."""
-        return spec is not None and spec.kind == LengthFunction.WORD and not (
-            self.group.is_abelian and not set(spec.generators) <= self.unitaries.keys())
+        if self._trivial:
+            return None
+        group, spec = self.group, ball.spec
+        if spec.kind != LengthFunction.WORD or (
+                group.is_abelian and not set(spec.generators) <= self.unitaries.keys()):
+            return np.array([self._coordinate_unitary(h) for h in ball.elements])
+        gens, lengths, n = sorted(self.unitaries), ball.lengths, len(ball)
+        step, pred = np.full(n, -1), np.full(n, -1)
+        for k, s in enumerate(gens):
+            prev = ball.translate(group.inverse(s))
+            hit = (step < 0) & (prev >= 0) & (lengths[prev] == lengths - 1)
+            step[hit], pred[hit] = k, prev[hit]
+        w_gens = np.array([self.unitaries[s] for s in gens])
+        stack = np.empty((n, self.dim, self.dim), dtype=complex)
+        stack[0] = np.eye(self.dim, dtype=complex)  # the identity, sphere 0
+        # ball order is (length, lex): spheres are contiguous runs of equal length
+        ends = np.append(np.flatnonzero(np.diff(lengths)) + 1, n)
+        for lo, hi in zip(ends[:-1], ends[1:]):
+            lost = np.flatnonzero(step[lo:hi] < 0)
+            if lost.size:
+                raise ValueError(f"no geodesic predecessor found for {ball.elements[lo + lost[0]]!r}")
+            stack[lo:hi] = w_gens[step[lo:hi]] @ stack[pred[lo:hi]]
+        return stack
 
     def _coordinate_unitary(self, g: Element) -> np.ndarray:
         group = self.group
@@ -272,22 +268,7 @@ class ActionSpec:
             if step is None:
                 raise ValueError(f"could not express {g!r} through the action generators")
             w = w @ self.unitaries[step]
-        self._cache[g] = w
         return w
-
-    def act(self, g: Element, a: np.ndarray, spec: Optional[LengthFunction] = None) -> np.ndarray:
-        """alpha_g(a) = W(g) a W(g)*."""
-        if self._trivial:
-            return np.asarray(a, dtype=complex)
-        w = self.unitary(g, spec)
-        return w @ np.asarray(a, dtype=complex) @ w.conj().T
-
-    def act_inv(self, h: Element, a: np.ndarray, spec: Optional[LengthFunction] = None) -> np.ndarray:
-        """alpha_{h^-1}(a), computed as W(h)* a W(h); the word scalar cancels."""
-        if self._trivial:
-            return np.asarray(a, dtype=complex)
-        w = self.unitary(h, spec)
-        return w.conj().T @ np.asarray(a, dtype=complex) @ w
 
     def relator_consistency(self):
         """Scalar defects W(left) ~ c W(right) along the group's relators:
@@ -467,57 +448,14 @@ def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> Truncate
     d = H.coeff_dim
     if a.shape != (d, d):
         raise ValueError(f"coefficient must be {d}x{d}")
-    data = np.array(_act_inv_blocks(_unitary_stack(H, action), a, np.arange(H.n_ball)))
+    data = np.array(act_inv_blocks(action.stack(H.ball), a, np.arange(H.n_ball)))
     return _block_diagonal(H, data, "pi_tilde(a)")
 
 
-def _unitary_stack(H: TruncatedHilbert, action: ActionSpec) -> Optional[np.ndarray]:
-    """W(h) for every ball element h, in ball order; None for a trivial action.
-
-    Along geodesic words the stack grows one sphere of the ball at a time:
-    each uncached h takes the first s, in sorted order, whose s^-1 h lies on
-    the sphere below (one ``translate`` per generator), and W(h) = W_s W(s^-1 h)
-    for the whole sphere in one batched product.  That is the predecessor and
-    the product ``ActionSpec.unitary`` forms, so every block is bit for bit
-    its W(h); the new ones are cached on the action as it would.
-    """
-    if action.is_trivial:
-        return None
-    spec, ball = H.spec, H.ball
-    if not action._walks_geodesics(spec):
-        return np.array([action.unitary(h, spec) for h in ball.elements])
-    group, cache, lengths = action.group, action._cache, H.lengths
-    gens = sorted(action.unitaries)
-    known = [cache.get(h) for h in ball.elements]
-    stack = np.empty((H.n_ball, action.dim, action.dim), dtype=complex)
-    missing = np.array([w is None for w in known])
-    for i in np.flatnonzero(~missing):
-        stack[i] = known[i]
-    if not missing.any():
-        return stack
-    step, pred = np.full(H.n_ball, -1), np.full(H.n_ball, -1)
-    for k, s in enumerate(gens):
-        prev = ball.translate(group.inverse(s))
-        hit = (step < 0) & (prev >= 0) & (lengths[prev] == lengths - 1)
-        step[hit], pred[hit] = k, prev[hit]
-    w_gens = np.array([action.unitaries[s] for s in gens])
-    # ball order is (length, lex): spheres are contiguous runs of equal length
-    bounds = np.flatnonzero(np.diff(lengths, prepend=-1.0, append=math.inf))
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        todo = lo + np.flatnonzero(missing[lo:hi])
-        if todo.size == 0:
-            continue
-        lost = todo[step[todo] < 0]
-        if lost.size:
-            raise ValueError(f"no geodesic predecessor found for {ball.elements[lost[0]]!r}")
-        stack[todo] = w_gens[step[todo]] @ stack[pred[todo]]
-    cache.update((ball.elements[i], stack[i]) for i in np.flatnonzero(missing))
-    return stack
-
-
-def _act_inv_blocks(stack: Optional[np.ndarray], a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """alpha_{h^-1}(a) = W(h)* a W(h) for the ball elements idx, as act_inv
-    forms it; a is one coefficient or a stack of one per index."""
+def act_inv_blocks(stack: Optional[np.ndarray], a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """alpha_{h^-1}(a) = W(h)* a W(h) for the ball elements idx of an
+    ``ActionSpec.stack`` (None: a trivial action, a itself); a is one
+    coefficient or a stack of one per index.  The word scalar cancels."""
     if stack is None:
         return np.broadcast_to(a, (len(idx),) + a.shape[-2:])
     w = stack[idx]
@@ -573,12 +511,12 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
     slots, pairs = np.argsort(order)[slots], pairs[order]
     _check_nonzeros(len(pairs) * d * d)
     data = np.zeros((len(pairs), d, d), dtype=complex)
-    stack = _unitary_stack(H, action)
+    stack = action.stack(H.ball)
     lengths = H.lengths
     start = 0
     for (_, a), t, c in zip(x.coeffs, targets, cols):
         rows = t[c]
-        blocks = _act_inv_blocks(stack, a, rows)
+        blocks = act_inv_blocks(stack, a, rows)
         if twisted:
             blocks = (lengths[rows] - lengths[c])[:, np.newaxis, np.newaxis] * blocks
         data[slots[start:start + len(c)]] += blocks

@@ -52,13 +52,14 @@ class SeparationCertificate:
     sublinearity: Optional[SublinearityReport] = None
 
 
-def sublinearity_witness(spec: LengthFunction, g: Element, horizon: int = 10_000,
-                         tol: float = SUBLINEAR_TOL) -> SublinearityReport:
+def sublinearity_witness(spec: LengthFunction, g: Element,
+                         horizon: int = 10_000) -> SublinearityReport:
     """Fekete ratios l(g^i)/i along the cyclic subgroup generated by g.
 
-    The limit is certified as 0 when the ratio either drops below tol or
-    decays like a power law (fitted exponent >= 0.25 across geometric
-    samples); every induced boundary homomorphism then vanishes on p(g).
+    The limit is certified as 0 when the ratio either drops below
+    SUBLINEAR_TOL or decays like a power law (fitted exponent >= 0.25 across
+    geometric samples); every induced boundary homomorphism then vanishes on
+    p(g).
     """
     group = spec.group
     if g == group.identity():
@@ -75,7 +76,7 @@ def sublinearity_witness(spec: LengthFunction, g: Element, horizon: int = 10_000
         exponent = math.log(max(ratios[0], 1e-300) / ratios[-1]) / math.log(samples[-1] / samples[0])
     else:
         exponent = math.inf if ratios[-1] == 0 else 0.0
-    sublinear = ratio_at_horizon <= tol or (decreasing and exponent >= MIN_DECAY_EXPONENT)
+    sublinear = ratio_at_horizon <= SUBLINEAR_TOL or (decreasing and exponent >= MIN_DECAY_EXPONENT)
     if sublinear:
         message = (
             "asymptotic length along the cyclic subgroup is 0; every induced "

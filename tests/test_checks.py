@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import json
 import math
@@ -43,6 +42,7 @@ from horocp.checks import (
 from horocp.operators import (coset_compress, lambda_op, m_ell, m_phi, pi_tilde, realize,
                               truncate)
 from horocp.cli import render_json, run
+from test_operators import walk_act
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ def loop_unitary_conjugation(a, f_values, g, spec, action, radius):
         u[k::n, k::n] = lam_blocks[k]
     pi_a = np.zeros((dim, dim), dtype=complex)
     for k, h in enumerate(H.ball.elements):
-        pi_a[k::n, k::n] = pi_tilde(H, action, action.act(group.inverse(h), a, spec)).matrix
+        pi_a[k::n, k::n] = pi_tilde(H, action, walk_act(action, group.inverse(h), a, spec)).matrix
     nu_f = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
     lam_gg = np.zeros((dim, dim), dtype=complex)
     index = H.ball.index
@@ -241,7 +241,7 @@ def test_conjugation_matches_dense_build(case, monkeypatch):
     seen = []
 
     def both(a, f_values, g, spec, action, radius, **kwargs):
-        dense = loop_unitary_conjugation(a, f_values, g, spec, copy.deepcopy(action), radius)
+        dense = loop_unitary_conjugation(a, f_values, g, spec, action, radius)
         report = block_check(a, f_values, g, spec, action, radius, **kwargs)
         seen.append((report.details["identity_residuals"], dense))
         return report
@@ -263,7 +263,7 @@ def test_conjugation_translation_residual_off_subadditive_lengths():
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     action = random_diagonal_action(rng, spec.group, 2)
     f_vals = rng.normal(size=len(spec.ball(2.0)))
-    dense = loop_unitary_conjugation(a, f_vals, (0,), spec, copy.deepcopy(action), 2.0)
+    dense = loop_unitary_conjugation(a, f_vals, (0,), spec, action, 2.0)
     report = check_unitary_conjugation(a, f_vals, (0,), spec, action, radius=2.0)
     assert report.details["identity_residuals"]["translation"] == 1.0
     assert residual_bits(report.details["identity_residuals"]) == residual_bits(dense)
@@ -281,7 +281,7 @@ def test_conjugation_counts_doubled_blocks_against_nonzero_cap(len_z2, z2, monke
         raise AssertionError("coefficient blocks formed before the cap check")
 
     monkeypatch.setattr(operators, "NONZERO_CAP", n * n * d * d - 1)
-    monkeypatch.setattr(checks, "_unitary_stack", no_work)
+    monkeypatch.setattr(ActionSpec, "stack", no_work)
     with pytest.raises(NonzeroCapError):
         check_unitary_conjugation(*args)
     monkeypatch.undo()
@@ -668,5 +668,5 @@ def test_random_diagonal_action_respects_torsion(group):
     torsion = [s for s in group.generators if group.is_torsion(s)]
     assert torsion
     for s in torsion:
-        w = np.linalg.matrix_power(action.unitary(s), group.torsion)
+        w = np.linalg.matrix_power(action.unitaries[s], group.torsion)
         assert np.max(np.abs(w - np.eye(3))) < 1e-12

@@ -236,3 +236,35 @@ def test_verify_with_generators_outside_the_action(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 0, err
     assert json.loads(out)["result"]["passed"] is True
+
+
+@pytest.mark.parametrize("value", ["5e6", "abc"])
+def test_malformed_cap_environment_is_a_usage_error(capsys, monkeypatch, value):
+    # the variable is --cap's default, converted by argparse only when a
+    # subcommand parses: --version ignores it, a subcommand exits 2 naming it
+    monkeypatch.setenv("HOROCP_CAP", value)
+    assert run(["--version"]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "group-ball", "--group", "Z2", "--radius", "3")
+    assert code == 2 and out == ""
+    assert "HOROCP_CAP" in err and repr(value) in err
+
+
+def test_cap_environment_sets_the_default(capsys, monkeypatch):
+    monkeypatch.setenv("HOROCP_CAP", "100")
+    code, out, _ = run_cli(capsys, "group-ball", "--group", "Z2", "--radius", "40")
+    assert code == 2
+    assert json.loads(out)["inputs"]["cap"] == 100
+    code, out, _ = run_cli(capsys, "group-ball", "--group", "Z2", "--radius", "3", "--cap", "30")
+    assert code == 0 and json.loads(out)["inputs"]["cap"] == 30
+
+
+def test_conjugation_refuses_an_asymmetric_table(capsys, tmp_path):
+    # l(-k) = k + 1: 4 lies in the radius-4 ball but -4 does not, so W(4^-1)
+    # is not in the ball's stack
+    table = tmp_path / "asymmetric.txt"
+    table.write_text("0:0\n" + "".join(f"{k}:{k}\n{-k}:{k + 1}\n" for k in range(1, 40)))
+    code, out, err = run_cli(capsys, "verify", "conjugation", "--group", "Z",
+                             "--table-file", str(table), "--count", "1", "--radius", "4")
+    assert code == 2 and out == ""
+    assert "not symmetric" in err

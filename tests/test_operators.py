@@ -43,7 +43,6 @@ from horocp.operators import (
     DenseCapError,
     NonzeroCapError,
     _Entries,
-    _unitary_stack,
     realize_phi_twisted,
     window_column_mask,
 )
@@ -362,23 +361,24 @@ def test_dim_cap(len_z2):
 
 
 def test_unitary_along_long_geodesic_word(z1):
-    # l(g) = 1500 lies far inside the dense cap; the walk must not recurse per letter.
+    # l(g) = 1500 lies far inside the dense cap; the stack grows 1500 spheres.
     theta = 0.1
     w = np.array([[np.exp(1j * theta)]])
     action = ActionSpec(z1, {(1,): w, (-1,): w.conj()})
-    spec = LengthFunction.word(z1)
-    u = action.unitary((1500,), spec)
-    assert len(spec.ball(1500)) == 3001
+    ball = LengthFunction.word(z1).ball(1500)
+    stack = action.stack(ball)
+    assert len(ball) == 3001
+    u = stack[ball.index[(1500,)]]
     assert abs(u[0, 0] - np.exp(1500j * theta)) < 1e-9
-    assert np.array_equal(u, w @ action.unitary((1499,), spec))
+    assert np.array_equal(u, w @ stack[ball.index[(1499,)]])
 
 
 def test_coordinate_unitary_has_no_step_limit(z1):
-    # Without a length function the walk reduces the coordinate weight one
-    # generator at a time; 10,001 steps must not hit a step guard.
+    # The coordinate walk reduces the coordinate weight one generator at a
+    # time; 10,001 steps must not hit a step guard.
     w = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]) @ np.diag([1, 1j])
     action = ActionSpec(z1, {(1,): w, (-1,): w.conj().T})
-    u = action.unitary((10001,))
+    u = action._coordinate_unitary((10001,))
     assert np.max(np.abs(u - np.linalg.matrix_power(w, 10001))) < 1e-9
 
 
@@ -386,7 +386,49 @@ def test_coordinate_unitary_has_no_step_limit(z1):
 # Block-sparse operators against dense loop builds.  The reference builders
 # below are the dense constructions the block-sparse ones replaced, and the
 # Dirac operators entry by entry; the dense views must match them bit for
-# bit, signed zeros included.
+# bit, signed zeros included.  W(h) comes from walk_unitary, one element at a
+# time, where the operators read one ActionSpec.stack over the ball.
+
+
+def walk_unitary(action, g, spec):
+    """W(g) for one element.  On a word length whose generators the action
+    covers (any word length on a non-abelian group): walk down geodesic
+    predecessors s^-1 g, s the first generator in sorted order one length
+    down, and multiply W_s back up from the identity.  Otherwise the
+    action's coordinate walk."""
+    group = action.group
+    if spec.kind != LengthFunction.WORD or (
+            group.is_abelian and not set(spec.generators) <= action.unitaries.keys()):
+        return action._coordinate_unitary(g)
+    steps = []
+    while g != group.identity():
+        below = spec.length(g) - 1
+        s = next(s for s in sorted(action.unitaries)
+                 if spec.length(group.multiply(group.inverse(s), g)) == below)
+        steps.append(s)
+        g = group.multiply(group.inverse(s), g)
+    w = np.eye(action.dim, dtype=complex)
+    for s in reversed(steps):
+        w = action.unitaries[s] @ w
+    return w
+
+
+def walk_act(action, g, a, spec):
+    """alpha_g(a) = W(g) a W(g)* through walk_unitary; a for a trivial action."""
+    a = np.asarray(a, dtype=complex)
+    if action.is_trivial:
+        return a
+    w = walk_unitary(action, g, spec)
+    return w @ a @ w.conj().T
+
+
+def walk_act_inv(action, h, a, spec):
+    """alpha_{h^-1}(a), formed as W(h)* a W(h); a for a trivial action."""
+    a = np.asarray(a, dtype=complex)
+    if action.is_trivial:
+        return a
+    w = walk_unitary(action, h, spec)
+    return w.conj().T @ a @ w
 
 
 def loop_lambda(H, g):
@@ -406,7 +448,7 @@ def loop_pi_tilde(H, action, a):
     n, d = H.n_ball, H.coeff_dim
     mat = np.zeros((H.dim, H.dim), dtype=complex)
     for j, h in enumerate(H.ball.elements):
-        block = action.act_inv(h, a, H.spec)
+        block = walk_act_inv(action, h, a, H.spec)
         for alpha in range(d):
             for beta in range(d):
                 mat[alpha * n + j, beta * n + j] = block[alpha, beta]
@@ -428,7 +470,7 @@ def loop_realize(x, H, action, twisted=False):
             target = H.ball.index.get(gh)
             if target is None:
                 continue
-            block = action.act_inv(gh, a, spec)
+            block = walk_act_inv(action, gh, a, spec)
             if twisted:
                 weight = float(spec.length(gh)) - float(spec.length(group.multiply(g_inv, gh)))
                 block = weight * block
@@ -1050,11 +1092,39 @@ def test_lanczos_basis_respects_nonzero_cap(len_z2, z2, monkeypatch):
                                   for d in (1, 2, 3)],
                          ids=[f"{entry[0]}-d{d}" for entry in EQUIVALENCE_GROUPS for d in (1, 2, 3)])
 def test_unitary_stack_matches_walk(gi, d):
-    # two actions from the same draw: one builds the stack, the other walks
-    # each element on its own, so no value is shared through a cache
+    # the sphere-batched stack against the per-element walk, bit for bit
     _, spec, action, _, H = equivalence_setup(gi, d, False)
-    _, _, walked, _, _ = equivalence_setup(gi, d, False)
-    stack = _unitary_stack(H, action)
+    stack = action.stack(H.ball)
+    assert stack.shape == (H.n_ball, d, d)
     for i, h in enumerate(H.ball.elements):
-        assert stack[i].tobytes() == walked.unitary(h, spec).tobytes()
-        assert action.unitary(h, spec).tobytes() == stack[i].tobytes()
+        assert stack[i].tobytes() == walk_unitary(action, h, spec).tobytes()
+
+
+def test_unitary_stack_refuses_what_it_cannot_extend_to(h3):
+    # a non-abelian action extends only along geodesics through its own
+    # generators, and only on a word length
+    w = np.diag([1j, 1.0])
+    action = ActionSpec(h3, {s: w if sum(s) > 0 else w.conj() for s in h3.generators})
+    with_c = LengthFunction.word(h3, h3.generators + ((0, 0, 1), (0, 0, -1)))
+    with pytest.raises(ValueError, match="no geodesic predecessor found for"):
+        action.stack(with_c.ball(1))
+    table = LengthFunction.explicit_table(h3, {(1, 0, 0): 1, (-1, 0, 0): 1})
+    with pytest.raises(ValueError, match="need a word-length function"):
+        action.stack(table.ball(1))
+
+
+@pytest.mark.parametrize("group,small,large", [
+    (GroupSpec.heisenberg3(), 2, 4),
+    (GroupSpec.free_abelian(2), 3, 8),
+    (GroupSpec.free_abelian_times_cyclic(2, 3), 2, 5),
+], ids=["H3", "Z2", "Z2xC3"])
+def test_unitary_stack_of_a_smaller_ball_is_a_prefix(group, small, large):
+    # nothing is carried between calls: a small ball's stack, built before
+    # and after a large ball's, is the large one's prefix bit for bit
+    action = diagonal_action(group, 2, np.random.default_rng(11))
+    spec = LengthFunction.word(group)
+    before = action.stack(spec.ball(small))
+    full = action.stack(spec.ball(large))
+    after = action.stack(spec.ball(small))
+    assert len(before) == len(spec.ball(small)) < len(full)
+    assert before.tobytes() == full[:len(before)].tobytes() == after.tobytes()
