@@ -52,6 +52,7 @@ from .operators import (
 
 EQUALITY_TOL = 1e-12
 SLACK_TOL = 1e-9
+ROW_BLOCKS = 16  # the entrywise commutators' temporaries hold 1/ROW_BLOCKS of their input
 
 
 @dataclass(frozen=True)
@@ -91,22 +92,60 @@ def _diagonal_of(op: TruncatedOperator) -> np.ndarray:
     return np.tile(op.data[:, 0, 0], op.hilbert.coeff_dim)
 
 
-def _diagonal_commutator(values: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _row_blocks(n: int) -> list[slice]:
+    """ROW_BLOCKS slices (fewer when n is smaller) that cover range(n) in order."""
+    step = max(1, -(-n // ROW_BLOCKS))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _diagonal_commutator(values: np.ndarray, y: np.ndarray,
+                         row_values: Optional[np.ndarray] = None) -> np.ndarray:
     """[diag(values), y] entrywise as v_i y_ij - y_ij v_j.
 
     These are the nonzero bits of diag(v) @ y - y @ diag(v); (v_i - v_j) y_ij
-    would round differently.
+    would round differently.  v_i y_ij is written into the output and y_ij v_j
+    subtracted from it in row blocks, so nothing else of y's size is held.
+    For some rows of a larger array, row_values holds their v_i, shaped like
+    y without its last axis.
     """
-    return values[:, np.newaxis] * y - y * values[np.newaxis, :]
+    if row_values is None:
+        row_values = values
+    out = row_values[..., np.newaxis] * y
+    for rows in _row_blocks(len(y)):
+        out[rows] -= y[rows] * values
+    return out
 
 
 def _coefficient_commutator(d_a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[D_A (x) 1, y] on the (d, n, d, n) view of y, without forming D_A (x) 1."""
+    """[D_A (x) 1, y] on the (d, m, d, n) view of y, without forming D_A (x) 1.
+
+    y is the whole (d n) x (d n) array (m = n) or its ball rows of every
+    coefficient block, a (d, m, d n) slab; each entry sums the same products
+    in the same order either way.
+    """
     d = len(d_a)
-    n = len(y) // d
-    y4 = y.reshape(d, n, d, n)
+    y4 = y.reshape(d, -1, d, y.shape[-1] // d)
     comm = np.einsum("ab,bicj->aicj", d_a, y4) - np.einsum("aibj,bc->aicj", y4, d_a)
     return comm.reshape(y.shape)
+
+
+def _coset_residual(comm: Callable, x_mat: np.ndarray, s_mat: np.ndarray, kept: np.ndarray,
+                    columns: np.ndarray, d: int) -> float:
+    """max |(where(kept, comm(x)) - comm(s))[:, columns]|, over ball-row slabs.
+
+    comm(y, rows) is the commutator on the ball rows `rows` of every
+    coefficient block, given y's (d, len(rows), d n) slab of them; one slab
+    of each side is held at a time.
+    """
+    n = len(x_mat) // d
+    x3, s3, kept3 = (m.reshape(d, n, -1) for m in (x_mat, s_mat, kept))
+    worst = 0.0
+    for rows in _row_blocks(n):
+        diff = comm(x3[:, rows], rows)
+        diff[~kept3[:, rows]] = 0
+        diff -= comm(s3[:, rows], rows)
+        worst = np.maximum(worst, _max_abs(diff[..., columns]))  # NaN propagates
+    return float(worst)
 
 
 def _coset_shift_mask(H: TruncatedHilbert, subgroup: SubgroupSpec, g: Element) -> np.ndarray:
@@ -258,18 +297,27 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
     shifted_mat = realize(shifted, H, action).matrix
 
     mask = window_column_mask(H, window).astype(bool)
-    residuals, lhs = {}, {}
-    for label, comm in (("coefficient", lambda y: _coefficient_commutator(d_a, y)),
-                        ("length", lambda y: _diagonal_commutator(ell, y))):
-        lhs[label] = np.where(kept, comm(x_mat), 0)
-        residuals[label] = _max_abs((lhs[label] - comm(shifted_mat))[:, mask])
+    row_ell = ell.reshape(d, -1)
+    comms = {"coefficient": lambda y, rows: _coefficient_commutator(d_a, y),
+             "length": lambda y, rows: _diagonal_commutator(ell, y, row_ell[:, rows])}
+    residuals = {label: _coset_residual(comm, x_mat, shifted_mat, kept, mask, d)
+                 for label, comm in comms.items()}
+    del shifted_mat
 
     from .operators import conditional_expectation
 
-    ex = conditional_expectation(x, subgroup)
-    contraction = op_norm(x_mat) - op_norm(realize(ex, H, action).matrix)
+    # each array of x's size goes once nothing needs it, so every norm holds
+    # its input and adjoint only: x, then [1 (x) M_l, x] and its coset
+    # compression (in place), then E_H(x)
+    contraction = op_norm(x_mat)
+    length = _diagonal_commutator(ell, x_mat)
+    del x_mat
     # coset compression of the length commutator is itself a contraction
-    coset_slack = op_norm(_diagonal_commutator(ell, x_mat)) - op_norm(lhs["length"])
+    coset_slack = op_norm(length)
+    length[~kept] = 0
+    coset_slack -= op_norm(length)
+    del length
+    contraction -= op_norm(realize(conditional_expectation(x, subgroup), H, action).matrix)
     residual = max(residuals.values())
     return CheckReport(
         name="conditional-expectation",
@@ -346,8 +394,12 @@ def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float,
         lhs = 0.0
     h_big = truncate(spec, radius + delta_radius, d)
     x_mat = realize(x, h_big, action).matrix
-    rhs = op_norm(_diagonal_commutator(_diagonal_of(m_phi(h_big, vec)), x_mat)
-                  + float(shift) * x_mat)
+    # [1 (x) M_phi, x] + L x in place, x's array freed before the norm
+    combined = _diagonal_commutator(_diagonal_of(m_phi(h_big, vec)), x_mat)
+    x_mat *= float(shift)
+    combined += x_mat
+    del x_mat
+    rhs = op_norm(combined)
     factor = tail_series_factor(n_cut, float(shift))
     slack = factor * rhs - lhs
     if slack < -tol and not _escalated:
@@ -457,6 +509,10 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
     group = spec.group
     if not group.is_free_abelian or group.rank != 1:
         raise ValueError("the iterated-crossed-product check runs over Z")
+    if q < 1:
+        raise ValueError(f"q must be at least 1, got q = {q}")
+    if len(n_range) == 0:
+        raise ValueError(f"no n to check: n_range = {n_range!r} is empty")
     theta = p / q
     u = clock_matrix(q, p)
     v = shift_matrix(q)
@@ -611,9 +667,8 @@ def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
     d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
     t_coeff = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
     x_mat = realize(x, H, action).matrix
-    mell = m_ell(H).matrix
     norm_coeff = op_norm(t_coeff @ x_mat - x_mat @ t_coeff)
-    norm_len = op_norm(mell @ x_mat - x_mat @ mell)
+    norm_len = op_norm(_diagonal_commutator(_diagonal_of(m_ell(H)), x_mat))
 
     e = group.identity()
     worst = math.inf

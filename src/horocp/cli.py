@@ -222,6 +222,18 @@ def _cap(text: str) -> int:
             f"invalid int value: {text!r} (the default comes from {CAP_ENV} when set)") from None
 
 
+def _count(text: str) -> int:
+    """--count's type; at least 1, since a run of no instances would pass
+    without checking anything."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations; each returns (result, diagnostics, exit_code).
 
@@ -473,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=defaults.radius)
     p.add_argument("--pairs", type=int, default=defaults.pairs)
     p.add_argument("--pair-radius", dest="pair_radius", type=float, default=defaults.pair_radius)
-    p.add_argument("--count", type=int, default=defaults.count)
+    p.add_argument("--count", type=_count, default=defaults.count)
     p.add_argument("--support-radius", dest="support_radius", type=float,
                    default=defaults.support_radius)
     p.set_defaults(fn=cmd_verify)

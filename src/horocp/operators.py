@@ -729,8 +729,10 @@ def op_norm(T) -> float:
 
     A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos
     to a relative Ritz residual of NORM_TOL) and returns its attained
-    ``lower``.  A dense array (DenseCapError above DIM_CAP rows) runs a block
-    power iteration on T*T with matrix products: a deterministic start block
+    ``lower``.  A dense array (DenseCapError above DIM_CAP rows) that is zero or
+    a weighted partial permutation is read off its nonzero entries; any other
+    runs a block power iteration on T*T with matrix products, holding T and T*
+    and nothing else of their size: a deterministic start block
     (all-ones plus leading coordinate vectors), one seeded random restart on
     stagnation, and an error with the residual if that also fails to
     converge within max(50,000, 100 n) steps for n rows; it can stop below
@@ -748,14 +750,13 @@ def op_norm(T) -> float:
         return 0.0
     if n == 1:
         return float(abs(a[0, 0]))
-    magnitudes = np.abs(a)
-    peak = float(np.max(magnitudes))
-    if peak == 0.0:
+    nonzero = a != 0
+    if not nonzero.any():
         return 0.0
-    nonzero = magnitudes != 0.0
     if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
         # weighted partial permutation: singular values are exactly the entries
-        return peak
+        return float(np.max(np.abs(a[nonzero])))
+    del nonzero  # the iteration holds a and ah only
     ah = a.conj().T
 
     def gram(v: np.ndarray) -> np.ndarray:

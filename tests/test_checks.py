@@ -296,6 +296,17 @@ def test_nctorus_clock_shift_relation():
         assert np.max(np.abs(rel)) < 1e-12
 
 
+def test_nctorus_refuses_empty_input(len_z1):
+    with pytest.raises(ValueError, match="q = 0"):
+        check_nctorus_equicontinuity(1, 0, len_z1, radius=2.0)
+    with pytest.raises(ValueError, match="q = -3"):
+        check_nctorus_equicontinuity(1, -3, len_z1, radius=2.0)
+    with pytest.raises(ValueError, match=r"range\(5, 5\) is empty"):
+        check_nctorus_equicontinuity(1, 3, len_z1, n_range=range(5, 5), radius=2.0)
+    with pytest.raises(ValueError, match=r"\[\] is empty"):
+        check_nctorus_equicontinuity(1, 3, len_z1, n_range=[], radius=2.0)
+
+
 def test_nctorus_check(len_z1):
     report = check_nctorus_equicontinuity(1, 3, len_z1, n_range=range(-10, 11), radius=12.0)
     assert report.passed
@@ -352,8 +363,10 @@ def test_conditional_expectation_arrays_match_dense_products(rank, g, monkeypatc
     comm = _dense_commutator(mell, x_mat)
     compressed = coset_compress(comm @ lam_g_inv, H, sub) @ lam_g
     assert 0 < np.count_nonzero(compressed) < np.count_nonzero(comm)
-    # op_norm sees x, E_H(x), the length commutator and its compression
-    assert [_bits(a) for a in seen[2:]] == [_bits(comm), _bits(compressed)]
+    # op_norm sees x, the length commutator, its compression and E_H(x), in
+    # that order, so that x's array is freed before E_H(x)'s is formed
+    assert len(seen) == 4
+    assert [_bits(a) for a in seen[:3]] == [_bits(x_mat), _bits(comm), _bits(compressed)]
 
     # both sides of the identity residuals
     ell = checks._diagonal_of(m_ell(H))
@@ -369,6 +382,25 @@ def test_conditional_expectation_arrays_match_dense_products(rank, g, monkeypatc
     assert np.array_equal(np.where(kept, coeff, 0) != 0,
                           coset_compress(dense_coeff @ lam_g_inv, H, sub) @ lam_g != 0)
     assert report.details["identity_residuals"] == {"coefficient": 0.0, "length": 0.0}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_coefficient_bounds_length_commutator_matches_dense_product(d, monkeypatch):
+    z2 = GroupSpec.free_abelian(2)
+    spec = LengthFunction.word(z2)
+    rng = np.random.default_rng([14, 6, d])
+    x = random_crossed(rng, spec, 2.0, coeff_dim=d, terms=3)
+    d_a = random_hermitian(rng, d)
+    action = random_diagonal_action(rng, z2, d)
+    seen = _record(monkeypatch, "op_norm")
+    report = check_coefficient_bounds(x, (1, 0), d_a, spec, action)
+    assert not report.details["escalated"]
+    H = truncate(spec, report.params["radius"], d)
+    x_mat = realize(x, H, action).matrix
+    mell, t_coeff = m_ell(H).matrix, np.kron(d_a, np.eye(H.n_ball))
+    # op_norm sees [D_A (x) 1, x], [1 (x) M_l, x], then one term per coefficient
+    assert _bits(seen[0]) == _bits(_dense_commutator(t_coeff, x_mat))
+    assert _bits(seen[1]) == _bits(_dense_commutator(mell, x_mat))
 
 
 @pytest.mark.parametrize("d, functional, shift", [(1, (1, 1), 0.5), (2, (0, 1), -1.0)])
@@ -400,6 +432,57 @@ def test_nctorus_commutators_match_dense_products(len_z1, monkeypatch):
     assert [_bits(a) for a in norms_of[4:]] == \
         [_bits(_dense_commutator(mell, mat)) for mat in realized]
     assert len(realized) == 5
+
+
+# The dense checks hold at most three dim x dim complex arrays at a time (the
+# norm's input and adjoint among them) plus boolean masks.  Before the bound
+# they peaked at 3.8 (tail bound), 6.7 (conditional expectation) and 3.2
+# (nctorus) arrays on the instances below.
+
+
+def _traced_peak(run_check):
+    """run_check() and the tracemalloc peak above what was held when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_check()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return report, peak
+
+
+def _three_arrays_and_a_mask(dim):
+    return 3 * 16 * dim * dim + dim * dim
+
+
+def test_tail_bound_holds_three_dense_arrays(len_z2, z2):
+    x = random_crossed(np.random.default_rng([3, 1]), len_z2, 3.0, terms=5)
+    dim = truncate(len_z2, 8.0).dim
+    report, peak = _traced_peak(lambda: check_tail_bound(
+        x, (1, 1), 0.5, 1, len_z2, ActionSpec.trivial(z2, 1), radius=4.0))
+    assert report.passed and not report.details["escalated"]
+    assert dim == 145 and peak <= _three_arrays_and_a_mask(dim)
+
+
+def test_conditional_expectation_holds_three_dense_arrays(len_z2, z2):
+    rng = np.random.default_rng([3, 2])
+    x = random_crossed(rng, len_z2, 3.0, coeff_dim=2, terms=4)
+    d_a, action = random_hermitian(rng, 2), random_diagonal_action(rng, z2, 2)
+    sub = SubgroupSpec.kernel_of(z2, (1, 0))
+    report, peak = _traced_peak(lambda: check_conditional_expectation(
+        x, (1, 0), sub, d_a, len_z2, action))
+    dim = truncate(len_z2, report.params["radius"], 2).dim
+    assert report.passed
+    assert dim == 226 and peak <= _three_arrays_and_a_mask(dim)
+
+
+def test_nctorus_holds_three_dense_arrays(len_z1):
+    report, peak = _traced_peak(lambda: check_nctorus_equicontinuity(
+        1, 5, len_z1, n_range=range(-2, 3), radius=20.0))
+    dim = truncate(len_z1, 20.0, 5).dim
+    assert report.passed
+    assert dim == 205 and peak <= _three_arrays_and_a_mask(dim)
 
 
 def test_conditional_expectation_fails_on_unrestricted_shift(len_z2, z2, monkeypatch):

@@ -259,6 +259,20 @@ def test_cap_environment_sets_the_default(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["inputs"]["cap"] == 30
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("nctorus", "--q", "0", "--radius", "2"), "q = 0"),
+    (("nctorus", "--q", "3", "--n-min", "5", "--n-max", "4"), "range(5, 5) is empty"),
+    (("verify", "tail-bound", "--count", "0"), "--count: must be at least 1, got 0"),
+    (("verify", "tail-bound", "--count", "-2"), "--count: must be at least 1, got -2"),
+])
+def test_malformed_check_arguments_are_usage_errors(capsys, argv, message):
+    # unrefused, q = 0 raised ZeroDivisionError, an empty n range printed "min()
+    # arg is an empty sequence" and --count 0 passed with no check run
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
 def test_conjugation_refuses_an_asymmetric_table(capsys, tmp_path):
     # l(-k) = k + 1: 4 lies in the radius-4 ball but -4 does not, so W(4^-1)
     # is not in the ball's stack

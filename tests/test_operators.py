@@ -142,6 +142,20 @@ def test_op_norm_examples(len_z1):
     assert op_norm(lambda_op(H, (1,))) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_dense_op_norm_reads_zero_and_permutations_off_the_entries():
+    assert op_norm(np.zeros((5, 5), dtype=complex)) == 0.0
+    assert op_norm(np.full((4, 4), complex(-0.0, -0.0))) == 0.0
+    # a complex weighted partial permutation (rows 2 and 5, columns 3 and 4 empty)
+    perm = np.zeros((6, 6), dtype=complex)
+    perm[[0, 1, 3, 4], [2, 0, 5, 1]] = [1.5 + 2j, 3 - 4j, -2.5, 1e-300j]
+    assert op_norm(perm) == 5.0  # |3 - 4i|, exactly
+    assert op_norm(np.array([[3 + 4j]])) == 5.0
+    assert op_norm(np.array([[0j]])) == 0.0
+    # two entries in one row, or in one column, are not a permutation
+    for a in ([[1, 1], [0, 0]], [[1, 0], [1, 0]]):
+        assert op_norm(np.array(a, dtype=complex)) == pytest.approx(math.sqrt(2), rel=1e-12)
+
+
 def test_op_norm_matches_svd_oracle(len_z2, z2):
     rng = np.random.default_rng(7)
     act = ActionSpec.trivial(z2, 1)
