@@ -11,6 +11,11 @@ radius-(R + dR) compression on the large side (default dR = R); both are
 certified lower bounds of the untruncated norms, and a failure triggers one
 automatic radius escalation before it is reported.
 
+Every commutator is ``operators.commutator`` on block pairs, and windows and
+coset compressions are ``restrict_blocks`` filters; a check densifies an
+operator only as the input of the dense ``op_norm``, and coefficient-bounds
+also forms [D_A (x) 1, x] as a product with the Kronecker matrix.
+
 The af-triple check forms nothing dim x dim: it applies the filtration's
 averaging operators, both factors of every product included, to a seeded
 test block of Gaussian integers, so its residuals are exact zeros for dyadic
@@ -20,7 +25,7 @@ orders and rounding noise otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,27 +37,28 @@ from .operators import (
     ActionSpec,
     CrossedElement,
     SubgroupSpec,
-    TruncatedHilbert,
     TruncatedOperator,
     act_inv_blocks,
     clock_matrix,
+    commutator,
+    conditional_expectation,
     coset_codes,
     lambda_op,
     m_ell,
     m_phi,
     op_norm,
+    pi_tilde,
     realize,
     realize_phi_twisted,
+    restrict_blocks,
     shift_matrix,
     truncate,
-    window_column_mask,
     _check_nonzeros,
     _homomorphism,
 )
 
 EQUALITY_TOL = 1e-12
 SLACK_TOL = 1e-9
-ROW_BLOCKS = 16  # the entrywise commutators' temporaries hold 1/ROW_BLOCKS of their input
 
 
 @dataclass(frozen=True)
@@ -87,79 +93,26 @@ def _max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat), initial=0.0))
 
 
-def _diagonal_of(op: TruncatedOperator) -> np.ndarray:
-    """Dense diagonal of a multiplication operator such as m_ell or m_phi."""
-    return np.tile(op.data[:, 0, 0], op.hilbert.coeff_dim)
+def _block_residual(a: TruncatedOperator, b: TruncatedOperator) -> float:
+    """max |A - B| over the union of two operators' block pairs."""
+    n = a.hilbert.n_ball
+    codes = np.concatenate([a.rows * n + a.cols, b.rows * n + b.cols])
+    order = np.argsort(codes, kind="stable")  # A's block first where both have one
+    starts = np.flatnonzero(np.diff(codes[order], prepend=-1))
+    return _max_abs(np.add.reduceat(np.concatenate([a.data, -b.data])[order], starts))
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """ROW_BLOCKS slices (fewer when n is smaller) that cover range(n) in order."""
-    step = max(1, -(-n // ROW_BLOCKS))
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
-def _diagonal_commutator(values: np.ndarray, y: np.ndarray,
-                         row_values: Optional[np.ndarray] = None) -> np.ndarray:
-    """[diag(values), y] entrywise as v_i y_ij - y_ij v_j.
-
-    These are the nonzero bits of diag(v) @ y - y @ diag(v); (v_i - v_j) y_ij
-    would round differently.  v_i y_ij is written into the output and y_ij v_j
-    subtracted from it in row blocks, so nothing else of y's size is held.
-    For some rows of a larger array, row_values holds their v_i, shaped like
-    y without its last axis.
-    """
-    if row_values is None:
-        row_values = values
-    out = row_values[..., np.newaxis] * y
-    for rows in _row_blocks(len(y)):
-        out[rows] -= y[rows] * values
-    return out
-
-
-def _coefficient_commutator(d_a: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """[D_A (x) 1, y] on the (d, m, d, n) view of y, without forming D_A (x) 1.
-
-    y is the whole (d n) x (d n) array (m = n) or its ball rows of every
-    coefficient block, a (d, m, d n) slab; each entry sums the same products
-    in the same order either way.
-    """
-    d = len(d_a)
-    y4 = y.reshape(d, -1, d, y.shape[-1] // d)
-    comm = np.einsum("ab,bicj->aicj", d_a, y4) - np.einsum("aibj,bc->aicj", y4, d_a)
-    return comm.reshape(y.shape)
-
-
-def _coset_residual(comm: Callable, x_mat: np.ndarray, s_mat: np.ndarray, kept: np.ndarray,
-                    columns: np.ndarray, d: int) -> float:
-    """max |(where(kept, comm(x)) - comm(s))[:, columns]|, over ball-row slabs.
-
-    comm(y, rows) is the commutator on the ball rows `rows` of every
-    coefficient block, given y's (d, len(rows), d n) slab of them; one slab
-    of each side is held at a time.
-    """
-    n = len(x_mat) // d
-    x3, s3, kept3 = (m.reshape(d, n, -1) for m in (x_mat, s_mat, kept))
-    worst = 0.0
-    for rows in _row_blocks(n):
-        diff = comm(x3[:, rows], rows)
-        diff[~kept3[:, rows]] = 0
-        diff -= comm(s3[:, rows], rows)
-        worst = np.maximum(worst, _max_abs(diff[..., columns]))  # NaN propagates
-    return float(worst)
-
-
-def _coset_shift_mask(H: TruncatedHilbert, subgroup: SubgroupSpec, g: Element) -> np.ndarray:
-    """Ball entries (i, j) that T -> E_H(T lambda_{g^-1}) lambda_g keeps.
+def _coset_shift_mask(T: TruncatedOperator, subgroup: SubgroupSpec, g: Element) -> np.ndarray:
+    """The blocks (t, j) of T that T -> E_H(T lambda_{g^-1}) lambda_g keeps.
 
     The two translations move column j to g h_j and back, and the compression
-    between them keeps row h_i there when g h_j shares its right coset of H; so
-    the map keeps T's entry where g h_j is in the ball and in the coset H h_i,
-    and writes 0 elsewhere.
+    between them keeps row h_t there when g h_j shares its right coset of H; so
+    the map keeps T's block where g h_j is in the ball and in the coset H h_t,
+    and drops it elsewhere.
     """
-    codes = coset_codes(H, subgroup)
-    ahead = H.ball.translate(g)
-    shifted = np.where(ahead >= 0, codes[ahead], -1)  # -1 matches no code
-    return codes[:, np.newaxis] == shifted[np.newaxis, :]
+    codes = coset_codes(T.hilbert, subgroup)
+    ahead = T.hilbert.ball.translate(g)[T.cols]
+    return (ahead >= 0) & (codes[T.rows] == codes[ahead])
 
 
 def random_crossed(rng: np.random.Generator, spec: LengthFunction, support_radius: float,
@@ -219,13 +172,9 @@ def check_commutator_identity(x: CrossedElement, spec: LengthFunction, action: A
     x_op = realize(x, H, action)
     rhs = realize_phi_twisted(x, H, action)  # the same block pairs as x_op
     window = math.inf if H.exact else H.ball.radius - r
-    lengths = H.lengths
-    keep = lengths[x_op.cols] <= window
-    rows, cols, blocks = x_op.rows[keep], x_op.cols[keep], x_op.data[keep]
-    # block (t, j) of [1 (x) M_l, x] is l_t X_tj - X_tj l_j
-    lhs = (lengths[rows][:, np.newaxis, np.newaxis] * blocks
-           - blocks * lengths[cols][:, np.newaxis, np.newaxis])
-    residual = _max_abs(lhs - rhs.data[keep])
+    keep = H.lengths[x_op.cols] <= window
+    lhs = commutator(m_ell(H), restrict_blocks(x_op, keep))
+    residual = _max_abs(lhs.data - rhs.data[keep])
     return CheckReport(
         name="commutator-identity",
         statement="[1 (x) M_l, sum a_g lambda_g] = sum (1 (x) phi_g) a_g lambda_g",
@@ -288,35 +237,28 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
     if not H.exact and window < 0:
         raise ValueError("radius too small for the requested coset shift")
 
-    x_mat = realize(x, H, action).matrix
-    d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
-    ell = _diagonal_of(m_ell(H))
-    kept = np.tile(_coset_shift_mask(H, subgroup, g), (d, d))
+    x_op = realize(x, H, action)
+    kept = _coset_shift_mask(x_op, subgroup, g)
+    # the identities' two sides on the window's columns
+    x_side = restrict_blocks(x_op, kept & (H.lengths[x_op.cols] <= window))
+    shifted = realize(conditional_shifted(x, g, subgroup, group), H, action)
+    s_side = restrict_blocks(shifted, H.lengths[shifted.cols] <= window)
+    ell = m_ell(H)
+    coeff = pi_tilde(H, ActionSpec.trivial(group, d), d_a)  # D_A (x) 1
+    residuals = {label: _block_residual(commutator(t, x_side), commutator(t, s_side))
+                 for label, t in (("coefficient", coeff), ("length", ell))}
 
-    shifted = conditional_shifted(x, g, subgroup, group)
-    shifted_mat = realize(shifted, H, action).matrix
-
-    mask = window_column_mask(H, window).astype(bool)
-    row_ell = ell.reshape(d, -1)
-    comms = {"coefficient": lambda y, rows: _coefficient_commutator(d_a, y),
-             "length": lambda y, rows: _diagonal_commutator(ell, y, row_ell[:, rows])}
-    residuals = {label: _coset_residual(comm, x_mat, shifted_mat, kept, mask, d)
-                 for label, comm in comms.items()}
-    del shifted_mat
-
-    from .operators import conditional_expectation
-
-    # each array of x's size goes once nothing needs it, so every norm holds
-    # its input and adjoint only: x, then [1 (x) M_l, x] and its coset
-    # compression (in place), then E_H(x)
-    contraction = op_norm(x_mat)
-    length = _diagonal_commutator(ell, x_mat)
-    del x_mat
+    # a dense view goes with its operator, so every norm holds its input and
+    # adjoint only: x, then [1 (x) M_l, x], its coset compression and E_H(x)
+    length = commutator(ell, x_op)
+    compressed = restrict_blocks(length, kept)
+    contraction = op_norm(x_op.matrix)
+    del x_op
     # coset compression of the length commutator is itself a contraction
-    coset_slack = op_norm(length)
-    length[~kept] = 0
-    coset_slack -= op_norm(length)
+    coset_slack = op_norm(length.matrix)
     del length
+    coset_slack -= op_norm(compressed.matrix)
+    del compressed
     contraction -= op_norm(realize(conditional_expectation(x, subgroup), H, action).matrix)
     residual = max(residuals.values())
     return CheckReport(
@@ -393,13 +335,10 @@ def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float,
     else:
         lhs = 0.0
     h_big = truncate(spec, radius + delta_radius, d)
-    x_mat = realize(x, h_big, action).matrix
-    # [1 (x) M_phi, x] + L x in place, x's array freed before the norm
-    combined = _diagonal_commutator(_diagonal_of(m_phi(h_big, vec)), x_mat)
-    x_mat *= float(shift)
-    combined += x_mat
-    del x_mat
-    rhs = op_norm(combined)
+    x_op = realize(x, h_big, action)
+    comm = commutator(m_phi(h_big, vec), x_op)
+    # [1 (x) M_phi, x] + L x, on x's block pairs
+    rhs = op_norm(replace(comm, data=comm.data + float(shift) * x_op.data).matrix)
     factor = tail_series_factor(n_cut, float(shift))
     slack = factor * rhs - lhs
     if slack < -tol and not _escalated:
@@ -525,11 +464,11 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
     if x is None:
         x = CrossedElement.from_dict(group, {(1,): u, (-1,): u.conj().T})
     H = truncate(spec, radius, q)
-    ell = _diagonal_of(m_ell(H))
+    ell = m_ell(H)
 
     bound = 0.0
     for g, a in x.coeffs:
-        bound += op_norm(a) * op_norm(_diagonal_commutator(ell, lambda_op(H, g).matrix))
+        bound += op_norm(a) * op_norm(commutator(ell, lambda_op(H, g)).matrix)
 
     worst_slack = math.inf
     norms = []
@@ -538,7 +477,7 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
         twisted = x.map_coefficients(
             lambda g, a: np.exp(-2j * np.pi * n * g[0] * theta) * (wn @ a @ wn.conj().T)
         )
-        value = op_norm(_diagonal_commutator(ell, realize(twisted, H, action).matrix))
+        value = op_norm(commutator(ell, realize(twisted, H, action)).matrix)
         norms.append(value)
         worst_slack = min(worst_slack, bound - value)
 
@@ -666,9 +605,10 @@ def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
     H = truncate(spec, radius, d)
     d_a = np.atleast_2d(np.asarray(d_a, dtype=complex))
     t_coeff = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
-    x_mat = realize(x, H, action).matrix
+    x_op = realize(x, H, action)
+    x_mat = x_op.matrix
     norm_coeff = op_norm(t_coeff @ x_mat - x_mat @ t_coeff)
-    norm_len = op_norm(_diagonal_commutator(_diagonal_of(m_ell(H)), x_mat))
+    norm_len = op_norm(commutator(m_ell(H), x_op).matrix)
 
     e = group.identity()
     worst = math.inf

@@ -44,6 +44,7 @@ from .horoboundary import (
     busemann_along_ray,
     check_ray_geodesic,
     facets,
+    phi,
 )
 from .quantum_metric import StateSpec, cyclic_triple, mk_brute_force, mk_distance
 from .separation import separation_certificate
@@ -253,13 +254,11 @@ def cmd_group_ball(args):
 
 
 def cmd_phi(args):
-    from .horoboundary import phi as phi_fn
-
     group = parse_group(args.group)
     spec = build_length(group, args)
     g = parse_element(group, args.g)
     ball = spec.ball(args.radius)
-    values = phi_fn(g, ball, spec)
+    values = phi(g, ball, spec)
     result = {
         "g": list(map(int, g)),
         "values": [[list(map(int, h)), _num(values(h))] for h in ball.elements],

@@ -8,9 +8,12 @@ of a Dirac operator.  The basis is indexed by pairs (p, h) with p < b*d a
 (copy, coefficient) index and h a ball element, p-major: flat index =
 p * N + ball_index(h), so block k puts its entry [p, q] at
 (p * N + t_k, q * N + j_k).  Translations, coefficient multiplications and
-Dirac operators have a few blocks per column, so norms and commutators run
-on the blocks.  ``.matrix`` is a dense view, materialised on first use for
-the small-N checks and oracles and refused above DIM_CAP rows.
+Dirac operators have a few blocks per column, so norms run on the blocks,
+and ``commutator`` forms [D, X] for a block-diagonal D on X's block pairs;
+``restrict_blocks`` keeps a subset of those pairs (an exactness window, a
+coset compression).  ``.matrix`` is a dense view, materialised on first use
+as the dense ``op_norm``'s input in the checks and for the oracles, and
+refused above DIM_CAP rows.
 
 Construction is array-native: the block pairs of a translation by g come
 from one ``BallTable.translate(g)`` (the ball index of g h for every ball
@@ -39,7 +42,7 @@ window is tracked explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 from itertools import combinations
 from typing import Callable, Hashable, Mapping, Optional, Sequence
@@ -848,26 +851,53 @@ def cauchy_gap_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
 
 
 # ---------------------------------------------------------------------------
-# Lipschitz seminorms.
+# Commutators and Lipschitz seminorms.
 
 
-def window_column_mask(H: TruncatedHilbert, window_radius: float, blocks: int = 1) -> np.ndarray:
-    """Boolean mask of columns indexed by ball elements inside the window."""
-    per_block = np.tile(H.lengths <= window_radius, H.coeff_dim)
-    return np.tile(per_block, blocks)
+def restrict_blocks(T: TruncatedOperator, keep: np.ndarray) -> TruncatedOperator:
+    """T with only the block pairs where keep (one boolean per block) is true."""
+    return replace(T, rows=T.rows[keep], cols=T.cols[keep], data=T.data[keep])
+
+
+def commutator(D: TruncatedOperator, X: TruncatedOperator) -> TruncatedOperator:
+    """[D, X] on X's block pairs, for D block diagonal over the ball.
+
+    D = sum_h D_h (x) e_hh, as M_l, M_phi, pi_tilde(a) and the even and odd
+    Dirac operators C (x) 1 + G (x) M_l are; block (t, j) of the commutator
+    is D_t X_tj - X_tj D_j.  On a Dirac operator's doubled space X stands for
+    X (+) X, block I_2 (x) X_tj.  ValueError unless D is block diagonal and X
+    lives on its space; the blocks are counted against NONZERO_CAP before
+    any is formed (NonzeroCapError).
+    """
+    if not np.array_equal(D.rows, D.cols):
+        raise ValueError("the commutator's D must be block diagonal over the ball")
+    doubling = D.blocks == 2 and X.blocks == 1
+    if X.hilbert.n_ball != D.hilbert.n_ball or X.width * (2 if doubling else 1) != D.width:
+        raise ValueError("the commutator's operands live on different spaces")
+    _check_nonzeros(len(X.rows) * D.width ** 2)
+    blocks = X.data
+    if doubling:
+        w = X.width
+        blocks = np.zeros((len(X.rows), 2 * w, 2 * w), dtype=complex)
+        blocks[:, :w, :w] = X.data
+        blocks[:, w:, w:] = X.data
+    diag = np.zeros((D.hilbert.n_ball, D.width, D.width), dtype=complex)
+    diag[D.rows] = D.data
+    data = diag[X.rows] @ blocks - blocks @ diag[X.cols]
+    return TruncatedOperator(D.hilbert, f"[{D.provenance}, {X.provenance}]", X.rows, X.cols,
+                             data, window_radius=X.window_radius, blocks=D.blocks)
 
 
 def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec] = None
                        ) -> tuple[float, float]:
     """Certified lower bound for ||[D, x]|| plus the exactness window radius.
 
-    The commutator blocks in columns outside the radius-(R - r) window are
-    dropped before the norm is taken, so the value never exceeds the
-    untruncated seminorm.  Accepts a CrossedElement (realized on the Dirac
-    operator's space) or an already-realized TruncatedOperator.  The Dirac
-    operator must be block diagonal over the ball, D = sum_h D_h (x) e_hh, as
-    M_l and the even and odd Dirac operators C (x) 1 + G (x) M_l are; block
-    (t, j) of the commutator is D_t X_tj - X_tj D_j.
+    The operand's blocks in columns outside the radius-(R - r) window are
+    dropped before the ``commutator`` is taken, so the value never exceeds
+    the untruncated seminorm.  Accepts a CrossedElement (realized on the
+    Dirac operator's space) or an already-realized TruncatedOperator.  The
+    Dirac operator must be block diagonal over the ball, as M_l and the even
+    and odd Dirac operators are.
     """
     H = dirac.hilbert
     if isinstance(x, CrossedElement):
@@ -881,32 +911,14 @@ def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec]
     else:
         raise TypeError(f"operand must be a CrossedElement or a TruncatedOperator, "
                         f"not {type(x).__name__}")
-    if not np.array_equal(dirac.rows, dirac.cols):
-        raise ValueError("the Dirac operator must be block diagonal over the ball")
-    doubling = dirac.blocks == 2 and base.blocks == 1
-    if base.hilbert.n_ball != H.n_ball or base.width * (2 if doubling else 1) != dirac.width:
-        raise ValueError("operand and Dirac operator live on different spaces")
     if H.exact:
         window = math.inf
-        keep = slice(None)
     else:
         window = H.ball.radius - support_radius
         if window < 0:
             raise ValueError("exactness window is empty: support radius exceeds ball radius")
-        keep = H.lengths[base.cols] <= window
-    rows, cols, blocks = base.rows[keep], base.cols[keep], base.data[keep]
-    _check_nonzeros(len(rows) * dirac.width ** 2)
-    if doubling:
-        # x (+) x: block I_2 (x) X
-        w = base.width
-        single, blocks = blocks, np.zeros((len(rows), 2 * w, 2 * w), dtype=complex)
-        blocks[:, :w, :w] = single
-        blocks[:, w:, w:] = single
-    diag = np.zeros((H.n_ball, dirac.width, dirac.width), dtype=complex)
-    diag[dirac.rows] = dirac.data
-    comm = diag[rows] @ blocks - blocks @ diag[cols]
-    return op_norm(TruncatedOperator(H, "[D, x]", rows, cols, comm, window_radius=window,
-                                     blocks=dirac.blocks)), window
+        base = restrict_blocks(base, base.hilbert.lengths[base.cols] <= window)
+    return op_norm(commutator(dirac, base)), window
 
 
 # ---------------------------------------------------------------------------

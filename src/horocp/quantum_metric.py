@@ -28,7 +28,6 @@ from .operators import _check_nonzeros
 from .operators import op_norm  # not called here; perfbench's tests pin its traced binding
 
 MK_STEP = 0.1  # initial ascent step along the objective
-MK_TOL = 1e-9  # ``converged``: two orbits' polished values agree within 100 * MK_TOL
 
 
 class DegenerateTripleError(ValueError):
@@ -277,10 +276,11 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     scaled to seminorm 1, is the witness w, and ``lower_bound`` is the ratio
     |(psi - psi')(w)| / ||[D, w]|| that w attains, every seminorm being a
     LAPACK largest singular value.  ``converged`` means the best polished run
-    agrees with the best polished run of another ascent orbit, and is False
-    without one; it is not a two-sided bracket.  Restarts 0 and 1 form one
-    orbit: they start at +-c with target +-c, and the objective is even, so
-    each is the other's mirror image, bit for bit.
+    agrees, within 1e-7 * max(value, 1), with the best polished run of
+    another ascent orbit, and is False without one; it is not a two-sided
+    bracket.  Restarts 0 and 1 form one orbit: they start at +-c with target
+    +-c, and the objective is even, so each is the other's mirror image, bit
+    for bit.
 
     The restarts, then the polish runs, advance in lock-step with one stacked
     SVD per step; each makes the trial vectors it would make alone, so every
@@ -324,7 +324,7 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     attained = abs((psi.evaluate(witness) - psi_prime.evaluate(witness)).real) / s
     rival = next((value for value, _, orbit in polished if orbit != best_orbit), None)
     converged = (rival is not None
-                 and abs(best_val - rival) <= max(100 * MK_TOL, 1e-7 * max(best_val, 1.0)))
+                 and abs(best_val - rival) <= 1e-7 * max(best_val, 1.0))
     return MKResult(attained, converged, witness, s, restarts, total_iter)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from horocp import (
     cauchy_gap_norm,
     clock_matrix,
     cocycle_defect,
+    commutator,
     conditional_expectation,
     coset_compress,
     element_norm,
@@ -44,7 +46,6 @@ from horocp.operators import (
     NonzeroCapError,
     _Entries,
     realize_phi_twisted,
-    window_column_mask,
 )
 
 
@@ -541,7 +542,7 @@ def dense_commutator(x_mat, dirac, window):
     op = doubled(x_mat) if dirac.blocks == 2 else x_mat
     comm = dirac.matrix @ op - op @ dirac.matrix
     if not math.isinf(window):
-        comm = comm * window_column_mask(H, window, dirac.blocks)[np.newaxis, :]
+        comm = comm * np.tile(H.lengths <= window, H.coeff_dim * dirac.blocks)[np.newaxis, :]
     return comm
 
 
@@ -663,6 +664,45 @@ def test_lipschitz_seminorm_refuses_dense_operands(len_z1, z1):
     x_op = realize(CrossedElement.from_dict(z1, {(1,): [[1.0]]}), H, ActionSpec.trivial(z1, 1))
     with pytest.raises(TypeError):
         lipschitz_seminorm(x_op.matrix, m_ell(H))
+
+
+def test_commutator_refuses_other_operands(len_z1, z1):
+    # a D that is not block diagonal over the ball, an X on a smaller ball
+    H, act = truncate(len_z1, 5), ActionSpec.trivial(z1, 1)
+    x = CrossedElement.from_dict(z1, {(1,): [[1.0]], (-2,): [[0.5j]]})
+    other = realize(x, truncate(len_z1, 4), act)
+    with pytest.raises(ValueError, match="block diagonal"):
+        commutator(lambda_op(H, (1,)), realize(x, H, act))
+    with pytest.raises(ValueError, match="block diagonal"):
+        lipschitz_seminorm(x, lambda_op(H, (1,)), act)
+    with pytest.raises(ValueError, match="different spaces"):
+        commutator(m_ell(H), other)
+    with pytest.raises(ValueError, match="different spaces"):
+        lipschitz_seminorm(other, m_ell(H))
+
+
+def test_commutator_counts_blocks_before_allocating(len_z2, z2, monkeypatch):
+    x = CrossedElement.from_dict(z2, {(1, 0): [[1.0]], (0, -1): [[0.5j]], (1, 1): [[-2.0]]})
+    act = ActionSpec.trivial(z2, 1)
+    H = truncate(len_z2, 40)
+    x_op, dirac = realize(x, H, act), even_dirac(H, [[1.0]])
+    entries = len(x_op.rows) * 4  # 2 x 2 blocks of x (+) x, 16 bytes an entry
+    monkeypatch.setattr(operators, "NONZERO_CAP", entries - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NonzeroCapError, match=f"^{entries} stored entries"):
+            commutator(dirac, x_op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < entries
+    monkeypatch.setattr(operators, "NONZERO_CAP", entries)
+    assert commutator(dirac, x_op).data.shape == (len(x_op.rows), 2, 2)
+    # lipschitz_seminorm counts the blocks in its window of radius 38 only
+    windowed = int(np.count_nonzero(H.lengths[x_op.cols] <= 38)) * 4
+    monkeypatch.setattr(operators, "NONZERO_CAP", windowed - 1)
+    with pytest.raises(NonzeroCapError, match=f"^{windowed} stored entries"):
+        lipschitz_seminorm(x, dirac, act)
 
 
 def test_functionals_of_the_wrong_length_are_refused(len_z2, z2):
@@ -942,7 +982,7 @@ def dense_commutator_residual(x, spec, action, radius):
     lhs = mell @ x_mat - x_mat @ mell
     rhs = loop_realize(x, H, action, twisted=True)
     window = math.inf if H.exact else H.ball.radius - x.support_radius(spec)
-    mask = window_column_mask(H, window).astype(bool)
+    mask = np.tile(H.lengths <= window, H.coeff_dim)
     return float(np.max(np.abs((lhs - rhs)[:, mask]), initial=0.0))
 
 
