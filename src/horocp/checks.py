@@ -248,8 +248,8 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
     residuals = {label: _block_residual(commutator(t, x_side), commutator(t, s_side))
                  for label, t in (("coefficient", coeff), ("length", ell))}
 
-    # a dense view goes with its operator, so every norm holds its input and
-    # adjoint only: x, then [1 (x) M_l, x], its coset compression and E_H(x)
+    # a dense view goes with its operator, so every norm holds its input
+    # only: x, then [1 (x) M_l, x], its coset compression and E_H(x)
     length = commutator(ell, x_op)
     compressed = restrict_blocks(length, kept)
     contraction = op_norm(x_op.matrix)
@@ -607,7 +607,11 @@ def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
     t_coeff = np.kron(d_a, np.eye(H.n_ball, dtype=complex))
     x_op = realize(x, H, action)
     x_mat = x_op.matrix
-    norm_coeff = op_norm(t_coeff @ x_mat - x_mat @ t_coeff)
+    comm = t_coeff @ x_mat
+    comm -= x_mat @ t_coeff
+    del t_coeff
+    norm_coeff = op_norm(comm)
+    del comm
     norm_len = op_norm(commutator(m_ell(H), x_op).matrix)
 
     e = group.identity()

@@ -29,7 +29,8 @@ Norms of block-sparse operators are two-sided: ``op_norm_certified`` runs
 Krylov-Schur Lanczos on T*T over the nonzero entries and reports an attained
 lower bound ||T y|| (y a unit Ritz vector) with the Schur upper bound
 sqrt(||T||_1 ||T||_inf); ``op_norm`` returns the lower bound.  Dense arrays
-keep ``op_norm``'s block power iteration.
+keep ``op_norm``'s block power iteration, which runs on its input alone,
+conjugated in place and restored, with no adjoint copy.
 
 Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
@@ -169,7 +170,16 @@ class TruncatedOperator:
         return rows[keep], cols[keep], values[keep]
 
     def hermitian_residual(self) -> float:
-        return float(np.max(np.abs(self.matrix - self.matrix.conj().T), initial=0.0))
+        """max |T - T*| over the entries, block (t, j) against the adjoint of
+        block (j, t), or against zero where that pair is absent."""
+        n = self.hilbert.n_ball
+        keys, mirrored = self.rows * n + self.cols, self.cols * n + self.rows
+        order = np.argsort(keys)
+        partner = order[np.searchsorted(keys, mirrored, sorter=order).clip(max=len(keys) - 1)]
+        found = keys[partner] == mirrored
+        residual = self.data.copy()
+        residual[found] -= self.data[partner[found]].conj().transpose(0, 2, 1)
+        return float(np.max(np.abs(residual), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +351,9 @@ class CrossedElement:
         return np.zeros((self.coeff_dim, self.coeff_dim), dtype=complex)
 
     def support_radius(self, spec: LengthFunction) -> float:
-        return max((float(spec.length(g)) for g, _ in self.coeffs), default=0.0)
+        if not self.coeffs:
+            return 0.0
+        return float(np.max(spec.lengths(self.support)))
 
     def scaled(self, factor: complex) -> "CrossedElement":
         return CrossedElement(self.group, tuple((g, factor * a) for g, a in self.coeffs))
@@ -734,8 +746,11 @@ def op_norm(T) -> float:
     to a relative Ritz residual of NORM_TOL) and returns its attained
     ``lower``.  A dense array (DenseCapError above DIM_CAP rows) that is zero or
     a weighted partial permutation is read off its nonzero entries; any other
-    runs a block power iteration on T*T with matrix products, holding T and T*
-    and nothing else of their size: a deterministic start block
+    runs a block power iteration on T*T with matrix products.  It keeps no
+    adjoint copy: it uses its argument as scratch, conjugated in place while
+    it runs and restored bit for bit on return or error, so that array must
+    not be shared with a concurrent reader (a read-only array is copied
+    first).  The iteration takes a deterministic start block
     (all-ones plus leading coordinate vectors), one seeded random restart on
     stagnation, and an error with the residual if that also fails to
     converge within max(50,000, 100 n) steps for n rows; it can stop below
@@ -759,11 +774,16 @@ def op_norm(T) -> float:
     if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
         # weighted partial permutation: singular values are exactly the entries
         return float(np.max(np.abs(a[nonzero])))
-    del nonzero  # the iteration holds a and ah only
-    ah = a.conj().T
+    del nonzero  # the iteration holds a and nothing else of its size
+    if not a.flags.writeable:
+        a = a.copy(order="K")
 
+    # a holds conj(T) while the iteration runs: a.T is T*, with the layout of
+    # the copy T.conj().T, and T v = conj(conj(T) conj(v)) bit for bit, since
+    # rounding to nearest commutes with a change of sign
     def gram(v: np.ndarray) -> np.ndarray:
-        return ah @ (a @ v)
+        u = a @ np.conjugate(v)
+        return a.T @ np.conjugate(u, out=u)
 
     block = min(4, n)
     max_iter = max(50_000, 100 * n)
@@ -819,13 +839,17 @@ def op_norm(T) -> float:
     start[:, 0] = 1.0 / math.sqrt(n)
     for j in range(1, block):
         start[j - 1, j] = 1.0
-    lam, resid, _ = iterate(start)
-    if lam is None:
-        rng = np.random.default_rng(0xC0FFEE)
-        lam, resid, _ = iterate(rng.normal(size=(n, block))
-                                + 1j * rng.normal(size=(n, block)))
+    np.conjugate(a, out=a)
+    try:
+        lam, resid, _ = iterate(start)
         if lam is None:
-            raise OpNormConvergenceError(resid, max_iter)
+            rng = np.random.default_rng(0xC0FFEE)
+            lam, resid, _ = iterate(rng.normal(size=(n, block))
+                                    + 1j * rng.normal(size=(n, block)))
+            if lam is None:
+                raise OpNormConvergenceError(resid, max_iter)
+    finally:
+        np.conjugate(a, out=a)  # the caller's array, bit for bit
     return math.sqrt(max(lam, 0.0))
 
 

@@ -38,7 +38,8 @@ from horocp import (
     truncate,
 )
 from horocp import groups, operators
-from horocp.checks import check_commutator_identity
+from horocp.checks import (check_commutator_identity, random_crossed, random_diagonal_action,
+                           random_hermitian)
 from horocp.groups import COORD_LIMIT, AxiomReport, CoordinateOverflowError
 from horocp.operators import (
     DIM_CAP,
@@ -177,6 +178,167 @@ def test_commutator_norm_exact(len_z1):
         lam = lambda_op(H, (1,)).matrix
         mell = m_ell(H).matrix
         assert op_norm(mell @ lam - lam @ mell) == pytest.approx(1.0, abs=1e-12)
+
+
+def two_buffer_op_norm(mat):
+    """Reference: the dense op_norm with a separate adjoint copy beside its
+    input, as it ran before it conjugated the input in place."""
+    a = np.asarray(mat, dtype=complex)
+    n = a.shape[0]
+    if n == 0:
+        return 0.0
+    if n == 1:
+        return float(abs(a[0, 0]))
+    nonzero = a != 0
+    if not nonzero.any():
+        return 0.0
+    if np.all(nonzero.sum(axis=0) <= 1) and np.all(nonzero.sum(axis=1) <= 1):
+        return float(np.max(np.abs(a[nonzero])))
+    ah = a.conj().T
+
+    def gram(v):
+        return ah @ (a @ v)
+
+    block = min(4, n)
+    max_iter = max(50_000, 100 * n)
+
+    def top_ritz(v):
+        w = gram(v)
+        h = v.conj().T @ w
+        h = (h + h.conj().T) / 2
+        vals, vecs = np.linalg.eigh(h)
+        return w, float(vals[-1]), v @ vecs[:, -1]
+
+    def iterate(v0):
+        v, _ = np.linalg.qr(v0)
+        lam = 0.0
+        prev_delta = None
+        window = 128
+        lam_checkpoint = -1.0
+        for it in range(max_iter):
+            w, lam_new, top_vec = top_ritz(v)
+            if np.linalg.norm(w) == 0.0:
+                return 0.0
+            delta = abs(lam_new - lam)
+            floor = operators.NORM_TOL * max(abs(lam_new), 1e-300)
+            converged = False
+            if it > 0 and delta <= floor:
+                if delta == 0.0:
+                    converged = True
+                elif prev_delta is not None and prev_delta > 0.0:
+                    rho = delta / prev_delta
+                    if rho < 0.99999:
+                        converged = delta * rho / (1.0 - rho) <= 10 * floor
+            if it % window == 0 and not converged:
+                if lam_checkpoint >= 0.0 and abs(lam_new - lam_checkpoint) <= 0.1 * floor:
+                    converged = True
+                lam_checkpoint = lam_new
+            if converged:
+                return lam_new
+            v, _ = np.linalg.qr(w)
+            prev_delta = delta
+            lam = lam_new
+        return None
+
+    start = np.zeros((n, block), dtype=complex)
+    start[:, 0] = 1.0 / math.sqrt(n)
+    for j in range(1, block):
+        start[j - 1, j] = 1.0
+    lam = iterate(start)
+    if lam is None:
+        rng = np.random.default_rng(0xC0FFEE)
+        lam = iterate(rng.normal(size=(n, block)) + 1j * rng.normal(size=(n, block)))
+    return math.sqrt(max(lam, 0.0))
+
+
+def operator_cases(group, radius):
+    rng = np.random.default_rng(22)
+    spec = LengthFunction.word(group)
+    x = random_crossed(rng, spec, 2.0, coeff_dim=2, terms=4)
+    H = truncate(spec, radius, 2)
+    x_op = realize(x, H, random_diagonal_action(rng, group, 2))
+    return {"realize": x_op.matrix,
+            "length-commutator": commutator(m_ell(H), x_op).matrix,
+            "dirac-commutator": commutator(even_dirac(H, random_hermitian(rng, 2)), x_op).matrix}
+
+
+def signed_zero_cases():
+    """Real and imaginary parts that are -0.0 next to +0.0."""
+    signed = np.array([[1.0, -0.0, 2.0], [complex(-0.0, -0.0), complex(3.0, -0.0), 0.0],
+                       [complex(0.0, -0.0), 1.0, complex(-1.0, -0.0)]])
+    H = truncate(LengthFunction.word(GroupSpec.free_abelian(1)), 6.0)
+    mell = m_ell(H).matrix
+    x = lambda_op(H, (1,)).matrix + 2 * lambda_op(H, (-1,)).matrix
+    return {"matrix": signed, "matrix-conj": signed.conj(),
+            "commutator": -(mell @ x - x @ mell).conj()}
+
+
+def gaussian_cases():
+    rng = np.random.default_rng(22)
+    cases = {f"complex{n}": rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+             for n in (2, 3, 7, 40, 150)}
+    cases["real"] = rng.normal(size=(60, 60))
+    cases["fortran"] = np.asfortranarray(rng.normal(size=(50, 50)) + 1j * rng.normal(size=(50, 50)))
+    return cases
+
+
+REFERENCE_FAMILIES = {
+    "gaussian": gaussian_cases,
+    "z2": lambda: operator_cases(GroupSpec.free_abelian(2), 4.0),
+    "h3": lambda: operator_cases(GroupSpec.heisenberg3(), 3.0),
+    "signed-zeros": signed_zero_cases,
+}
+
+
+@pytest.mark.parametrize("family", list(REFERENCE_FAMILIES))
+def test_op_norm_matches_two_buffer_reference(family):
+    for label, mat in REFERENCE_FAMILIES[family]().items():
+        before = mat.copy(order="K")
+        assert op_norm(mat).hex() == two_buffer_op_norm(before).hex(), label
+        assert mat.tobytes(order="A") == before.tobytes(order="A"), label  # restored
+
+
+def test_op_norm_restores_its_argument_after_a_raise(monkeypatch):
+    rng = np.random.default_rng(5)
+    mat = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+    mat[0, 1] = complex(-0.0, -0.0)
+    before = mat.copy()
+    qr, calls = np.linalg.qr, []
+
+    def failing_qr(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise FloatingPointError("planted")
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", failing_qr)
+    with pytest.raises(FloatingPointError, match="planted"):
+        op_norm(mat)
+    assert len(calls) == 3 and mat.tobytes() == before.tobytes()
+
+
+def test_op_norm_of_a_read_only_argument():
+    mat = np.random.default_rng(8).normal(size=(20, 20)) + 1j
+    mat.setflags(write=False)
+    before = mat.tobytes()
+    assert op_norm(mat).hex() == two_buffer_op_norm(mat).hex()
+    assert mat.tobytes() == before
+
+
+def test_dense_op_norm_allocates_no_square_array():
+    n = 400
+    rng = np.random.default_rng(9)
+    mat = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = op_norm(mat)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(svd_norm(mat), rel=1e-8)
+    # the a != 0 mask takes 1/16 of this; a copy of the input would take all of it
+    assert peak <= 0.25 * 16 * n * n
 
 
 def test_even_dirac_form(len_z1):
@@ -325,13 +487,32 @@ def test_lipschitz_seminorm_finite_exact():
     assert np.allclose(perm @ perm.conj().T, np.eye(4))
 
 
-def test_hermiticity_residuals(len_z2):
+def test_hermiticity_residuals(len_z2, z2):
     H = truncate(len_z2, 4, coeff_dim=2)
-    assert m_ell(H).hermitian_residual() < 1e-12
-    assert m_phi(H, (1, 0)).hermitian_residual() < 1e-12
     d_a = np.array([[1.0, 2.0], [2.0, -1.0]])
-    assert even_dirac(H, d_a).hermitian_residual() < 1e-12
-    assert odd_dirac(H, d_a).hermitian_residual() < 1e-12
+    hermitian = [m_ell(H), m_phi(H, (1, 0)), even_dirac(H, d_a), odd_dirac(H, d_a)]
+    assert all(op.hermitian_residual() < 1e-12 for op in hermitian)
+    rng = np.random.default_rng(171)
+    x = random_crossed(rng, len_z2, 2.0, coeff_dim=2, terms=4)
+    other = realize(x, H, random_diagonal_action(rng, z2, 2))
+    assert other.hermitian_residual() > 0.1
+    # read off the blocks, with the dense formula's bits
+    for op in hermitian + [other]:
+        mat = op.matrix
+        dense = float(np.max(np.abs(mat - mat.conj().T), initial=0.0))
+        assert op.hermitian_residual().hex() == dense.hex(), op.provenance
+
+
+def test_hermitian_residual_beyond_dense_cap(len_z2, z2):
+    a = np.array([[1.0, 2.0 - 1j], [0.5j, -1.5]])
+    act = ActionSpec.trivial(z2, 2)
+    H = truncate(len_z2, 110, coeff_dim=2)
+    assert H.dim > DIM_CAP
+    assert m_ell(H).hermitian_residual() == 0.0
+    shift = realize(CrossedElement.from_dict(z2, {(1, 0): a}), H, act)
+    assert shift.hermitian_residual() == float(np.max(np.abs(a)))
+    sym = CrossedElement.from_dict(z2, {(1, 0): a, (-1, 0): a.conj().T})
+    assert realize(sym, H, act).hermitian_residual() == 0.0
 
 
 def test_action_projective_consistency(z1):
