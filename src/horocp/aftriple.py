@@ -17,6 +17,7 @@ O(k dim r) and nothing dim x dim is formed unless the block is.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,12 +56,20 @@ class AFFiltration:
 
     def dirac(self, eigenvalues: Sequence[float], block: np.ndarray) -> np.ndarray:
         """D = sum_i lambda_i Q_i applied to a (dim, r) block, in O(k dim r)."""
-        if len(eigenvalues) != self.depth + 1:
-            raise ValueError(f"need {self.depth + 1} eigenvalues (one per projection)")
+        eigenvalues = self.check_eigenvalues(eigenvalues)
         out = np.zeros(block.shape, dtype=complex)
         for i, lam in enumerate(eigenvalues):
-            out += float(lam) * self.project(i, block)
+            out += lam * self.project(i, block)
         return out
+
+    def check_eigenvalues(self, eigenvalues: Sequence[float]) -> list[float]:
+        """The eigenvalues as floats: one per projection, each finite (ValueError)."""
+        values = [float(v) for v in eigenvalues]
+        if len(values) != self.depth + 1:
+            raise ValueError(f"need {self.depth + 1} eigenvalues (one per projection)")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"eigenvalues must be finite, got {values}")
+        return values
 
 
 def af_filtration(orders: Sequence[int]) -> AFFiltration:

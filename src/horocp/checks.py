@@ -513,12 +513,11 @@ def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
     """Projection ranks, mutual orthogonality, and level commutation for the
     finite-depth odometer filtration (residuals as in `_af_residuals`).
 
-    The eigenvalue count is validated, and the k + 1 test blocks of
-    (dim, AF_TEST_VECTORS) entries are counted against NONZERO_CAP, before any
-    work (ValueError, NonzeroCapError)."""
-    if len(eigenvalues) != len(orders) + 1:
-        raise ValueError(f"need {len(orders) + 1} eigenvalues (one per projection)")
+    The eigenvalues (one per projection, each finite) are validated, and the
+    k + 1 test blocks of (dim, AF_TEST_VECTORS) entries are counted against
+    NONZERO_CAP, before any work (ValueError, NonzeroCapError)."""
     filt = af_filtration(orders)
+    filt.check_eigenvalues(eigenvalues)
     _check_nonzeros((filt.depth + 1) * filt.dim * AF_TEST_VECTORS)
     res = _af_residuals(filt, eigenvalues, np.random.default_rng([seed, 0xAF]))
     residual = max(res["rank"], res["orthogonality"], res["commutation"], res["q0"])

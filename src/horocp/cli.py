@@ -371,7 +371,10 @@ def _parse_state(order: int, text: str) -> StateSpec:
         return StateSpec.character(order, int(rest))
     if kind == "vector":
         vec = np.array([complex(v) for v in rest.split(",")])
-        return StateSpec.vector_state(vec / np.linalg.norm(vec))
+        norm = np.linalg.norm(vec)
+        if not 0.0 < norm < math.inf:
+            raise UsageError(f"vector state {text!r} needs a nonzero finite vector")
+        return StateSpec.vector_state(vec / norm)
     raise UsageError(f"unknown state {text!r} (try char:<j> or vector:<v1,...>)")
 
 

@@ -63,9 +63,15 @@ class PhiFunction:
         return max(abs(float(v)) for v in self.values.values())
 
 
+def _own_lengths(ball: BallTable, spec: LengthFunction) -> np.ndarray:
+    """spec's lengths of the ball's elements, in ball order: the ball's own
+    when it was grown by spec, which are the values a lookup would give."""
+    return ball.lengths if spec is ball.spec else spec.lengths(ball.coords)
+
+
 def phi(g: Element, ball: BallTable, spec: Optional[LengthFunction] = None) -> PhiFunction:
     spec = spec or ball.spec
-    values = spec.lengths(ball.coords) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
+    values = _own_lengths(ball, spec) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
     return PhiFunction(g, ball, dict(zip(ball.elements, values.tolist())))
 
 
@@ -78,7 +84,7 @@ def cocycle_defect(g: Element, h: Element, ball: BallTable,
     """
     spec = spec or ball.spec
     group = ball.group
-    lx = spec.lengths(ball.coords)
+    lx = _own_lengths(ball, spec)
     l_gx = spec.lengths(ball.left_translates(group.inverse(g)))
     l_ghx = spec.lengths(ball.left_translates(group.inverse(group.multiply(g, h))))
     defect = (lx - l_ghx) - (l_gx - l_ghx) - (lx - l_gx)

@@ -10,7 +10,9 @@ attained by its witness w (the ratio |(psi - psi')(w)| / ||[D, w]||), found by
 normalized ascent with restarts and a pattern-search polish; a grid start with
 the same polish over the same feasible ball serves as an independent maximizer
 at tiny parameter dimension.  The searches run in lock-step, one stacked SVD
-per step, and reach the same bits as when run one after another.
+per step.  A polish sweep stops at the first move it already refuted from the
+same point at the same radius, so the searches reach the same bits as the
+sequential search that tries every move, with fewer seminorms.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def cyclic_triple(order: int, lengths: Sequence[float]) -> FiniteTriple:
     lengths = [float(v) for v in lengths]
     if len(lengths) != order:
         raise ValueError(f"need {order} length values")
+    if not all(map(math.isfinite, lengths)):
+        raise ValueError(f"lengths must be finite, got {lengths}")
     if lengths[0] != 0.0:
         raise ValueError("the identity must have length 0")
     dirac = np.diag(np.array(lengths, dtype=complex))
@@ -145,14 +149,15 @@ class StateSpec:
     @classmethod
     def vector_state(cls, vec: Sequence[complex], label: str = "vector") -> "StateSpec":
         v = np.asarray(vec, dtype=complex)
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("vector states need a unit vector")
         return cls("vector", vector=v, label=label)
 
     @classmethod
     def density_matrix(cls, rho: np.ndarray, label: str = "density") -> "StateSpec":
         rho = np.asarray(rho, dtype=complex)
-        if abs(np.trace(rho).real - 1.0) > 1e-12 or np.max(np.abs(rho - rho.conj().T)) > 1e-12:
+        if not (abs(np.trace(rho).real - 1.0) <= 1e-12
+                and np.max(np.abs(rho - rho.conj().T)) <= 1e-12):  # NaN fails too
             raise ValueError("density matrices must be hermitian with unit trace")
         return cls("density", density=rho, label=label)
 
@@ -219,24 +224,36 @@ def _ratio(c: np.ndarray, theta: np.ndarray):
 
 def _polish(c: np.ndarray, theta: np.ndarray, floor: float = 1e-8):
     """Pattern search on the homogeneous ratio |c.theta| / L(theta), from a
-    unit vector theta; a run for ``_lockstep``."""
+    unit vector theta; a run for ``_lockstep``.
+
+    A sweep tries the moves theta_j -+ radius in order and halves the radius
+    after a sweep without a gain.  The moves after a sweep's last gain were
+    refuted from the point it ends at, at this radius.  So the next sweep, if
+    it has not gained by then, stops at the first move already refuted from
+    the same point and radius: that move would fail again.  The result is
+    bit-identical to full sweeps; only fewer seminorms are evaluated."""
     best = yield from _ratio(c, theta)
     radius = 0.5
+    refuted = None  # first move refuted from theta at this radius, if any
     while radius > floor:
-        improved = False
-        for j in range(len(theta)):
-            for sign in (-1.0, 1.0):
-                trial = theta.copy()
-                trial[j] += sign * radius
-                norm = np.linalg.norm(trial)
-                if norm == 0.0:
-                    continue
-                value = yield from _ratio(c, trial / norm)
-                if value > best + 1e-15:
-                    best, theta = value, trial / norm
-                    improved = True
-        if not improved:
+        gained = None
+        for move, (j, sign) in enumerate(product(range(len(theta)), (-1.0, 1.0))):
+            if move == refuted and gained is None:
+                break
+            trial = theta.copy()
+            trial[j] += sign * radius
+            norm = math.sqrt(trial.dot(trial))  # np.linalg.norm's sum for a real vector
+            if norm == 0.0:
+                continue
+            trial /= norm
+            value = yield from _ratio(c, trial)
+            if value > best + 1e-15:
+                best, theta, gained = value, trial, move
+        if gained is None:
             radius /= 2.0
+            refuted = None
+        else:
+            refuted = gained + 1
     return best, theta
 
 
@@ -283,8 +300,10 @@ def mk_distance(triple: FiniteTriple, psi: StateSpec, psi_prime: StateSpec,
     for bit.
 
     The restarts, then the polish runs, advance in lock-step with one stacked
-    SVD per step; each makes the trial vectors it would make alone, so every
-    field is bit-identical to running them one after another.
+    SVD per step.  A polish sweep stops at the first move it already refuted
+    from the same point at the same radius; that move would fail again, so
+    every field is bit-identical to running the full sweeps one after
+    another, though fewer seminorms are evaluated.
     """
     if restarts < 1:
         raise ValueError(f"restarts must be at least 1, got {restarts}")

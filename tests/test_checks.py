@@ -658,6 +658,16 @@ def test_af_triple_validates_eigenvalue_count_first():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_af_triple_refuses_non_finite_eigenvalues(bad):
+    # unrefused, a NaN eigenvalue made a NaN residual, which the CLI failed to
+    # serialize with a traceback
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        check_af_triple([2, 2], [0, 1, bad])
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        af_filtration([2, 2]).dirac([0, bad, 1], np.eye(4, dtype=complex))
+
+
 def test_af_triple_sixteen_binary_levels_in_small_memory():
     orders = [2] * 16
     tracemalloc.start()

@@ -273,6 +273,24 @@ def test_malformed_check_arguments_are_usage_errors(capsys, argv, message):
     assert "error:" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("af-triple", "--orders", "2,2", "--eigenvalues", "0,1,nan"), "eigenvalues must be finite"),
+    (("af-triple", "--orders", "2,2", "--eigenvalues", "0,1,inf"), "eigenvalues must be finite"),
+    (("mk-distance", "--cyclic-order", "2", "--lengths", "0,nan", "--state-a", "char:0",
+      "--state-b", "char:1"), "lengths must be finite"),
+    (("mk-distance", "--cyclic-order", "3", "--lengths", "0,1,1", "--state-a", "char:0",
+      "--state-b", "vector:0,0,0"), "needs a nonzero finite vector"),
+    (("mk-distance", "--cyclic-order", "3", "--lengths", "0,1,1", "--state-a", "vector:1,nan,0",
+      "--state-b", "char:1"), "needs a nonzero finite vector"),
+])
+def test_non_finite_triple_inputs_are_usage_errors(capsys, argv, message):
+    # unrefused, a NaN eigenvalue failed in render_json with a traceback, and a
+    # NaN length or a zero state vector with "SVD did not converge"
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
 def test_conjugation_refuses_an_asymmetric_table(capsys, tmp_path):
     # l(-k) = k + 1: 4 lies in the radius-4 ball but -4 does not, so W(4^-1)
     # is not in the ball's stack

@@ -75,6 +75,34 @@ def test_cocycle_zero_h3(len_h3):
     assert cocycle_defect(e, e, ball) == 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: LengthFunction.word(GroupSpec.free_abelian(2), hexagonal_generators()),
+    lambda: LengthFunction.word(GroupSpec.heisenberg3()),
+    lambda: LengthFunction.norm_restriction(GroupSpec.free_abelian(2), NormSpec.l2()),
+    lambda: LengthFunction.explicit_table(
+        GroupSpec.free_abelian(1),
+        {(k,): Fraction(3 * abs(k) + 1, 3) if k else Fraction(0) for k in range(-30, 31)}),
+], ids=["word-z2", "word-h3", "norm-l2", "table"])
+def test_phi_reads_the_balls_own_lengths(make, monkeypatch):
+    # phi and cocycle_defect used to look the ball's own lengths up again
+    spec, other = make(), make()
+    ball = spec.ball(4)
+    looked_up = other.lengths(ball.coords)
+    assert ball.lengths.dtype == looked_up.dtype
+    assert ball.lengths.tolist() == looked_up.tolist()
+    g, h = ball.elements[1], ball.elements[-1]
+    for fn in (lambda s: phi(g, ball, s).values, lambda s: cocycle_defect(g, h, ball, s)):
+        assert fn(spec) == fn(other)
+    calls = []
+    lengths = LengthFunction.lengths
+    monkeypatch.setattr(LengthFunction, "lengths",
+                        lambda self, points: calls.append(1) or lengths(self, points))
+    phi(g, ball)
+    assert len(calls) == 1
+    cocycle_defect(g, h, ball)
+    assert len(calls) == 3
+
+
 def test_facets_diamond(z2):
     funs = facets(z2)
     coeffs = {f.coefficients for f in funs}

@@ -7,6 +7,7 @@ from scipy.linalg import svdvals
 
 from horocp import (
     DegenerateTripleError,
+    FiniteTriple,
     NonzeroCapError,
     StateSpec,
     af_level_triple,
@@ -142,6 +143,23 @@ def test_state_validation():
         StateSpec.vector_state([1.0, 1.0])
     with pytest.raises(ValueError):
         StateSpec.density_matrix(np.eye(2))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_inputs_refused(bad):
+    # unrefused, NaN passed the unit-norm and unit-trace tests (a comparison
+    # with NaN is false) and the search failed with "SVD did not converge"
+    with pytest.raises(ValueError, match="lengths must be finite"):
+        cyclic_triple(3, [0.0, bad, 1.0])
+    with pytest.raises(ValueError, match="eigenvalues must be finite"):
+        af_level_triple((2, 2), [0.0, 1.0, bad])
+    with pytest.raises(ValueError, match="unit vector"):
+        StateSpec.vector_state([1.0, bad, 0.0])
+    for entry in [(0, 0), (0, 1)]:
+        rho = np.eye(2) / 2
+        rho[entry] = bad
+        with pytest.raises(ValueError, match="hermitian with unit trace"):
+            StateSpec.density_matrix(rho)
 
 
 def test_characters_multiplicative():
@@ -408,6 +426,57 @@ def test_search_stacks_its_svds(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     triple, psi, psi_prime = _REFERENCE_CASES["c6-2"]()
     mk_distance(triple, psi, psi_prime, restarts=4, iterations=200)
-    # one SVD per matrix would be 2411 calls; lock-step makes 640
-    assert sum(matrices) == 2411
+    # one SVD per matrix would be 2203 calls; lock-step makes 597
+    assert sum(matrices) == 2203
     assert len(calls) < sum(matrices) / 3
+
+
+def _ref_polish_trials(monkeypatch, triple, psi, psi_prime, restarts, iterations):
+    """How many distinct (run, point, trial) triples the sequential reference's
+    polish takes a seminorm of.  The trial is the vector before normalization,
+    which, given the point, fixes the radius and the move; normalized, two
+    moves from [1, 0, 0] along the first axis give the same vector."""
+    seen, run = set(), {"index": -1}
+    polish, ratio, norm = _ref_polish, _ref_ratio, np.linalg.norm
+
+    def recording_polish(triple, c, theta, floor=1e-8):
+        run.update(index=run["index"] + 1, point=None, best=None)
+        return polish(triple, c, theta, floor)
+
+    def recording_norm(x, *args, **kwargs):
+        run["trial"] = np.asarray(x).tobytes()
+        return norm(x, *args, **kwargs)
+
+    def recording_ratio(triple, c, theta):
+        value = ratio(triple, c, theta)
+        if float(c @ theta) != 0.0:
+            seen.add((run["index"], run["point"], run["trial"]))
+        if run["best"] is None or value > run["best"] + 1e-15:
+            run.update(point=theta.tobytes(), best=value)
+        return value
+
+    monkeypatch.setitem(globals(), "_ref_polish", recording_polish)
+    monkeypatch.setitem(globals(), "_ref_ratio", recording_ratio)
+    monkeypatch.setattr(np.linalg, "norm", recording_norm)
+    _ref_mk_distance(triple, psi, psi_prime, restarts, iterations)
+    return len(seen)
+
+
+@pytest.mark.parametrize("case", ["c5-2", "c6-2", "af22"])
+def test_polish_evaluates_each_trial_once(case, monkeypatch):
+    # a sweep used to try again the moves after the previous sweep's last
+    # gain, from the same point at the same radius: 2411 rows on c6-2, not 2203
+    triple, psi, psi_prime = _REFERENCE_CASES[case]()
+    rows = []
+    seminorms = FiniteTriple.seminorms
+
+    def counting_seminorms(self, thetas):
+        rows.append(len(thetas))
+        return seminorms(self, thetas)
+
+    monkeypatch.setattr(FiniteTriple, "seminorms", counting_seminorms)
+    result = mk_distance(triple, psi, psi_prime, restarts=4, iterations=200)
+    monkeypatch.undo()
+    ascent = 4 + result.iterations  # each restart's start, then one row per iteration
+    assert sum(rows) == ascent + _ref_polish_trials(
+        monkeypatch, triple, psi, psi_prime, restarts=4, iterations=200)
