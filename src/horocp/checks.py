@@ -197,7 +197,7 @@ def check_cocycle(spec: LengthFunction, pairs: Sequence[tuple[Element, Element]]
     ball = spec.ball(radius)
     worst = 0.0
     for g, h in pairs:
-        worst = max(worst, cocycle_defect(g, h, ball, spec))
+        worst = max(worst, cocycle_defect(g, h, ball))
     return CheckReport(
         name="cocycle",
         statement="phi_{gh} = g.phi_h + phi_g",
@@ -517,7 +517,7 @@ def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
     k + 1 test blocks of (dim, AF_TEST_VECTORS) entries are counted against
     NONZERO_CAP, before any work (ValueError, NonzeroCapError)."""
     filt = af_filtration(orders)
-    filt.check_eigenvalues(eigenvalues)
+    eigenvalues = filt.check_eigenvalues(eigenvalues)
     _check_nonzeros((filt.depth + 1) * filt.dim * AF_TEST_VECTORS)
     res = _af_residuals(filt, eigenvalues, np.random.default_rng([seed, 0xAF]))
     residual = max(res["rank"], res["orthogonality"], res["commutation"], res["q0"])
@@ -526,7 +526,7 @@ def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
         statement="Q_i mutually orthogonal projections with rank |G/G_i| - |G/G_{i-1}|; "
                   "[Q_j, pi(a)] = 0 for a in A_i, j > i;  D = sum_i lambda_i Q_i",
         params={"orders": [int(n) for n in orders],
-                "eigenvalues": [float(v) for v in eigenvalues], "seed": seed},
+                "eigenvalues": eigenvalues, "seed": seed},
         tolerance=tol,
         passed=residual <= tol,
         residual=residual,
@@ -731,7 +731,7 @@ def _conjugation(rng, seed, spec, p, k):
     a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     action = random_diagonal_action(rng, group, 2)
     ball = spec.ball(p.radius)
-    phi_s = phi(group.generators[0], ball, spec)
+    phi_s = phi(group.generators[0], ball)
     g = ball.elements[int(rng.integers(1, len(ball)))]
     return check_unitary_conjugation(a, [float(phi_s(h)) for h in ball.elements], g,
                                      spec, action, radius=p.radius)

@@ -258,7 +258,7 @@ def cmd_phi(args):
     spec = build_length(group, args)
     g = parse_element(group, args.g)
     ball = spec.ball(args.radius)
-    values = phi(g, ball, spec)
+    values = phi(g, ball)
     result = {
         "g": list(map(int, g)),
         "values": [[list(map(int, h)), _num(values(h))] for h in ball.elements],
@@ -371,6 +371,8 @@ def _parse_state(order: int, text: str) -> StateSpec:
         return StateSpec.character(order, int(rest))
     if kind == "vector":
         vec = np.array([complex(v) for v in rest.split(",")])
+        if len(vec) != order:
+            raise UsageError(f"vector state {text!r} needs {order} entries")
         norm = np.linalg.norm(vec)
         if not 0.0 < norm < math.inf:
             raise UsageError(f"vector state {text!r} needs a nonzero finite vector")

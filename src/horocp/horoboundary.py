@@ -63,15 +63,17 @@ class PhiFunction:
         return max(abs(float(v)) for v in self.values.values())
 
 
-def _own_lengths(ball: BallTable, spec: LengthFunction) -> np.ndarray:
-    """spec's lengths of the ball's elements, in ball order: the ball's own
-    when it was grown by spec, which are the values a lookup would give."""
-    return ball.lengths if spec is ball.spec else spec.lengths(ball.coords)
+def _grown_by(ball: BallTable, spec: Optional[LengthFunction]) -> LengthFunction:
+    """The length function that grew the ball.  `spec` may name it again, as
+    older callers do; any other length function is refused."""
+    if spec is not None and spec is not ball.spec:
+        raise ValueError("phi and cocycle_defect take the length function that grew the ball")
+    return ball.spec
 
 
 def phi(g: Element, ball: BallTable, spec: Optional[LengthFunction] = None) -> PhiFunction:
-    spec = spec or ball.spec
-    values = _own_lengths(ball, spec) - spec.lengths(ball.left_translates(ball.group.inverse(g)))
+    spec = _grown_by(ball, spec)
+    values = ball.lengths - spec.lengths(ball.left_translates(ball.group.inverse(g)))
     return PhiFunction(g, ball, dict(zip(ball.elements, values.tolist())))
 
 
@@ -82,9 +84,9 @@ def cocycle_defect(g: Element, h: Element, ball: BallTable,
     With (g.phi_h)(x) = phi_h(g^-1 x) = l(g^-1 x) - l(h^-1 g^-1 x) and
     h^-1 g^-1 = (gh)^-1, two translates of the ball give every term.
     """
-    spec = spec or ball.spec
+    spec = _grown_by(ball, spec)
     group = ball.group
-    lx = _own_lengths(ball, spec)
+    lx = ball.lengths
     l_gx = spec.lengths(ball.left_translates(group.inverse(g)))
     l_ghx = spec.lengths(ball.left_translates(group.inverse(group.multiply(g, h))))
     defect = (lx - l_ghx) - (l_gx - l_ghx) - (lx - l_gx)

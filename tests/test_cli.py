@@ -282,10 +282,13 @@ def test_malformed_check_arguments_are_usage_errors(capsys, argv, message):
       "--state-b", "vector:0,0,0"), "needs a nonzero finite vector"),
     (("mk-distance", "--cyclic-order", "3", "--lengths", "0,1,1", "--state-a", "vector:1,nan,0",
       "--state-b", "char:1"), "needs a nonzero finite vector"),
+    (("mk-distance", "--cyclic-order", "3", "--lengths", "0,1,1", "--state-a", "char:0",
+      "--state-b", "vector:1,0"), "needs 3 entries"),
 ])
 def test_non_finite_triple_inputs_are_usage_errors(capsys, argv, message):
-    # unrefused, a NaN eigenvalue failed in render_json with a traceback, and a
-    # NaN length or a zero state vector with "SVD did not converge"
+    # unrefused, a NaN eigenvalue failed in render_json with a traceback, a
+    # NaN length or a zero state vector with "SVD did not converge", and a
+    # state vector of the wrong length with numpy's matmul mismatch
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "error:" in err and message in err and "Traceback" not in err

@@ -86,13 +86,19 @@ def test_cocycle_zero_h3(len_h3):
 def test_phi_reads_the_balls_own_lengths(make, monkeypatch):
     # phi and cocycle_defect used to look the ball's own lengths up again
     spec, other = make(), make()
-    ball = spec.ball(4)
+    ball, other_ball = spec.ball(4), other.ball(4)
     looked_up = other.lengths(ball.coords)
     assert ball.lengths.dtype == looked_up.dtype
     assert ball.lengths.tolist() == looked_up.tolist()
     g, h = ball.elements[1], ball.elements[-1]
-    for fn in (lambda s: phi(g, ball, s).values, lambda s: cocycle_defect(g, h, ball, s)):
-        assert fn(spec) == fn(other)
+    assert phi(g, ball).values == phi(g, other_ball).values
+    assert cocycle_defect(g, h, ball) == cocycle_defect(g, h, other_ball)
+    # the length function that grew the ball may be named again, no other
+    assert phi(g, ball, spec).values == phi(g, ball).values
+    assert cocycle_defect(g, h, ball, spec) == cocycle_defect(g, h, ball)
+    for fn in (lambda: phi(g, ball, other), lambda: cocycle_defect(g, h, ball, other)):
+        with pytest.raises(ValueError, match="grew the ball"):
+            fn()
     calls = []
     lengths = LengthFunction.lengths
     monkeypatch.setattr(LengthFunction, "lengths",

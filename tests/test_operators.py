@@ -1086,12 +1086,12 @@ def test_gathered_exact_layer_matches_loops(entry):
     ball, ref_ball = spec.ball(radius), ref.ball(radius)
     near = spec.ball(support).elements
     for g in near:
-        values = phi(g, ball, spec).values
+        values = phi(g, ball).values
         expect = loop_phi(g, ref_ball, ref)
         assert list(values.items()) == list(expect.items())
         assert [type(v) for v in values.values()] == [type(v) for v in expect.values()]
         for h in near[::2]:
-            assert cocycle_defect(g, h, ball, spec) == loop_cocycle(g, h, ref_ball, ref)
+            assert cocycle_defect(g, h, ball) == loop_cocycle(g, h, ref_ball, ref)
     for d in (1, 2):
         H = truncate(spec, radius, d)
         for g in near:
@@ -1107,8 +1107,8 @@ def test_gathered_paths_keep_the_table_domain_error():
     z1 = GroupSpec.free_abelian(1)
     spec, ref = fraction_table(z1), fraction_table(z1)
     ball = spec.ball(6)
-    for fn in (lambda s, b: phi((2,), b, s).values, lambda s, b: loop_phi((2,), b, s),
-               lambda s, b: cocycle_defect((1,), (1,), b, s),
+    for fn in (lambda s, b: phi((2,), b).values, lambda s, b: loop_phi((2,), b, s),
+               lambda s, b: cocycle_defect((1,), (1,), b),
                lambda s, b: loop_cocycle((1,), (1,), b, s),
                lambda s, b: m_phi_g(TruncatedHilbert(b, 1), (3,))):
         with pytest.raises(ValueError, match="outside the tabulated domain"):
