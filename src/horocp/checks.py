@@ -2,14 +2,16 @@
 
 Each check returns a CheckReport with the measured residual (equalities) or
 slack (inequalities), the tolerance it was judged against, and the statement
-it verifies.  Equality tolerances default to 1e-12, inequality slack
-tolerances to 1e-9.  Randomized checks record their seed, so every report is
-reproducible.
+it verifies.  Equalities are judged at EQUALITY_TOL = 1e-12 and inequality
+slacks at SLACK_TOL = 1e-9; the cocycle and length-axiom checks are judged
+at exactly 0.  None of these is a parameter.  Randomized checks record their
+seed, so every report is reproducible.
 
-Inequalities compare a radius-R compression on the small side against a
-radius-(R + dR) compression on the large side (default dR = R); both are
-certified lower bounds of the untruncated norms, and a failure triggers one
-automatic radius escalation before it is reported.
+Every norm of an inequality is a compression, a certified lower bound of the
+untruncated norm.  Tail-bound alone uses two radii: the small side at R, the
+large side at 2R.  Tail-bound and coefficient-bounds re-check a failure once
+at twice the radius before they report it; conditional-expectation and
+nctorus judge their inequalities at the given radius only.
 
 Every commutator is ``operators.commutator`` on block pairs, and windows and
 coset compressions are ``restrict_blocks`` filters; a check densifies an
@@ -162,16 +164,16 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def check_commutator_identity(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
-                              radius: float, tol: float = EQUALITY_TOL) -> CheckReport:
+                              radius: float) -> CheckReport:
     """[1 (x) M_l, x] equals sum_g (1 (x) phi_g) a_g lambda_g on the window."""
-    d = x.coeff_dim if x.coeffs else 1
+    d = x.coeff_dim
     H = truncate(spec, radius, d)
     r = x.support_radius(spec)
-    if not H.exact and H.ball.radius - r < 1:
+    window = H.window(r)
+    if window < 1:
         raise ValueError("window needs radius - support_radius >= 1")
     x_op = realize(x, H, action)
     rhs = realize_phi_twisted(x, H, action)  # the same block pairs as x_op
-    window = math.inf if H.exact else H.ball.radius - r
     keep = H.lengths[x_op.cols] <= window
     lhs = commutator(m_ell(H), restrict_blocks(x_op, keep))
     residual = _max_abs(lhs.data - rhs.data[keep])
@@ -180,8 +182,8 @@ def check_commutator_identity(x: CrossedElement, spec: LengthFunction, action: A
         statement="[1 (x) M_l, sum a_g lambda_g] = sum (1 (x) phi_g) a_g lambda_g",
         params={"radius": radius, "support_radius": r, "coeff_dim": d,
                 "support": [list(map(int, g)) for g in x.support]},
-        tolerance=tol,
-        passed=residual <= tol,
+        tolerance=EQUALITY_TOL,
+        passed=residual <= EQUALITY_TOL,
         residual=residual,
         details={"window_radius": window if not math.isinf(window) else "exact"},
     )
@@ -192,7 +194,7 @@ def check_commutator_identity(x: CrossedElement, spec: LengthFunction, action: A
 
 
 def check_cocycle(spec: LengthFunction, pairs: Sequence[tuple[Element, Element]],
-                  radius: float, tol: float = 0.0) -> CheckReport:
+                  radius: float) -> CheckReport:
     """phi_{gh} = g.phi_h + phi_g, exactly, over all listed pairs."""
     ball = spec.ball(radius)
     worst = 0.0
@@ -202,8 +204,8 @@ def check_cocycle(spec: LengthFunction, pairs: Sequence[tuple[Element, Element]]
         name="cocycle",
         statement="phi_{gh} = g.phi_h + phi_g",
         params={"radius": radius, "pairs": len(pairs)},
-        tolerance=tol,
-        passed=worst <= tol,
+        tolerance=0.0,
+        passed=worst <= 0.0,
         residual=worst,
     )
 
@@ -214,9 +216,7 @@ def check_cocycle(spec: LengthFunction, pairs: Sequence[tuple[Element, Element]]
 
 def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: SubgroupSpec,
                                   d_a: np.ndarray, spec: LengthFunction, action: ActionSpec,
-                                  radius: Optional[float] = None,
-                                  tol: float = EQUALITY_TOL,
-                                  slack_tol: float = SLACK_TOL) -> CheckReport:
+                                  radius: Optional[float] = None) -> CheckReport:
     """E_H intertwines the coefficient and length commutators along coset shifts.
 
     Verifies E_H([T, x] lambda_{g^-1}) lambda_g = [T, E_H(x lambda_{g^-1}) lambda_g]
@@ -227,14 +227,14 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
     at the slack tolerance), all on the truncated space.
     """
     group = spec.group
-    d = x.coeff_dim if x.coeffs else 1
+    d = x.coeff_dim
     r = x.support_radius(spec)
     lg = float(spec.length(g))
     if radius is None:
         radius = r + 2 * lg + 2
     H = truncate(spec, radius, d)
-    window = math.inf if H.exact else H.ball.radius - r - 2 * lg
-    if not H.exact and window < 0:
+    window = H.window(r) - 2 * lg
+    if window < 0:
         raise ValueError("radius too small for the requested coset shift")
 
     x_op = realize(x, H, action)
@@ -268,9 +268,9 @@ def check_conditional_expectation(x: CrossedElement, g: Element, subgroup: Subgr
                   "<= ||[1 (x) M_l, x]||",
         params={"radius": radius, "subgroup": subgroup.name,
                 "g": list(map(int, g)), "coeff_dim": d},
-        tolerance=tol,
-        passed=(residual <= tol and contraction >= -tol
-                and coset_slack >= -slack_tol),
+        tolerance=EQUALITY_TOL,
+        passed=(residual <= EQUALITY_TOL and contraction >= -EQUALITY_TOL
+                and coset_slack >= -SLACK_TOL),
         residual=residual,
         slack=contraction,
         details={"identity_residuals": residuals,
@@ -314,44 +314,41 @@ def tail_series_factor(n_cut: int, shift: float) -> float:
 
 def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float, n_cut: int,
                      spec: LengthFunction, action: ActionSpec, radius: float,
-                     delta_radius: Optional[float] = None, tol: float = SLACK_TOL,
                      _escalated: bool = False) -> CheckReport:
     """||sum_{|phi(g)|>N} a_g lambda_g|| <= factor(N, L) ||[1 (x) M_phi, x] + L x||.
 
-    The left side is compressed at `radius`, the right side at
-    `radius + delta_radius`; one automatic radius escalation runs on failure.
+    The left side is compressed at `radius`, the right side at 2 * `radius`;
+    a failure is re-checked once at twice the radius before it is reported.
     """
     group = spec.group
-    if delta_radius is None:
-        delta_radius = radius
     vec, phi_value = _homomorphism(group, functional)
     if all(c == 0 for c in vec):
         raise ValueError("the homomorphism must be non-trivial")
-    d = x.coeff_dim if x.coeffs else 1
+    d = x.coeff_dim
     tail = x.restrict(lambda g: abs(phi_value(g)) > n_cut)
     if tail.coeffs:
         h_small = truncate(spec, radius, d)
         lhs = op_norm(realize(tail, h_small, action).matrix)
     else:
         lhs = 0.0
-    h_big = truncate(spec, radius + delta_radius, d)
+    h_big = truncate(spec, 2 * radius, d)
     x_op = realize(x, h_big, action)
     comm = commutator(m_phi(h_big, vec), x_op)
     # [1 (x) M_phi, x] + L x, on x's block pairs
     rhs = op_norm(replace(comm, data=comm.data + float(shift) * x_op.data).matrix)
     factor = tail_series_factor(n_cut, float(shift))
     slack = factor * rhs - lhs
-    if slack < -tol and not _escalated:
-        return check_tail_bound(x, functional, shift, n_cut, spec, action,
-                                2 * radius, 2 * radius, tol, _escalated=True)
+    if slack < -SLACK_TOL and not _escalated:
+        return check_tail_bound(x, functional, shift, n_cut, spec, action, 2 * radius,
+                                _escalated=True)
     return CheckReport(
         name="tail-bound",
         statement="||sum_{|phi(g)|>N} a_g lambda_g|| "
                   "<= (sum_{|k|>N} (k+L)^-2)^(1/2) ||[1 (x) M_phi, x] + L x||",
         params={"N": n_cut, "L": float(shift), "functional": list(vec),
-                "radius": radius, "delta_radius": delta_radius},
-        tolerance=tol,
-        passed=slack >= -tol,
+                "radius": radius, "delta_radius": radius},
+        tolerance=SLACK_TOL,
+        passed=slack >= -SLACK_TOL,
         slack=slack,
         details={"lhs": lhs, "rhs": rhs, "factor": factor, "escalated": _escalated},
     )
@@ -362,8 +359,8 @@ def check_tail_bound(x: CrossedElement, functional: Sequence[int], shift: float,
 
 
 def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Element,
-                              spec: LengthFunction, action: ActionSpec, radius: float,
-                              tol: float = EQUALITY_TOL) -> CheckReport:
+                              spec: LengthFunction, action: ActionSpec, radius: float
+                              ) -> CheckReport:
     """Conjugation by U(xi (x) delta_g) = lambda~_g xi (x) delta_g tensor-splits
     the coefficient, boundary-function, and translation parts.
 
@@ -421,8 +418,8 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
         statement="U pi~(a) U* = pi(a) (x) 1;  U nu~(f) U* = 1 (x) nu(f);  "
                   "U lambda~_g U* = lambda_g (x) lambda_g",
         params={"radius": radius, "coeff_dim": d, "g": list(map(int, g))},
-        tolerance=tol,
-        passed=residual <= tol,
+        tolerance=EQUALITY_TOL,
+        passed=residual <= EQUALITY_TOL,
         residual=residual,
         details={"identity_residuals": residuals},
     )
@@ -433,17 +430,16 @@ def check_unitary_conjugation(a: np.ndarray, f_values: Sequence[float], g: Eleme
 
 
 def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
-                                 x: Optional[CrossedElement] = None,
                                  n_range: Sequence[int] = range(-50, 51),
-                                 radius: float = 20.0,
-                                 tol: float = SLACK_TOL,
-                                 relation_tol: float = EQUALITY_TOL) -> CheckReport:
+                                 radius: float = 20.0) -> CheckReport:
     """Clock-shift relation and the uniform commutator bound under the phase action.
 
     u, v are the q x q clock and shift with u v = exp(2 pi i p/q) v u; the
     integer action sends u to exp(-2 pi i theta) u (inner, by conjugation with
-    u v) and twists lambda_1 by a phase.  For every n the compression of
-    [1 (x) M_l, alpha^n(x)] stays below sum_g ||a_g|| ||[1 (x) M_l, lambda_g]||.
+    u v) and twists lambda_1 by a phase.  For x = u lambda_1 + u* lambda_-1
+    and every n, the compression of [1 (x) M_l, alpha^n(x)] stays below
+    sum_g ||a_g|| ||[1 (x) M_l, lambda_g]||.  The relation and action
+    residuals are judged at EQUALITY_TOL, the slack at SLACK_TOL.
     """
     group = spec.group
     if not group.is_free_abelian or group.rank != 1:
@@ -461,8 +457,7 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
     action_residual = _max_abs(w @ u @ w.conj().T - np.exp(-2j * np.pi * theta) * u)
     action = ActionSpec(group, {(1,): w, (-1,): w.conj().T})
 
-    if x is None:
-        x = CrossedElement.from_dict(group, {(1,): u, (-1,): u.conj().T})
+    x = CrossedElement.from_dict(group, {(1,): u, (-1,): u.conj().T})
     H = truncate(spec, radius, q)
     ell = m_ell(H)
 
@@ -481,15 +476,15 @@ def check_nctorus_equicontinuity(p: int, q: int, spec: LengthFunction,
         norms.append(value)
         worst_slack = min(worst_slack, bound - value)
 
-    passed = (relation_residual <= relation_tol and action_residual <= relation_tol
-              and worst_slack >= -tol)
+    passed = (relation_residual <= EQUALITY_TOL and action_residual <= EQUALITY_TOL
+              and worst_slack >= -SLACK_TOL)
     return CheckReport(
         name="nctorus-equicontinuity",
         statement="u v = exp(2 pi i theta) v u;  alpha^n(u) = exp(-2 pi i n theta) u;  "
                   "||[1 (x) M_l, alpha^n(x)]|| <= sum_g ||a_g|| ||[1 (x) M_l, lambda_g]||",
         params={"p": p, "q": q, "radius": radius,
                 "n_range": [int(min(n_range)), int(max(n_range))]},
-        tolerance=tol,
+        tolerance=SLACK_TOL,
         passed=passed,
         residual=max(relation_residual, action_residual),
         slack=worst_slack,
@@ -509,7 +504,7 @@ AF_BLOCK_SCALE = 0.25   # its entries are Gaussian integers in [-4, 4] + [-4, 4]
 
 
 def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
-                    seed: int = 0, tol: float = EQUALITY_TOL) -> CheckReport:
+                    seed: int = 0) -> CheckReport:
     """Projection ranks, mutual orthogonality, and level commutation for the
     finite-depth odometer filtration (residuals as in `_af_residuals`).
 
@@ -527,8 +522,8 @@ def check_af_triple(orders: Sequence[int], eigenvalues: Sequence[float],
                   "[Q_j, pi(a)] = 0 for a in A_i, j > i;  D = sum_i lambda_i Q_i",
         params={"orders": [int(n) for n in orders],
                 "eigenvalues": eigenvalues, "seed": seed},
-        tolerance=tol,
-        passed=residual <= tol,
+        tolerance=EQUALITY_TOL,
+        passed=residual <= EQUALITY_TOL,
         residual=residual,
         details={"ranks": res["ranks"],
                  "orthogonality_residual": res["orthogonality"],
@@ -592,12 +587,14 @@ def _af_residuals(filt: AFFiltration, eigenvalues: Sequence[float],
 def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
                              spec: LengthFunction, action: ActionSpec,
                              radius: Optional[float] = None,
-                             tol: float = SLACK_TOL,
                              _escalated: bool = False) -> CheckReport:
     """Per-coefficient bounds ||[D_A, a_h]|| <= ||[D_A (x) 1, x]|| and
-    ||a_h|| <= l(hg)^-1 ||[1 (x) M_l, x]|| (the latter skipping hg = e)."""
+    ||a_h|| <= l(hg)^-1 ||[1 (x) M_l, x]|| (the latter skipping hg = e).
+
+    Both sides are compressed at one radius; a failure is re-checked once at
+    twice the radius before it is reported."""
     group = spec.group
-    d = x.coeff_dim if x.coeffs else 1
+    d = x.coeff_dim
     r = x.support_radius(spec)
     if radius is None:
         radius = 2 * r + 2
@@ -626,16 +623,15 @@ def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
             entry["norm_slack"] = slack_a
             worst = min(worst, slack_a)
         per_term.append(entry)
-    if worst < -tol and not _escalated:
-        return check_coefficient_bounds(x, g, d_a, spec, action, 2 * radius,
-                                        tol, _escalated=True)
+    if worst < -SLACK_TOL and not _escalated:
+        return check_coefficient_bounds(x, g, d_a, spec, action, 2 * radius, _escalated=True)
     return CheckReport(
         name="coefficient-bounds",
         statement="||[D_A, a_h]|| <= ||[D_A (x) 1, x]||;  "
                   "||a_h|| <= l(hg)^-1 ||[1 (x) M_l, x]|| for hg != e",
         params={"radius": radius, "g": list(map(int, g)), "coeff_dim": d},
-        tolerance=tol,
-        passed=worst >= -tol,
+        tolerance=SLACK_TOL,
+        passed=worst >= -SLACK_TOL,
         slack=worst,
         details={"terms": per_term, "escalated": _escalated},
     )
@@ -645,16 +641,15 @@ def check_coefficient_bounds(x: CrossedElement, g: Element, d_a: np.ndarray,
 # Length axioms wrapper (report form of LengthFunction.check_axioms).
 
 
-def check_length_axioms(spec: LengthFunction, radius: float,
-                        tol: float = 0.0) -> CheckReport:
+def check_length_axioms(spec: LengthFunction, radius: float) -> CheckReport:
     report = spec.check_axioms(radius)
     return CheckReport(
         name="length-axioms",
         statement="l(e) = 0;  l(g^-1) = l(g);  l(gh) <= l(g) + l(h)",
         params={"radius": radius, "pairs": report.pairs_checked,
                 "skipped": report.pairs_skipped},
-        tolerance=tol,
-        passed=report.max_violation <= tol,
+        tolerance=0.0,
+        passed=report.max_violation <= 0.0,
         residual=report.max_violation,
         details={"identity": report.identity_violation,
                  "symmetry": report.symmetry_violation,

@@ -958,8 +958,10 @@ class LengthFunction:
                 complete = self.group.is_finite and len(items) == self.group.torsion
             values = dict(items)
             e = self.group.identity()
+            if e not in values:  # only a table can set l(e) above the radius
+                values[e] = self.length(e)
             elements = (e, *sorted((g for g in values if g != e), key=lambda g: (values[g], g)))
-            lengths = np.array([values[g] if g in values else self.length(g) for g in elements], dtype=object)
+            lengths = np.array([values[g] for g in elements], dtype=object)
             if self.kind == self.TABLE:  # the rows hold canonical elements only
                 for g in elements:
                     self.group.validate(g)

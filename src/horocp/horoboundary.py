@@ -114,10 +114,6 @@ class SupportFunctional:
         xs, q = _integer_row(x)
         return Fraction(sum(map(mul, nums, xs)), den * q)
 
-    def scaled(self, factor) -> "SupportFunctional":
-        f = Fraction(factor)
-        return SupportFunctional(tuple(c * f for c in self.coefficients), self.facet)
-
     def __str__(self) -> str:
         return " + ".join(f"({c})*x{i+1}" for i, c in enumerate(self.coefficients))
 

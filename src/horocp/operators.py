@@ -119,6 +119,12 @@ class TruncatedHilbert:
     def exact(self) -> bool:
         return self.ball.complete_group
 
+    def window(self, support_radius: float) -> float:
+        """Radius of the columns on which an operator built from an element
+        supported in the radius-r ball agrees with its untruncated version:
+        R - r, or every column (inf) on an exact ball."""
+        return math.inf if self.exact else self.ball.radius - support_radius
+
 
 def truncate(spec: LengthFunction, radius: float, coeff_dim: int = 1) -> TruncatedHilbert:
     return TruncatedHilbert(spec.ball(radius), coeff_dim)
@@ -344,19 +350,10 @@ class CrossedElement:
     def coeff_dim(self) -> int:
         return self.coeffs[0][1].shape[0] if self.coeffs else 1
 
-    def coefficient(self, g: Element) -> np.ndarray:
-        for h, a in self.coeffs:
-            if h == g:
-                return a
-        return np.zeros((self.coeff_dim, self.coeff_dim), dtype=complex)
-
     def support_radius(self, spec: LengthFunction) -> float:
         if not self.coeffs:
             return 0.0
         return float(np.max(spec.lengths(self.support)))
-
-    def scaled(self, factor: complex) -> "CrossedElement":
-        return CrossedElement(self.group, tuple((g, factor * a) for g, a in self.coeffs))
 
     def map_coefficients(self, fn: Callable[[Element, np.ndarray], np.ndarray]) -> "CrossedElement":
         return CrossedElement.from_dict(self.group, {g: fn(g, a) for g, a in self.coeffs})
@@ -446,15 +443,16 @@ def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *,
 
 def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     """Compression of the translation lambda_g to the ball (partial isometry)."""
-    if not H.exact and float(H.spec.length(g)) > 2 * H.ball.radius:
+    lg = float(H.spec.length(g))
+    if not H.exact and lg > 2 * H.ball.radius:
         raise ValueError(
             f"lambda({g}) is the zero operator at radius {H.ball.radius}: l(g) > 2R"
         )
     targets = H.ball.translate(g)
     cols = np.flatnonzero(targets >= 0)
     data = np.repeat(np.eye(H.coeff_dim, dtype=complex)[np.newaxis], len(cols), axis=0)
-    window = math.inf if H.exact else H.ball.radius - float(H.spec.length(g))
-    return TruncatedOperator(H, f"lambda({g})", targets[cols], cols, data, window_radius=window)
+    return TruncatedOperator(H, f"lambda({g})", targets[cols], cols, data,
+                             window_radius=H.window(lg))
 
 
 def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> TruncatedOperator:
@@ -515,7 +513,8 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
     if x.coeffs and x.coeff_dim != d:
         raise ValueError(f"element coefficients are {x.coeff_dim}x{x.coeff_dim}, space wants {d}")
     r = x.support_radius(H.spec)
-    if not H.exact and r > H.ball.radius:
+    window = H.window(r)
+    if window < 0:
         raise ValueError(f"support radius {r} exceeds ball radius {H.ball.radius}")
     n = H.n_ball
     targets = [H.ball.translate(g) for g, _ in x.coeffs]
@@ -536,7 +535,6 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
             blocks = (lengths[rows] - lengths[c])[:, np.newaxis, np.newaxis] * blocks
         data[slots[start:start + len(c)]] += blocks
         start += len(c)
-    window = math.inf if H.exact else H.ball.radius - r
     return TruncatedOperator(H, provenance, pairs // n, pairs % n, data, window_radius=window)
 
 
@@ -856,7 +854,7 @@ def op_norm(T) -> float:
 def element_norm(x: CrossedElement, spec: LengthFunction, action: ActionSpec,
                  radius: float) -> float:
     """Norm of the compression of a crossed element at the given radius."""
-    H = truncate(spec, radius, x.coeff_dim if x.coeffs else 1)
+    H = truncate(spec, radius, x.coeff_dim)
     return op_norm(realize(x, H, action))
 
 
@@ -927,21 +925,17 @@ def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec]
     if isinstance(x, CrossedElement):
         if action is None:
             raise ValueError("realizing a crossed element needs an action")
-        support_radius = x.support_radius(H.spec)
+        window = H.window(x.support_radius(H.spec))
         base = realize(x, H, action)
     elif isinstance(x, TruncatedOperator):
-        base, window = x, x.window_radius
-        support_radius = 0.0 if window is None or math.isinf(window) else H.ball.radius - window
+        base, kept = x, x.window_radius
+        window = H.window(0.0 if kept is None or math.isinf(kept) else H.ball.radius - kept)
     else:
         raise TypeError(f"operand must be a CrossedElement or a TruncatedOperator, "
                         f"not {type(x).__name__}")
-    if H.exact:
-        window = math.inf
-    else:
-        window = H.ball.radius - support_radius
-        if window < 0:
-            raise ValueError("exactness window is empty: support radius exceeds ball radius")
-        base = restrict_blocks(base, base.hilbert.lengths[base.cols] <= window)
+    if window < 0:
+        raise ValueError("exactness window is empty: support radius exceeds ball radius")
+    base = restrict_blocks(base, base.hilbert.lengths[base.cols] <= window)
     return op_norm(commutator(dirac, base)), window
 
 

@@ -30,6 +30,7 @@ from .operators import _check_nonzeros
 from .operators import op_norm  # not called here; perfbench's tests pin its traced binding
 
 MK_STEP = 0.1  # initial ascent step along the objective
+POLISH_FLOOR = 1e-8  # the pattern search ends once its radius is halved to this or below
 
 
 class DegenerateTripleError(ValueError):
@@ -222,7 +223,7 @@ def _ratio(c: np.ndarray, theta: np.ndarray):
     return value / s
 
 
-def _polish(c: np.ndarray, theta: np.ndarray, floor: float = 1e-8):
+def _polish(c: np.ndarray, theta: np.ndarray):
     """Pattern search on the homogeneous ratio |c.theta| / L(theta), from a
     unit vector theta; a run for ``_lockstep``.
 
@@ -235,7 +236,7 @@ def _polish(c: np.ndarray, theta: np.ndarray, floor: float = 1e-8):
     best = yield from _ratio(c, theta)
     radius = 0.5
     refuted = None  # first move refuted from theta at this radius, if any
-    while radius > floor:
+    while radius > POLISH_FLOOR:
         gained = None
         for move, (j, sign) in enumerate(product(range(len(theta)), (-1.0, 1.0))):
             if move == refuted and gained is None:

@@ -1,9 +1,13 @@
 """Separatedness certificates.
 
 A pair (group, length) is certified separated when boundary-point support
-functionals span the dual of the torsion-free abelianization; failure is only
-ever reported with an analytic witness that the length grows sublinearly along
-some infinite cyclic direction, never from a rank-deficient finite sample.
+functionals span the dual of the torsion-free abelianization.  Failure is
+never reported from a rank-deficient finite sample, but it is not always an
+exact witness either: `sublinearity_witness` judges a cyclic direction
+sublinear when its Fekete ratio l(g^i)/i drops below SUBLINEAR_TOL, or when
+five sampled ratios decrease with a fitted power-law decay exponent of at
+least MIN_DECAY_EXPONENT.  That fit is a heuristic and can call a direction
+with a positive stable norm sublinear.
 """
 
 from __future__ import annotations

@@ -101,7 +101,8 @@ def test_criterion_03_commutator_identity():
         d = 1 + idx % 3
         x = random_crossed(rng, spec, 2.0, coeff_dim=d, terms=3)
         action = random_diagonal_action(rng, spec.group, d)
-        rep = check_commutator_identity(x, spec, action, radius=6.0, tol=1e-12)
+        rep = check_commutator_identity(x, spec, action, radius=6.0)
+        assert rep.tolerance == 1e-12
         ok = ok and rep.passed
         worst = max(worst, rep.residual)
     report(3, f"commutator identity window residual < 1e-12 on 20 random elements "
@@ -125,8 +126,9 @@ def test_criterion_04_conditional_expectation():
         g = ball.elements[int(rng.integers(0, len(ball)))]
         rep = check_conditional_expectation(
             x, g, sub, random_hermitian(rng, 2), spec,
-            random_diagonal_action(rng, spec.group, 2), tol=1e-12,
+            random_diagonal_action(rng, spec.group, 2),
         )
+        assert rep.tolerance == 1e-12
         ok = ok and rep.passed and rep.residual <= 1e-12 and rep.slack >= -1e-12
     report(4, "conditional-expectation identities to 1e-12 and contraction slack "
               ">= -1e-12 on 20 instances, H in {2Z, ker p1}", ok)
@@ -155,7 +157,8 @@ def test_criterion_05_tail_bound():
             g0 = small.elements[int(rng.integers(0, len(small)))]
             mean = float(sigma(z2.abelianization(g0)))
             shift = max(-n_cut, min(n_cut, mean))
-        rep = check_tail_bound(x, vec, shift, n_cut, spec, action, radius=8.0, tol=1e-9)
+        rep = check_tail_bound(x, vec, shift, n_cut, spec, action, radius=8.0)
+        assert rep.tolerance == 1e-9
         ok = ok and rep.passed
         worst = min(worst, rep.slack)
     report(5, f"tail-bound slack >= -1e-9 on 50 random Z2 elements (worst {worst:.3f}); "
@@ -174,7 +177,8 @@ def test_criterion_06_unitary_conjugation():
         f_vals = rng.normal(size=len(ball))
         g = ball.elements[int(rng.integers(0, len(ball)))]
         action = random_diagonal_action(rng, z1, 2)
-        rep = check_unitary_conjugation(a, f_vals, g, spec, action, radius=4.0, tol=1e-12)
+        rep = check_unitary_conjugation(a, f_vals, g, spec, action, radius=4.0)
+        assert rep.tolerance == 1e-12
         ok = ok and rep.passed
     report(6, "all three conjugation identities hold to 1e-12 on Z with R=4, d=2, "
               "10 random (a, f, g) triples", ok)
@@ -223,16 +227,17 @@ def test_criterion_09_nctorus():
     spec = LengthFunction.word(z1)
     ok = True
     for q in (3, 5, 8):
-        rep = check_nctorus_equicontinuity(1, q, spec, n_range=range(-50, 51),
-                                           radius=20.0, tol=1e-9, relation_tol=1e-12)
+        rep = check_nctorus_equicontinuity(1, q, spec, n_range=range(-50, 51), radius=20.0)
+        assert rep.tolerance == 1e-9
         ok = (ok and rep.passed and rep.details["relation_residual"] < 1e-12
-              and rep.slack >= -1e-9)
+              and rep.details["action_residual"] <= 1e-12 and rep.slack >= -1e-9)
     report(9, "clock-shift relation residual < 1e-12 at q in {3,5,8}; equicontinuity "
               "slack >= -1e-9 over n in [-50,50] at R=20", ok)
 
 
 def test_criterion_10_af_triple():
-    rep = check_af_triple([2, 2, 2, 2, 2], [0, 1, 2, 3, 4, 5], tol=1e-12)
+    rep = check_af_triple([2, 2, 2, 2, 2], [0, 1, 2, 3, 4, 5])
+    assert rep.tolerance == 1e-12
     ranks_ok = rep.details["ranks"][1:] == [2 ** (i - 1) for i in range(1, 6)]
     report(10, "depth-5 binary odometer: rank Q_i = 2^(i-1), orthogonality and "
                "level commutation residuals < 1e-12", rep.passed and ranks_ok)

@@ -542,6 +542,8 @@ def test_tail_bound_fails_on_small_series_factor(len_z1, z1, monkeypatch):
     report = check_tail_bound(*args, radius=6.0)
     assert not report.passed and report.details["escalated"]
     assert report.slack < -report.tolerance
+    # the re-check compresses the left side at 2R and the right side at 4R
+    assert report.params["radius"] == report.params["delta_radius"] == 12.0
 
 
 def test_af_triple_check():
@@ -584,10 +586,22 @@ def test_reports_reproducible(len_z2, z2):
     assert build() == build()
 
 
+# the tolerance each check family prints: 0 for the exact checks, 1e-12 for
+# equalities, 1e-9 for inequality slacks (nctorus judges its relation at 1e-12)
+SUITE_TOLERANCES = {
+    "length-axioms": 0.0, "cocycle": 0.0, "commutator-identity": 1e-12,
+    "conditional-expectation": 1e-12, "tail-bound": 1e-9, "unitary-conjugation": 1e-12,
+    "nctorus-equicontinuity": 1e-9, "af-triple": 1e-12, "coefficient-bounds": 1e-9,
+}
+
+
 def test_default_suite_smoke(suite0):
     reports = suite0
     failures = [r.name for r in reports if not r.passed]
     assert not failures, failures
+    assert {r.name for r in reports} == SUITE_TOLERANCES.keys()
+    assert all(type(r.tolerance) is float and r.tolerance == SUITE_TOLERANCES[r.name]
+               for r in reports)
 
 
 def _dense_af_projection(filt, i):

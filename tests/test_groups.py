@@ -186,6 +186,16 @@ def test_explicit_table_outside_domain():
             LengthFunction.explicit_table(z2, {(1, 0): 1, key: 1}).ball(1)
 
 
+def test_table_ball_keeps_an_identity_above_its_radius():
+    # a table may set l(e) > 0; every ball still starts at e, with its own length
+    z1 = GroupSpec.free_abelian(1)
+    spec = LengthFunction.explicit_table(z1, {(k,): abs(k) + 1 for k in range(-6, 7)})
+    ball = spec.ball(0.5)
+    assert ball.elements == ((0,),) and list(ball.lengths) == [1]
+    assert spec.ball(2).elements == ((0,), (-1,), (1,))
+    assert spec.check_axioms(1).identity_violation == 1.0
+
+
 def test_free_abelian_times_cyclic_length():
     g = GroupSpec.free_abelian_times_cyclic(1, 3)
     spec = LengthFunction.word(g)
