@@ -223,16 +223,21 @@ def _cap(text: str) -> int:
             f"invalid int value: {text!r} (the default comes from {CAP_ENV} when set)") from None
 
 
-def _count(text: str) -> int:
-    """--count's type; at least 1, since a run of no instances would pass
-    without checking anything."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(low: int):
+    """An int flag type refusing values below low: a --count or --pairs of 0
+    would pass without checking anything, and a negative --sample would
+    slice from the end."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("group-ball", help="enumerate a metric ball")
     common(p, "Z2")
     p.add_argument("--radius", type=float, required=True)
-    p.add_argument("--sample", type=int, default=12)
+    p.add_argument("--sample", type=_at_least(0), default=12)
     p.set_defaults(fn=cmd_group_ball)
 
     p = sub.add_parser("phi", help="horofunction values phi_g on a ball")
@@ -487,9 +492,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, "Z2")
     defaults = CheckParams()
     p.add_argument("--radius", type=float, default=defaults.radius)
-    p.add_argument("--pairs", type=int, default=defaults.pairs)
+    p.add_argument("--pairs", type=_at_least(1), default=defaults.pairs)
     p.add_argument("--pair-radius", dest="pair_radius", type=float, default=defaults.pair_radius)
-    p.add_argument("--count", type=_count, default=defaults.count)
+    p.add_argument("--count", type=_at_least(1), default=defaults.count)
     p.add_argument("--support-radius", dest="support_radius", type=float,
                    default=defaults.support_radius)
     p.set_defaults(fn=cmd_verify)

@@ -70,12 +70,12 @@ H3_C = (0, 0, 1)
 # Group laws: one object per kind holds all of that kind's arithmetic.  A new
 # kind supplies identity, fits and shape_error (the element check), product,
 # inverse, abelianization, abelianization_rank, translate and, where the
-# defaults are wrong, weight (sum |c_i|) and membership (the integer span of
-# the generators and the torsion relations).  Each function closes over rank
-# and torsion, and product is the raw product that GroupSpec.multiply calls
-# after checking its operands.  translate(g, h) is the same product
-# vectorised over the rows of an int64 array h: the left translates g h of a
-# ball's coordinates (BallTable.translate) or of a BFS sphere.
+# default is wrong, membership (the integer span of the generators and the
+# torsion relations).  Each function closes over rank and torsion, and
+# product is the raw product that GroupSpec.multiply calls after checking
+# its operands.  translate(g, h) is the same product vectorised over the rows
+# of an int64 array h: the left translates g h of a ball's coordinates
+# (BallTable.translate) or of a BFS sphere.
 
 # isinstance(c, int) without a generator frame per element: element checks
 # run on every validated product and length lookup.
@@ -94,10 +94,6 @@ class _Law:
             raise GroupMismatchError(f"element {g!r} is not an integer tuple")
         if not self.fits(g):
             raise GroupMismatchError(self.shape_error.format(g=g))
-
-    def weight(self, g: Element) -> int:
-        """Coordinate weight that every reducing generator step lowers."""
-        return sum(abs(c) for c in g)
 
     def membership(self, generators: Sequence[Element]):
         """Exact test of g in the subgroup the generators generate: here the
@@ -141,7 +137,6 @@ class _FreeAbelianTimesCyclic(_Law):
             tuple(x + y for x, y in zip(a[:-1], b[:-1])) + ((a[-1] + b[-1]) % n,))
         self.inverse = lambda g: tuple(-x for x in g[:-1]) + ((-g[-1]) % n,)
         self.abelianization = lambda g: g[:-1]
-        self.weight = lambda g: sum(abs(c) for c in g[:-1]) + min(g[-1], n - g[-1])
 
         def translate(g, h):
             out = h + g
@@ -237,7 +232,6 @@ class _FiniteCyclic(_Law):
         self.product = lambda a, b: ((a[0] + b[0]) % n,)
         self.inverse = lambda g: ((-g[0]) % n,)
         self.abelianization = lambda g: ()
-        self.weight = lambda g: min(g[0], n - g[0])
         self.translate = lambda g, h: (h + g) % n
 
 
@@ -643,13 +637,18 @@ class BallTable:
         self.group.validate(g)
         return self.group.law.translate(_int64_coordinates([g], self.group)[0], self.coords)
 
-    def translate(self, g: Element) -> np.ndarray:
-        """Ball index of g h for every ball element h, in ball order; -1 where
-        g h lies outside the ball.  A word ball's index is the cache position."""
+    def find(self, coords: np.ndarray) -> np.ndarray:
+        """Ball index of each row of an int64 coordinate array, -1 for a row
+        outside the ball.  A word ball's index is the cache position."""
         index = self.spec._cache_index() if self.spec.kind == LengthFunction.WORD else self._keys
-        out = index.find(self.left_translates(g))
+        out = index.find(coords)
         out[out >= len(self)] = -1
         return out
+
+    def translate(self, g: Element) -> np.ndarray:
+        """Ball index of g h for every ball element h, in ball order; -1 where
+        g h lies outside the ball."""
+        return self.find(self.left_translates(g))
 
 
 class _KeyIndex:
@@ -937,8 +936,8 @@ class LengthFunction:
     # -- balls ---------------------------------------------------------------
 
     def ball(self, radius: float) -> BallTable:
-        if radius < 0:
-            raise ValueError("radius must be non-negative")
+        if not radius >= 0:  # NaN too
+            raise ValueError(f"radius must be non-negative, got {radius}")
         if radius in self._ball_cache:
             return self._ball_cache[radius]
         if self.kind == self.WORD:
@@ -974,6 +973,15 @@ class LengthFunction:
             raise BallCapError(f"ball at radius {radius} has {len(table)} > cap {self.cap} elements")
         self._ball_cache[radius] = table
         return table
+
+    def ball_holding(self, coords: np.ndarray) -> BallTable:
+        """The smallest ball holding every row of an int64 coordinate array
+        of distinct elements; GroupMismatchError or BallCapError as `lengths`.
+        A word ball holding them has at least as many elements as there are
+        rows, so the BFS first grows that far without matching any row."""
+        while self.kind == self.WORD and not self._exhausted and self._ends[-1] < len(coords):
+            self._grow()
+        return self.ball(max(self.lengths(coords).tolist()))
 
     def _norm_ball_items(self, radius):
         m = self.group.rank

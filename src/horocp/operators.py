@@ -20,10 +20,10 @@ from one ``BallTable.translate(g)`` (the ball index of g h for every ball
 element h, through the group law's vectorised product and a sorted key
 lookup), and the coefficient blocks W(h)* a W(h) from one
 ``ActionSpec.stack`` of the action's unitaries over the ball: grown one
-sphere at a time through batched matrix products along geodesic words, or
-element by element along the coordinate walk where the length function's
-generators are not the action's.  The stack is built anew for each operator;
-nothing is cached.
+sphere at a time through batched matrix products along geodesic words of
+the action's own generators, whatever length function grew the ball.  Each
+action keeps the word length of its generators that those words walk, and W
+over the largest of its balls served so far.
 
 Norms of block-sparse operators are two-sided: ``op_norm_certified`` runs
 Krylov-Schur Lanczos on T*T over the nonzero entries and reports an attained
@@ -36,8 +36,8 @@ Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
 truncation is a certified lower bound of the untruncated norm.  Operators
 built from an element supported in the radius-r ball agree with their
-untruncated versions on all columns indexed by the radius-(R-r) ball; that
-window is tracked explicitly.
+untruncated versions on all columns indexed by the radius-(R-r) ball, the
+window ``TruncatedHilbert.window`` gives.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ class TruncatedOperator:
     rows: np.ndarray
     cols: np.ndarray
     data: np.ndarray
-    window_radius: Optional[float] = None
     blocks: int = 1
 
     @property
@@ -196,9 +195,11 @@ class ActionSpec:
     """Group action on the coefficient algebra, implemented by unitaries.
 
     Each generator maps to a unitary W_s on C^d; ``stack(ball)`` extends W
-    multiplicatively to every element of a ball, anew on each call.
-    Different words for the same element may differ by a unimodular scalar,
-    which cancels in the induced conjugation action a -> W a W*.
+    multiplicatively to every element of a ball along geodesic words of the
+    action's own generators.  The action builds their word length (the walk)
+    on first use and keeps it, with W over the largest walk ball served so
+    far.  Different words for the same element may differ by a unimodular
+    scalar, which cancels in the induced conjugation action a -> W a W*.
     """
 
     def __init__(self, group: GroupSpec, unitaries: Mapping[Element, np.ndarray]):
@@ -222,6 +223,8 @@ class ActionSpec:
         self._trivial = all(
             np.max(np.abs(w - np.eye(dim))) < HERMITIAN_TOL for w in self.unitaries.values()
         )
+        self._walk: Optional[LengthFunction] = None
+        self._walk_stack: Optional[np.ndarray] = None
 
     @classmethod
     def trivial(cls, group: GroupSpec, dim: int) -> "ActionSpec":
@@ -235,24 +238,34 @@ class ActionSpec:
     def stack(self, ball: BallTable) -> Optional[np.ndarray]:
         """W(h) for every ball element h, in ball order; None for a trivial action.
 
-        On a word length W extends along geodesic words, one sphere of the
-        ball at a time: each h takes the first s, in sorted order, whose
-        s^-1 h lies on the sphere below (one ``translate`` per generator), and
-        W(h) = W_s W(s^-1 h) for the whole sphere in one batched product.  On
-        an abelian group whose length function uses generators without a
-        unitary (or that has no word length), each W(h) comes from the
-        coordinate walk through the action's generators instead.
+        Whatever length function grew the ball, W comes from the smallest
+        walk ball holding its elements, gathered into the ball's order; on a
+        word length over the action's generators the two balls agree row for
+        row.  Walk balls are prefixes of one another, so W over the largest
+        one served so far serves every smaller one.  An element the
+        generators do not reach raises GroupMismatchError, generators not
+        closed under inverses the word length's ValueError, and a walk past
+        the cap of the ball's length function BallCapError.
         """
         if self._trivial:
             return None
-        group, spec = self.group, ball.spec
-        if spec.kind != LengthFunction.WORD or (
-                group.is_abelian and not set(spec.generators) <= self.unitaries.keys()):
-            return np.array([self._coordinate_unitary(h) for h in ball.elements])
-        gens, lengths, n = sorted(self.unitaries), ball.lengths, len(ball)
+        if self._walk is None:
+            self._walk = LengthFunction.word(self.group, sorted(self.unitaries))
+        self._walk.cap = ball.spec.cap
+        walk_ball = self._walk.ball_holding(ball.coords)
+        if self._walk_stack is None or len(self._walk_stack) < len(walk_ball):
+            self._walk_stack = self._sphere_products(walk_ball)
+        return self._walk_stack[walk_ball.find(ball.coords)]
+
+    def _sphere_products(self, walk_ball: BallTable) -> np.ndarray:
+        """W over a walk ball, one sphere at a time: each h takes the first s,
+        in sorted order, whose s^-1 h lies on the sphere below (one
+        ``translate`` per generator), and W(h) = W_s W(s^-1 h) for the whole
+        sphere in one batched product."""
+        gens, lengths, n = sorted(self.unitaries), walk_ball.lengths, len(walk_ball)
         step, pred = np.full(n, -1), np.full(n, -1)
         for k, s in enumerate(gens):
-            prev = ball.translate(group.inverse(s))
+            prev = walk_ball.translate(self.group.inverse(s))
             hit = (step < 0) & (prev >= 0) & (lengths[prev] == lengths - 1)
             step[hit], pred[hit] = k, prev[hit]
         w_gens = np.array([self.unitaries[s] for s in gens])
@@ -261,33 +274,8 @@ class ActionSpec:
         # ball order is (length, lex): spheres are contiguous runs of equal length
         ends = np.append(np.flatnonzero(np.diff(lengths)) + 1, n)
         for lo, hi in zip(ends[:-1], ends[1:]):
-            lost = np.flatnonzero(step[lo:hi] < 0)
-            if lost.size:
-                raise ValueError(f"no geodesic predecessor found for {ball.elements[lo + lost[0]]!r}")
             stack[lo:hi] = w_gens[step[lo:hi]] @ stack[pred[lo:hi]]
         return stack
-
-    def _coordinate_unitary(self, g: Element) -> np.ndarray:
-        group = self.group
-        if not group.is_abelian:
-            raise ValueError("non-abelian actions need a word-length function to extend along")
-        w = np.eye(self.dim, dtype=complex)
-        remaining = g
-        e = group.identity()
-        # Each step strictly lowers the law's non-negative integer weight, so
-        # the walk ends after at most weight(g) steps.
-        while remaining != e:
-            step = None
-            for s in sorted(self.unitaries):
-                candidate = group.multiply(group.inverse(s), remaining)
-                if group.law.weight(candidate) < group.law.weight(remaining):
-                    step = s
-                    remaining = candidate
-                    break
-            if step is None:
-                raise ValueError(f"could not express {g!r} through the action generators")
-            w = w @ self.unitaries[step]
-        return w
 
     def relator_consistency(self):
         """Scalar defects W(left) ~ c W(right) along the group's relators:
@@ -437,8 +425,7 @@ def conditional_expectation(x: CrossedElement, subgroup: SubgroupSpec) -> Crosse
 def _block_diagonal(H: TruncatedHilbert, data: np.ndarray, provenance: str, *,
                     blocks: int = 1) -> TruncatedOperator:
     idx = np.arange(H.n_ball)
-    return TruncatedOperator(H, provenance, idx, idx, data, window_radius=H.ball.radius,
-                             blocks=blocks)
+    return TruncatedOperator(H, provenance, idx, idx, data, blocks=blocks)
 
 
 def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
@@ -451,8 +438,7 @@ def lambda_op(H: TruncatedHilbert, g: Element) -> TruncatedOperator:
     targets = H.ball.translate(g)
     cols = np.flatnonzero(targets >= 0)
     data = np.repeat(np.eye(H.coeff_dim, dtype=complex)[np.newaxis], len(cols), axis=0)
-    return TruncatedOperator(H, f"lambda({g})", targets[cols], cols, data,
-                             window_radius=H.window(lg))
+    return TruncatedOperator(H, f"lambda({g})", targets[cols], cols, data)
 
 
 def pi_tilde(H: TruncatedHilbert, action: ActionSpec, a: np.ndarray) -> TruncatedOperator:
@@ -513,8 +499,7 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
     if x.coeffs and x.coeff_dim != d:
         raise ValueError(f"element coefficients are {x.coeff_dim}x{x.coeff_dim}, space wants {d}")
     r = x.support_radius(H.spec)
-    window = H.window(r)
-    if window < 0:
+    if H.window(r) < 0:
         raise ValueError(f"support radius {r} exceeds ball radius {H.ball.radius}")
     n = H.n_ball
     targets = [H.ball.translate(g) for g, _ in x.coeffs]
@@ -535,7 +520,7 @@ def _translation_sum(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec,
             blocks = (lengths[rows] - lengths[c])[:, np.newaxis, np.newaxis] * blocks
         data[slots[start:start + len(c)]] += blocks
         start += len(c)
-    return TruncatedOperator(H, provenance, pairs // n, pairs % n, data, window_radius=window)
+    return TruncatedOperator(H, provenance, pairs // n, pairs % n, data)
 
 
 def realize(x: CrossedElement, H: TruncatedHilbert, action: ActionSpec) -> TruncatedOperator:
@@ -907,35 +892,25 @@ def commutator(D: TruncatedOperator, X: TruncatedOperator) -> TruncatedOperator:
     diag[D.rows] = D.data
     data = diag[X.rows] @ blocks - blocks @ diag[X.cols]
     return TruncatedOperator(D.hilbert, f"[{D.provenance}, {X.provenance}]", X.rows, X.cols,
-                             data, window_radius=X.window_radius, blocks=D.blocks)
+                             data, blocks=D.blocks)
 
 
-def lipschitz_seminorm(x, dirac: TruncatedOperator, action: Optional[ActionSpec] = None
+def lipschitz_seminorm(x: CrossedElement, dirac: TruncatedOperator, action: ActionSpec
                        ) -> tuple[float, float]:
     """Certified lower bound for ||[D, x]|| plus the exactness window radius.
 
-    The operand's blocks in columns outside the radius-(R - r) window are
-    dropped before the ``commutator`` is taken, so the value never exceeds
-    the untruncated seminorm.  Accepts a CrossedElement (realized on the
-    Dirac operator's space) or an already-realized TruncatedOperator.  The
+    x is realized on the Dirac operator's space, and its blocks in columns
+    outside the radius-(R - r) window are dropped before the ``commutator``
+    is taken, so the value never exceeds the untruncated seminorm.  The
     Dirac operator must be block diagonal over the ball, as M_l and the even
     and odd Dirac operators are.
     """
+    if not isinstance(x, CrossedElement):
+        raise TypeError(f"operand must be a CrossedElement, not {type(x).__name__}")
     H = dirac.hilbert
-    if isinstance(x, CrossedElement):
-        if action is None:
-            raise ValueError("realizing a crossed element needs an action")
-        window = H.window(x.support_radius(H.spec))
-        base = realize(x, H, action)
-    elif isinstance(x, TruncatedOperator):
-        base, kept = x, x.window_radius
-        window = H.window(0.0 if kept is None or math.isinf(kept) else H.ball.radius - kept)
-    else:
-        raise TypeError(f"operand must be a CrossedElement or a TruncatedOperator, "
-                        f"not {type(x).__name__}")
-    if window < 0:
-        raise ValueError("exactness window is empty: support radius exceeds ball radius")
-    base = restrict_blocks(base, base.hilbert.lengths[base.cols] <= window)
+    base = realize(x, H, action)  # ValueError on an empty window
+    window = H.window(x.support_radius(H.spec))
+    base = restrict_blocks(base, H.lengths[base.cols] <= window)
     return op_norm(commutator(dirac, base)), window
 
 

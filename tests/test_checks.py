@@ -42,7 +42,7 @@ from horocp.checks import (
 from horocp.operators import (commutator, coset_compress, even_dirac, lambda_op, m_ell, m_phi,
                               pi_tilde, realize, restrict_blocks, truncate)
 from horocp.cli import render_json, run
-from test_operators import walk_act
+from test_operators import NON_SUBADDITIVE, walk_act
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ def loop_unitary_conjugation(a, f_values, g, spec, action, radius):
         u[k::n, k::n] = lam_blocks[k]
     pi_a = np.zeros((dim, dim), dtype=complex)
     for k, h in enumerate(H.ball.elements):
-        pi_a[k::n, k::n] = pi_tilde(H, action, walk_act(action, group.inverse(h), a, spec)).matrix
+        pi_a[k::n, k::n] = pi_tilde(H, action, walk_act(action, group.inverse(h), a)).matrix
     nu_f = np.kron(np.eye(dn, dtype=complex), np.diag(f_values))
     lam_gg = np.zeros((dim, dim), dtype=complex)
     index = H.ball.index
@@ -209,10 +209,6 @@ def loop_unitary_conjugation(a, f_values, g, spec, action, radius):
         "translation": max_abs(((u @ lam_gg @ uh) - rhs_lam)[:, col_mask_g]),
     }
 
-
-# not subadditive: l(2) + l(10) = 2 < l(12) = 3, so translates leave the ball
-NON_SUBADDITIVE = {(k,): 0 if k == 0 else 1 if k % 2 == 0 and abs(k) <= 10 else 3 if abs(k) <= 12
-                   else 5 for k in range(-40, 41)}
 
 CONJUGATION_CASES = {
     # the `verify all --seed 7` instances

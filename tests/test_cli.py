@@ -231,8 +231,8 @@ def test_verify_conjugation_beyond_the_old_dense_cap(capsys, argv):
     ("conjugation", "--group", "Z2", "--gens", "hexagonal", "--radius", "2", "--count", "2"),
 ])
 def test_verify_with_generators_outside_the_action(capsys, argv):
-    # the action has unitaries for +-e1, +-e2 only; +-(e1 + e2) words extend
-    # W along the coordinate walk
+    # the action has unitaries for +-e1, +-e2 only; W extends along their
+    # geodesic words, not the hexagonal ones
     code, out, err = run_cli(capsys, "verify", *argv)
     assert code == 0, err
     assert json.loads(out)["result"]["passed"] is True
@@ -264,10 +264,18 @@ def test_cap_environment_sets_the_default(capsys, monkeypatch):
     (("nctorus", "--q", "3", "--n-min", "5", "--n-max", "4"), "range(5, 5) is empty"),
     (("verify", "tail-bound", "--count", "0"), "--count: must be at least 1, got 0"),
     (("verify", "tail-bound", "--count", "-2"), "--count: must be at least 1, got -2"),
+    (("verify", "cocycle", "--pairs", "0"), "--pairs: must be at least 1, got 0"),
+    (("group-ball", "--group", "Z", "--radius", "3", "--sample", "-2"),
+     "--sample: must be at least 0, got -2"),
+    (("group-ball", "--radius", "nan"), "radius must be non-negative, got nan"),
+    (("phi", "--g", "1", "--radius", "nan"), "radius must be non-negative, got nan"),
+    (("verify", "commutator", "--radius", "nan"), "radius must be non-negative, got nan"),
 ])
 def test_malformed_check_arguments_are_usage_errors(capsys, argv, message):
     # unrefused, q = 0 raised ZeroDivisionError, an empty n range printed "min()
-    # arg is an empty sequence" and --count 0 passed with no check run
+    # arg is an empty sequence", --count 0 and --pairs 0 passed with no check
+    # run, --sample -2 dropped the last two of the first elements, and a NaN
+    # radius failed with "cannot convert float NaN to integer"
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert "error:" in err and message in err and "Traceback" not in err

@@ -98,6 +98,21 @@ def test_ball_count_z(len_z1):
     assert len(len_z1.ball(3)) == 7
 
 
+@pytest.mark.parametrize("make", [
+    lambda z: LengthFunction.word(z),
+    lambda z: LengthFunction.norm_restriction(z, NormSpec.l2()),
+    lambda z: LengthFunction.explicit_table(z, {(1,): 1, (-1,): 1}),
+], ids=["word", "norm", "table"])
+def test_ball_refuses_a_negative_or_nan_radius(make):
+    # a NaN radius failed inside the word and norm balls ("cannot convert
+    # float NaN to integer", "... NaN to integer ratio") and gave a table
+    # ball of the identity alone
+    spec = make(GroupSpec.free_abelian(1))
+    for radius in (-1, -0.5, math.nan):
+        with pytest.raises(ValueError, match=f"radius must be non-negative, got {radius}"):
+            spec.ball(radius)
+
+
 def test_ball_order_deterministic(len_z2):
     ball = len_z2.ball(4)
     assert ball.elements[0] == (0, 0)
@@ -194,6 +209,21 @@ def test_table_ball_keeps_an_identity_above_its_radius():
     assert ball.elements == ((0,),) and list(ball.lengths) == [1]
     assert spec.ball(2).elements == ((0,), (-1,), (1,))
     assert spec.check_axioms(1).identity_violation == 1.0
+
+
+def test_ball_holding_grows_no_further_than_its_farthest_row():
+    # the word BFS grows without matching while it holds fewer elements than
+    # there are rows; a cap of exactly the answer's size shows no overshoot
+    z2 = GroupSpec.free_abelian(2)
+    l2_ball = LengthFunction.norm_restriction(z2, NormSpec.l2()).ball(2)
+    for rows, radius in (([(0, 0), (5, 0), (-5, 0)], 5), (l2_ball.elements, 2)):
+        size = len(LengthFunction.word(z2).ball(radius))
+        ball = LengthFunction.word(z2, cap=size).ball_holding(np.array(rows, dtype=np.int64))
+        assert ball.radius == radius and len(ball) == size
+    table = LengthFunction.explicit_table(z2, {(1, 0): 2, (-1, 0): 2, (2, 0): 3, (-2, 0): 3})
+    assert table.ball_holding(np.array([(0, 0), (1, 0)])).elements == ((0, 0), (-1, 0), (1, 0))
+    with pytest.raises(GroupMismatchError):
+        LengthFunction.word(z2, [(1, 0), (-1, 0)]).ball_holding(np.array([(0, 0), (0, 1)]))
 
 
 def test_free_abelian_times_cyclic_length():

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from fractions import Fraction
@@ -9,7 +10,11 @@ from horocp import (
     ActionSpec,
     BallCapError,
     CrossedElement,
+    GroupMismatchError,
     GroupSpec,
+    H3_A,
+    H3_B,
+    H3_C,
     LengthFunction,
     NormSpec,
     SubgroupSpec,
@@ -23,6 +28,7 @@ from horocp import (
     coset_compress,
     element_norm,
     even_dirac,
+    hexagonal_generators,
     lambda_op,
     lipschitz_seminorm,
     m_ell,
@@ -38,8 +44,8 @@ from horocp import (
     truncate,
 )
 from horocp import groups, operators
-from horocp.checks import (check_commutator_identity, random_crossed, random_diagonal_action,
-                           random_hermitian)
+from horocp.checks import (check_commutator_identity, check_unitary_conjugation, random_crossed,
+                           random_diagonal_action, random_hermitian)
 from horocp.groups import COORD_LIMIT, AxiomReport, CoordinateOverflowError
 from horocp.operators import (
     DIM_CAP,
@@ -569,13 +575,16 @@ def test_unitary_along_long_geodesic_word(z1):
     assert np.array_equal(u, w @ stack[ball.index[(1499,)]])
 
 
-def test_coordinate_unitary_has_no_step_limit(z1):
-    # The coordinate walk reduces the coordinate weight one generator at a
-    # time; 10,001 steps must not hit a step guard.
+def test_unitary_stack_reaches_a_far_table_element(z1):
+    # a table ball of three elements whose walk runs 10,001 spheres out
     w = np.array([[np.cos(0.3), -np.sin(0.3)], [np.sin(0.3), np.cos(0.3)]]) @ np.diag([1, 1j])
     action = ActionSpec(z1, {(1,): w, (-1,): w.conj().T})
-    u = action._coordinate_unitary((10001,))
-    assert np.max(np.abs(u - np.linalg.matrix_power(w, 10001))) < 1e-9
+    ball = LengthFunction.explicit_table(z1, {(10001,): 1, (-10001,): 1}).ball(1)
+    stack = action.stack(ball)
+    assert stack.shape == (3, 2, 2)
+    far = stack[ball.index[(10001,)]]
+    assert np.max(np.abs(far - np.linalg.matrix_power(w, 10001))) < 1e-9
+    assert np.max(np.abs(stack[ball.index[(-10001,)]] @ far - np.eye(2))) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -586,21 +595,23 @@ def test_coordinate_unitary_has_no_step_limit(z1):
 # time, where the operators read one ActionSpec.stack over the ball.
 
 
-def walk_unitary(action, g, spec):
-    """W(g) for one element.  On a word length whose generators the action
-    covers (any word length on a non-abelian group): walk down geodesic
-    predecessors s^-1 g, s the first generator in sorted order one length
-    down, and multiply W_s back up from the identity.  Otherwise the
-    action's coordinate walk."""
-    group = action.group
-    if spec.kind != LengthFunction.WORD or (
-            group.is_abelian and not set(spec.generators) <= action.unitaries.keys()):
-        return action._coordinate_unitary(g)
+@functools.cache
+def own_word_length(action):
+    """The word length of the action's generators, one per action."""
+    return LengthFunction.word(action.group, sorted(action.unitaries))
+
+
+def walk_unitary(action, g):
+    """W(g) for one element: walk down geodesic predecessors s^-1 g of the
+    word length of the action's own generators, s the first generator in
+    sorted order one length down, and multiply W_s back up from the
+    identity.  The length function of the ball plays no part."""
+    group, walk = action.group, own_word_length(action)
     steps = []
     while g != group.identity():
-        below = spec.length(g) - 1
+        below = walk.length(g) - 1
         s = next(s for s in sorted(action.unitaries)
-                 if spec.length(group.multiply(group.inverse(s), g)) == below)
+                 if walk.length(group.multiply(group.inverse(s), g)) == below)
         steps.append(s)
         g = group.multiply(group.inverse(s), g)
     w = np.eye(action.dim, dtype=complex)
@@ -609,21 +620,21 @@ def walk_unitary(action, g, spec):
     return w
 
 
-def walk_act(action, g, a, spec):
+def walk_act(action, g, a):
     """alpha_g(a) = W(g) a W(g)* through walk_unitary; a for a trivial action."""
     a = np.asarray(a, dtype=complex)
     if action.is_trivial:
         return a
-    w = walk_unitary(action, g, spec)
+    w = walk_unitary(action, g)
     return w @ a @ w.conj().T
 
 
-def walk_act_inv(action, h, a, spec):
+def walk_act_inv(action, h, a):
     """alpha_{h^-1}(a), formed as W(h)* a W(h); a for a trivial action."""
     a = np.asarray(a, dtype=complex)
     if action.is_trivial:
         return a
-    w = walk_unitary(action, h, spec)
+    w = walk_unitary(action, h)
     return w.conj().T @ a @ w
 
 
@@ -644,7 +655,7 @@ def loop_pi_tilde(H, action, a):
     n, d = H.n_ball, H.coeff_dim
     mat = np.zeros((H.dim, H.dim), dtype=complex)
     for j, h in enumerate(H.ball.elements):
-        block = walk_act_inv(action, h, a, H.spec)
+        block = walk_act_inv(action, h, a)
         for alpha in range(d):
             for beta in range(d):
                 mat[alpha * n + j, beta * n + j] = block[alpha, beta]
@@ -666,7 +677,7 @@ def loop_realize(x, H, action, twisted=False):
             target = H.ball.index.get(gh)
             if target is None:
                 continue
-            block = walk_act_inv(action, gh, a, spec)
+            block = walk_act_inv(action, gh, a)
             if twisted:
                 weight = float(spec.length(gh)) - float(spec.length(group.multiply(g_inv, gh)))
                 block = weight * block
@@ -739,6 +750,11 @@ def diagonal_action(group, d, rng):
 
 def l2_length(group):
     return LengthFunction.norm_restriction(group, NormSpec.l2())
+
+
+# not subadditive: l(2) + l(10) = 2 < l(12) = 3, so translates leave the ball
+NON_SUBADDITIVE = {(k,): 0 if k == 0 else 1 if k % 2 == 0 and abs(k) <= 10 else 3 if abs(k) <= 12
+                   else 5 for k in range(-40, 41)}
 
 
 # (name, group, ball radius, support radius[, length function of the group;
@@ -825,13 +841,9 @@ def test_structured_norms_match_dense(gi, d, trivial):
     diracs = [m_ell(H), even_dirac(H, d_a), odd_dirac(H, rng.normal(size=(d, d)))]
     norms = [(op_norm(x_op), x_op.matrix)]
     for dirac in diracs:
-        support = x.support_radius(spec)
-        windowed = [(x, support)] if H.exact else [(x, support), (x_op, support)]
-        for operand, r in windowed:
-            value, window = lipschitz_seminorm(operand, dirac, action)
-            expected_window = math.inf if H.exact else H.ball.radius - r
-            assert window == expected_window
-            norms.append((value, dense_commutator(x_op.matrix, dirac, window)))
+        value, window = lipschitz_seminorm(x, dirac, action)
+        assert window == (math.inf if H.exact else H.ball.radius - x.support_radius(spec))
+        norms.append((value, dense_commutator(x_op.matrix, dirac, window)))
     radius = 2.0 if H.exact else H.ball.radius
     norms.append((element_norm(x, spec, action, radius),
                   realize(x, truncate(spec, radius, d), action).matrix))
@@ -841,10 +853,12 @@ def test_structured_norms_match_dense(gi, d, trivial):
 
 
 def test_lipschitz_seminorm_refuses_dense_operands(len_z1, z1):
-    H = truncate(len_z1, 3)
-    x_op = realize(CrossedElement.from_dict(z1, {(1,): [[1.0]]}), H, ActionSpec.trivial(z1, 1))
-    with pytest.raises(TypeError):
-        lipschitz_seminorm(x_op.matrix, m_ell(H))
+    # a crossed element only: neither its dense view nor its realization
+    H, act = truncate(len_z1, 3), ActionSpec.trivial(z1, 1)
+    x_op = realize(CrossedElement.from_dict(z1, {(1,): [[1.0]]}), H, act)
+    for operand in (x_op.matrix, x_op):
+        with pytest.raises(TypeError, match="must be a CrossedElement"):
+            lipschitz_seminorm(operand, m_ell(H), act)
 
 
 def test_commutator_refuses_other_operands(len_z1, z1):
@@ -858,8 +872,6 @@ def test_commutator_refuses_other_operands(len_z1, z1):
         lipschitz_seminorm(x, lambda_op(H, (1,)), act)
     with pytest.raises(ValueError, match="different spaces"):
         commutator(m_ell(H), other)
-    with pytest.raises(ValueError, match="different spaces"):
-        lipschitz_seminorm(other, m_ell(H))
 
 
 def test_commutator_counts_blocks_before_allocating(len_z2, z2, monkeypatch):
@@ -1323,29 +1335,95 @@ def test_lanczos_basis_respects_nonzero_cap(len_z2, z2, monkeypatch):
     assert op_norm(op) == pytest.approx(svd_norm(op), rel=1e-12)
 
 
-@pytest.mark.parametrize("gi,d", [(gi, d) for gi in range(len(EQUIVALENCE_GROUPS))
-                                  for d in (1, 2, 3)],
-                         ids=[f"{entry[0]}-d{d}" for entry in EQUIVALENCE_GROUPS for d in (1, 2, 3)])
-def test_unitary_stack_matches_walk(gi, d):
+def unitary_action(group, d, rng):
+    """Random unitaries W_s (not diagonal, so the order of the products
+    shows in the bits), W_{s^-1} = W_s*."""
+    gens = {}
+    for s in group.generators:
+        if s not in gens:
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            gens[s], gens[group.inverse(s)] = q, q.conj().T
+    return ActionSpec(group, gens)
+
+
+def hexagonal_length(group):
+    return LengthFunction.word(group, hexagonal_generators())
+
+
+def non_subadditive_length(group):
+    return LengthFunction.explicit_table(group, NON_SUBADDITIVE)
+
+
+# the equivalence cases, and two length functions over generators the
+# action does not have: the hexagonal word length and a non-subadditive table
+STACK_CASES = [entry[:3] + tuple(entry[4:]) for entry in EQUIVALENCE_GROUPS] + [
+    ("Z2-hex", GroupSpec.free_abelian(2), 4, hexagonal_length),
+    ("Z1-non-subadditive", GroupSpec.free_abelian(1), 3, non_subadditive_length),
+]
+
+
+@pytest.mark.parametrize("entry,d", [(entry, d) for entry in STACK_CASES for d in (1, 2, 3)],
+                         ids=[f"{entry[0]}-d{d}" for entry in STACK_CASES for d in (1, 2, 3)])
+def test_unitary_stack_matches_walk(entry, d):
     # the sphere-batched stack against the per-element walk, bit for bit
-    _, spec, action, _, H = equivalence_setup(gi, d, False)
-    stack = action.stack(H.ball)
-    assert stack.shape == (H.n_ball, d, d)
-    for i, h in enumerate(H.ball.elements):
-        assert stack[i].tobytes() == walk_unitary(action, h, spec).tobytes()
+    name, group, radius, *length = entry
+    ball = (length[0] if length else LengthFunction.word)(group).ball(radius)
+    for action in (diagonal_action(group, d, np.random.default_rng(d)),
+                   unitary_action(group, d, np.random.default_rng(d))):
+        stack = action.stack(ball)
+        assert stack.shape == (len(ball), d, d)
+        for i, h in enumerate(ball.elements):
+            assert stack[i].tobytes() == walk_unitary(action, h).tobytes()
 
 
-def test_unitary_stack_refuses_what_it_cannot_extend_to(h3):
-    # a non-abelian action extends only along geodesics through its own
-    # generators, and only on a word length
+def h3_lengths_off_the_action():
+    """H3 length functions whose balls the action's generators a, b reach
+    only along other words: a table of the {a, b, c} word lengths, and the
+    {a, b, ab} word length."""
+    h3 = GroupSpec.heisenberg3()
+    with_c = LengthFunction.word(h3, h3.generators + (H3_C, h3.inverse(H3_C)))
+    ab = h3.multiply(H3_A, H3_B)
+    return [LengthFunction.explicit_table(h3, with_c.ball(4).values),
+            LengthFunction.word(h3, h3.generators + (ab, h3.inverse(ab)))]
+
+
+@pytest.mark.parametrize("spec", h3_lengths_off_the_action(), ids=["table", "word-ab"])
+def test_h3_actions_extend_over_any_length_function(spec):
+    # while W followed the length function's own words, these raised "non-abelian
+    # actions need a word-length function to extend along" and "no geodesic
+    # predecessor found for (-1, -1, 1)"
+    rng = np.random.default_rng(8)
+    h3 = spec.group
+    action = unitary_action(h3, 2, rng)
+    H = truncate(spec, 3, 2)
+    x = random_crossed(rng, spec, 1.0, coeff_dim=2, terms=3)
+    assert realize(x, H, action).matrix.tobytes() == loop_realize(x, H, action).tobytes()
+    value, window = lipschitz_seminorm(x, m_ell(H), action)
+    dense = dense_commutator(loop_realize(x, H, action), m_ell(H), window)
+    assert value == pytest.approx(svd_norm(dense), rel=1e-12)
+    diagonal = random_diagonal_action(rng, h3, 2)
+    ball = spec.ball(2)
+    report = check_unitary_conjugation(random_hermitian(rng, 2), np.zeros(len(ball)), H3_A,
+                                       spec, diagonal, radius=2)
+    assert report.passed, report.details
+
+
+def test_unitary_stack_refuses_what_its_generators_cannot_reach(z2):
+    # +-e1 miss (0, -1); a generator without its inverse is no word length;
+    # a walk past the cap of the ball's length function
     w = np.diag([1j, 1.0])
-    action = ActionSpec(h3, {s: w if sum(s) > 0 else w.conj() for s in h3.generators})
-    with_c = LengthFunction.word(h3, h3.generators + ((0, 0, 1), (0, 0, -1)))
-    with pytest.raises(ValueError, match="no geodesic predecessor found for"):
-        action.stack(with_c.ball(1))
-    table = LengthFunction.explicit_table(h3, {(1, 0, 0): 1, (-1, 0, 0): 1})
-    with pytest.raises(ValueError, match="need a word-length function"):
-        action.stack(table.ball(1))
+    only_e1 = ActionSpec(z2, {(1, 0): w, (-1, 0): w.conj()})
+    with pytest.raises(GroupMismatchError, match=r"\(0, -1\) is not generated"):
+        only_e1.stack(LengthFunction.word(z2).ball(1))
+    one_way = ActionSpec(z2, {(1, 0): w, (0, 1): w})
+    with pytest.raises(ValueError, match="must be symmetric"):
+        one_way.stack(LengthFunction.word(z2).ball(1))
+    z1 = GroupSpec.free_abelian(1)
+    action = ActionSpec(z1, {(1,): w, (-1,): w.conj()})
+    far = LengthFunction(z1, LengthFunction.TABLE, table={(200,): 1, (-200,): 1}, cap=100)
+    with pytest.raises(BallCapError, match="ball cap 100"):
+        action.stack(far.ball(1))
+    assert action.stack(LengthFunction.word(z1, cap=401).ball(200)).shape == (401, 2, 2)
 
 
 @pytest.mark.parametrize("group,small,large", [
@@ -1354,8 +1432,8 @@ def test_unitary_stack_refuses_what_it_cannot_extend_to(h3):
     (GroupSpec.free_abelian_times_cyclic(2, 3), 2, 5),
 ], ids=["H3", "Z2", "Z2xC3"])
 def test_unitary_stack_of_a_smaller_ball_is_a_prefix(group, small, large):
-    # nothing is carried between calls: a small ball's stack, built before
-    # and after a large ball's, is the large one's prefix bit for bit
+    # the walk the action keeps between calls changes no bit: a small ball's
+    # stack, built before and after a large ball's, is the large one's prefix
     action = diagonal_action(group, 2, np.random.default_rng(11))
     spec = LengthFunction.word(group)
     before = action.stack(spec.ball(small))
