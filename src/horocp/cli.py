@@ -158,26 +158,22 @@ def load_table(path: str) -> dict:
 
 
 def build_length(group: GroupSpec, args) -> LengthFunction:
-    cap = args.cap
-    table_arg = getattr(args, "table", None)
-    if table_arg:
-        if table_arg.startswith("central:"):
-            horizon = int(table_arg.split(":", 1)[1])
+    if args.table:
+        if args.table.startswith("central:"):
+            horizon = int(args.table.split(":", 1)[1])
             if not group.is_free_abelian or group.rank != 1:
                 raise UsageError("the central-length table lives on Z")
             return LengthFunction.explicit_table(group, central_heisenberg_table(horizon))
-        raise UsageError(f"unknown table {table_arg!r} (try central:<horizon>)")
-    table_file = getattr(args, "table_file", None)
-    if table_file:
-        return LengthFunction.explicit_table(group, load_table(table_file))
-    norm = getattr(args, "norm", None)
-    if norm:
-        spec = {"l1": NormSpec.l1(), "l2": NormSpec.l2(), "linf": NormSpec.linf()}.get(norm)
+        raise UsageError(f"unknown table {args.table!r} (try central:<horizon>)")
+    if args.table_file:
+        return LengthFunction.explicit_table(group, load_table(args.table_file))
+    if args.norm:
+        spec = {"l1": NormSpec.l1(), "l2": NormSpec.l2(), "linf": NormSpec.linf()}.get(args.norm)
         if spec is None:
-            raise UsageError(f"unknown norm {norm!r}")
-        return LengthFunction.norm_restriction(group, spec, cap=cap)
-    gens = parse_generators(group, getattr(args, "gens", None))
-    return LengthFunction.word(group, gens, cap=cap)
+            raise UsageError(f"unknown norm {args.norm!r}")
+        return LengthFunction.norm_restriction(group, spec, cap=args.cap)
+    gens = parse_generators(group, args.gens)
+    return LengthFunction.word(group, gens, cap=args.cap)
 
 
 def apply_config(parser: argparse.ArgumentParser, argv) -> None:
@@ -440,37 +436,46 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
 
-    def common(p, group_default=None):
-        p.add_argument("--group", default=group_default)
-        p.add_argument("--gens", default=None,
-                       help="standard | diamond | hexagonal | '1,0;0,1;...'")
-        p.add_argument("--norm", default=None, help="l1 | l2 | linf")
-        p.add_argument("--table", default=None, help="central:<horizon>")
-        p.add_argument("--table-file", dest="table_file", default=None)
+    # Each subcommand takes only the flags it reads, and any other is a usage
+    # error.  --seed and --cap are taken everywhere, read or not, because
+    # every command's "inputs" prints them.
+    def common(p):
         p.add_argument("--seed", type=int, default=0)
         # argparse converts a string default, HOROCP_CAP's included, with the type
         p.add_argument("--cap", type=_cap, default=os.environ.get(CAP_ENV, DEFAULT_BALL_CAP))
         p.add_argument("--config", default=None, help="KEY=VALUE fallback file")
         p.add_argument("--output", default=None, help="write JSON here instead of stdout")
 
+    def group_flags(p, group_default):
+        common(p)
+        p.add_argument("--group", default=group_default)
+        p.add_argument("--gens", default=None,
+                       help="standard | diamond | hexagonal | '1,0;0,1;...'")
+
+    def length_flags(p, group_default):
+        group_flags(p, group_default)
+        p.add_argument("--norm", default=None, help="l1 | l2 | linf")
+        p.add_argument("--table", default=None, help="central:<horizon>")
+        p.add_argument("--table-file", dest="table_file", default=None)
+
     p = sub.add_parser("group-ball", help="enumerate a metric ball")
-    common(p, "Z2")
+    length_flags(p, "Z2")
     p.add_argument("--radius", type=float, required=True)
     p.add_argument("--sample", type=_at_least(0), default=12)
     p.set_defaults(fn=cmd_group_ball)
 
     p = sub.add_parser("phi", help="horofunction values phi_g on a ball")
-    common(p, "Z")
+    length_flags(p, "Z")
     p.add_argument("--g", required=True)
     p.add_argument("--radius", type=float, required=True)
     p.set_defaults(fn=cmd_phi)
 
     p = sub.add_parser("facets", help="exact facet functionals of conv(p(S))")
-    common(p, "Z2")
+    group_flags(p, "Z2")
     p.set_defaults(fn=cmd_facets)
 
     p = sub.add_parser("busemann", help="phi_g along a ray")
-    common(p, "Z")
+    length_flags(p, "Z")
     p.add_argument("--g", required=True)
     p.add_argument("--direction", default=None, help="rational vector, e.g. 1/2,1/2")
     p.add_argument("--word", default=None, help="comma-separated letters, e.g. a,b")
@@ -478,18 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_busemann)
 
     p = sub.add_parser("stable-norm", help="Fekete value and exact dual polytope norm")
-    common(p, "Z2")
+    length_flags(p, "Z2")
     p.add_argument("--point", required=True)
     p.add_argument("--horizon", type=int, default=40)
     p.set_defaults(fn=cmd_stable_norm)
 
     p = sub.add_parser("separate", help="separatedness certificate")
-    common(p, "Z2")
+    length_flags(p, "Z2")
     p.set_defaults(fn=cmd_separate)
 
     p = sub.add_parser("verify", help="run a named check or the whole suite")
     p.add_argument("check", choices=CHECK_NAMES)
-    common(p, "Z2")
+    length_flags(p, "Z2")
     defaults = CheckParams()
     p.add_argument("--radius", type=float, default=defaults.radius)
     p.add_argument("--pairs", type=_at_least(1), default=defaults.pairs)
@@ -549,7 +554,7 @@ def run(argv=None) -> int:
             "result": None,
             "diagnostics": {"cap": str(exc)},
         }
-        _write(document, getattr(args, "output", None))
+        _write(document, args.output)
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
     except (DegeneratePolytopeError, ValueError) as exc:
@@ -561,7 +566,7 @@ def run(argv=None) -> int:
         "result": result,
         "diagnostics": diagnostics,
     }
-    _write(document, getattr(args, "output", None))
+    _write(document, args.output)
     return code
 
 

@@ -256,43 +256,30 @@ class GroupSpec:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def free_abelian(cls, rank: int, generators: Optional[Iterable[Element]] = None) -> "GroupSpec":
+    def free_abelian(cls, rank: int) -> "GroupSpec":
         if rank < 1:
             raise ValueError("free abelian rank must be >= 1")
-        if generators is None:
-            generators = _standard_lattice_generators(rank)
-        return cls(FREE_ABELIAN, rank=rank, generators=_closed_generators(generators))
+        return cls(FREE_ABELIAN, rank=rank, generators=_standard_lattice_generators(rank))
 
     @classmethod
-    def free_abelian_times_cyclic(
-        cls, rank: int, torsion: int, generators: Optional[Iterable[Element]] = None
-    ) -> "GroupSpec":
+    def free_abelian_times_cyclic(cls, rank: int, torsion: int) -> "GroupSpec":
         if rank < 1 or torsion < 2:
             raise ValueError("need rank >= 1 and torsion order >= 2")
-        if generators is None:
-            gens = [g + (0,) for g in _standard_lattice_generators(rank)]
-            gens += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]
-            generators = gens
-        return cls(
-            FREE_ABELIAN_TIMES_CYCLIC,
-            rank=rank,
-            torsion=torsion,
-            generators=_closed_generators(generators),
-        )
+        gens = [g + (0,) for g in _standard_lattice_generators(rank)]
+        gens += [(0,) * rank + (1,), (0,) * rank + (torsion - 1,)]  # one when torsion is 2
+        return cls(FREE_ABELIAN_TIMES_CYCLIC, rank=rank, torsion=torsion,
+                   generators=tuple(dict.fromkeys(gens)))
 
     @classmethod
-    def heisenberg3(cls, generators: Optional[Iterable[Element]] = None) -> "GroupSpec":
-        if generators is None:
-            generators = [H3_A, (-1, 0, 0), H3_B, (0, -1, 0)]
-        return cls(HEISENBERG3, rank=2, generators=_closed_generators(generators))
+    def heisenberg3(cls) -> "GroupSpec":
+        return cls(HEISENBERG3, rank=2, generators=(H3_A, (-1, 0, 0), H3_B, (0, -1, 0)))
 
     @classmethod
-    def finite_cyclic(cls, order: int, generators: Optional[Iterable[Element]] = None) -> "GroupSpec":
+    def finite_cyclic(cls, order: int) -> "GroupSpec":
         if order < 2:
             raise ValueError("cyclic order must be >= 2")
-        if generators is None:
-            generators = [(1,), (order - 1,)]
-        return cls(FINITE_CYCLIC, torsion=order, generators=_closed_generators(generators))
+        gens = dict.fromkeys([(1,), (order - 1,)])  # one when order is 2
+        return cls(FINITE_CYCLIC, torsion=order, generators=tuple(gens))
 
     def __post_init__(self):
         object.__setattr__(self, "law", _LAWS[self.kind](self.rank, self.torsion))
@@ -372,7 +359,7 @@ class GroupSpec:
         return self.law.abelianization(g)
 
 
-def _standard_lattice_generators(rank: int) -> list[Element]:
+def _standard_lattice_generators(rank: int) -> tuple[Element, ...]:
     gens = []
     for i in range(rank):
         e = [0] * rank
@@ -380,16 +367,7 @@ def _standard_lattice_generators(rank: int) -> list[Element]:
         gens.append(tuple(e))
         e[i] = -1
         gens.append(tuple(e))
-    return gens
-
-
-def _closed_generators(generators: Iterable[Element]) -> tuple[Element, ...]:
-    seen = []
-    for g in generators:
-        t = tuple(g)
-        if t not in seen:
-            seen.append(t)
-    return tuple(seen)
+    return tuple(gens)
 
 
 def hexagonal_generators() -> tuple[Element, ...]:

@@ -201,10 +201,7 @@ class RaySpec:
     """A discrete ray: schedule of (time, group element) pairs starting at (0, e)."""
 
     group: GroupSpec
-    kind: str  # "lattice_direction" | "word_repetition"
     schedule: tuple[tuple[float, Element], ...]
-    direction: Optional[tuple[Fraction, ...]] = None
-    word: Optional[tuple[Element, ...]] = None
 
     @classmethod
     def lattice_direction(cls, group: GroupSpec, direction: Sequence, steps: int) -> "RaySpec":
@@ -221,34 +218,7 @@ class RaySpec:
         schedule = [(0.0, group.identity())]
         for i in range(1, steps + 1):
             schedule.append((float(i * q), tuple(i * c for c in u)))
-        return cls(group, "lattice_direction", tuple(schedule), direction=v)
-
-    @classmethod
-    def lattice_direction_float(cls, group: GroupSpec, direction: Sequence[float],
-                                steps: int, search_cap: int = 200_000) -> "RaySpec":
-        """Irrational direction: bounded search for lattice points x_i with
-        |x_i - t_i v| < 1/i in the euclidean norm; fails loudly past the cap."""
-        if not group.is_free_abelian:
-            raise ValueError("lattice rays need a free abelian group")
-        v = tuple(float(c) for c in direction)
-        schedule = [(0.0, group.identity())]
-        t = 0.0
-        tried = 0
-        for i in range(1, steps + 1):
-            found = None
-            while found is None:
-                t += 0.25
-                tried += 1
-                if tried > search_cap:
-                    raise ValueError(
-                        f"no lattice point within 1/{i} of the ray after {search_cap} trial times"
-                    )
-                x = tuple(round(t * c) for c in v)
-                err = math.sqrt(sum((xi - t * ci) ** 2 for xi, ci in zip(x, v)))
-                if err < 1.0 / i:
-                    found = (t, x)
-            schedule.append(found)
-        return cls(group, "lattice_direction", tuple(schedule))
+        return cls(group, tuple(schedule))
 
     @classmethod
     def word_repetition(cls, group: GroupSpec, word: Sequence[Element], repeats: int) -> "RaySpec":
@@ -260,7 +230,7 @@ class RaySpec:
         for k in range(repeats * len(letters)):
             current = group.multiply(current, letters[k % len(letters)])
             schedule.append((float(k + 1), current))
-        return cls(group, "word_repetition", tuple(schedule), word=tuple(letters))
+        return cls(group, tuple(schedule))
 
 
 @dataclass(frozen=True)
@@ -268,7 +238,6 @@ class BusemannEstimate:
     g: Element
     value: float
     tail_variation: float
-    times: tuple[float, ...]
     evaluations: tuple[float, ...]
 
 
@@ -280,7 +249,6 @@ def busemann_along_ray(ray: RaySpec, g: Element, spec: LengthFunction) -> Busema
     """
     group = ray.group
     g_inv = group.inverse(g)
-    times = [t for t, _ in ray.schedule[1:]]
     # l(x) and l(g^-1 x) interleaved, so the first failing lookup is the one
     # a per-point loop would meet first
     rows = [y for _, x in ray.schedule[1:] for y in (x, group.multiply(g_inv, x))]
@@ -290,7 +258,7 @@ def busemann_along_ray(ray: RaySpec, g: Element, spec: LengthFunction) -> Busema
         raise ValueError("ray schedule is empty")
     window = max(2, len(vals) // 4)
     tail = vals[-window:]
-    return BusemannEstimate(g, vals[-1], max(tail) - min(tail), tuple(times), tuple(vals))
+    return BusemannEstimate(g, vals[-1], max(tail) - min(tail), tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -299,11 +267,9 @@ class GeodesicReport:
     pairs_checked: int
 
 
-def check_ray_geodesic(ray: RaySpec, spec: LengthFunction,
-                       horizon: Optional[int] = None) -> GeodesicReport:
+def check_ray_geodesic(ray: RaySpec, spec: LengthFunction) -> GeodesicReport:
     """Almost-geodesic defect max |d(y(t),y(s)) + d(y(s),y(0)) - t| over s <= t."""
-    group = ray.group
-    sched = ray.schedule if horizon is None else ray.schedule[: horizon + 1]
+    group, sched = ray.group, ray.schedule
     # l(y(s)), then l(y(s)^-1 y(t)) for t >= s, for each s in turn: the
     # order a per-pair loop looks them up in
     rows, s_rows, times = [], [], []

@@ -44,8 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
-from itertools import combinations
+from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -174,18 +173,6 @@ class TruncatedOperator:
         keep = values != 0
         return rows[keep], cols[keep], values[keep]
 
-    def hermitian_residual(self) -> float:
-        """max |T - T*| over the entries, block (t, j) against the adjoint of
-        block (j, t), or against zero where that pair is absent."""
-        n = self.hilbert.n_ball
-        keys, mirrored = self.rows * n + self.cols, self.cols * n + self.rows
-        order = np.argsort(keys)
-        partner = order[np.searchsorted(keys, mirrored, sorter=order).clip(max=len(keys) - 1)]
-        found = keys[partner] == mirrored
-        residual = self.data.copy()
-        residual[found] -= self.data[partner[found]].conj().transpose(0, 2, 1)
-        return float(np.max(np.abs(residual), initial=0.0))
-
 
 # ---------------------------------------------------------------------------
 # Actions.
@@ -200,6 +187,8 @@ class ActionSpec:
     on first use and keeps it, with W over the largest walk ball served so
     far.  Different words for the same element may differ by a unimodular
     scalar, which cancels in the induced conjugation action a -> W a W*.
+    Where both s and s^-1 are given, W_s W_{s^-1} must be such a scalar
+    times the identity (ValueError otherwise).
     """
 
     def __init__(self, group: GroupSpec, unitaries: Mapping[Element, np.ndarray]):
@@ -219,6 +208,16 @@ class ActionSpec:
             self.unitaries[g] = w
         if dim is None:
             raise ValueError("need at least one generator unitary")
+        for s, w in self.unitaries.items():
+            s_inv = group.inverse(s)
+            # each pair once; an involution's relator s^2 = 1 is a torsion relator, not checked
+            if s_inv <= s or s_inv not in self.unitaries:
+                continue
+            pair = w @ self.unitaries[s_inv]
+            residual = np.max(np.abs(pair - np.trace(pair) / dim * np.eye(dim)))
+            if residual > 100 * HERMITIAN_TOL:
+                raise ValueError(f"matrices for {s} and {s_inv} are not inverse up to a "
+                                 f"scalar (residual {residual:.3e})")
         self.dim = dim
         self._trivial = all(
             np.max(np.abs(w - np.eye(dim))) < HERMITIAN_TOL for w in self.unitaries.values()
@@ -230,10 +229,6 @@ class ActionSpec:
     def trivial(cls, group: GroupSpec, dim: int) -> "ActionSpec":
         eye = np.eye(dim, dtype=complex)
         return cls(group, {s: eye for s in group.generators})
-
-    @property
-    def is_trivial(self) -> bool:
-        return self._trivial
 
     def stack(self, ball: BallTable) -> Optional[np.ndarray]:
         """W(h) for every ball element h, in ball order; None for a trivial action.
@@ -276,29 +271,6 @@ class ActionSpec:
         for lo, hi in zip(ends[:-1], ends[1:]):
             stack[lo:hi] = w_gens[step[lo:hi]] @ stack[pred[lo:hi]]
         return stack
-
-    def relator_consistency(self):
-        """Scalar defects W(left) ~ c W(right) along the group's relators:
-        s t = t s on an abelian group, s^m = 1 for each generator s of finite
-        order m, and s s^-1 = 1."""
-        group, gens = self.group, sorted(self.unitaries)
-        pairs = [((s, t), (t, s)) for s, t in combinations(gens, 2)] if group.is_abelian else []
-        for s in filter(group.is_torsion, gens):
-            power, order = s, 1
-            while power != group.identity():
-                power, order = group.multiply(power, s), order + 1
-            pairs.append(((s,) * order, ()))
-        pairs += [((s, group.inverse(s)), ()) for s in gens]
-        reports = []
-        for left, right in pairs:
-            wl, wr = (reduce(np.matmul, (self.unitaries[s] for s in word),
-                             np.eye(self.dim, dtype=complex)) for word in (left, right))
-            scalar = np.trace(wr.conj().T @ wl) / self.dim
-            if abs(scalar) > 0:
-                scalar = scalar / abs(scalar)
-            residual = float(np.max(np.abs(wl - scalar * wr)))
-            reports.append((left, right, complex(scalar), residual))
-        return reports
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +354,10 @@ class SubgroupSpec:
             raise ValueError(f"{self.name} rejects the identity; not a subgroup")
 
     @classmethod
-    def whole_group(cls, group: GroupSpec) -> "SubgroupSpec":
-        return cls("G", group, lambda g: True, lambda g: 0)
-
-    @classmethod
-    def kernel_of(cls, group: GroupSpec, functional: Sequence[int],
-                  modulus: Optional[int] = None) -> "SubgroupSpec":
-        """Kernel of an integer homomorphism through the abelianization,
-        optionally reduced mod n (e.g. nZ inside Z)."""
+    def kernel_of(cls, group: GroupSpec, functional: Sequence[int]) -> "SubgroupSpec":
+        """Kernel of an integer homomorphism through the abelianization."""
         vec, phi = _homomorphism(group, functional)
-        value = (lambda g: phi(g) % modulus) if modulus else phi
-        mod_txt = f" mod {modulus}" if modulus else ""
-        return cls(f"ker({vec}{mod_txt})", group,
-                   lambda g: value(g) == 0, value)
+        return cls(f"ker({vec})", group, lambda g: phi(g) == 0, phi)
 
     @classmethod
     def multiples(cls, group: GroupSpec, n: int) -> "SubgroupSpec":
@@ -402,15 +365,6 @@ class SubgroupSpec:
         if not group.is_free_abelian or group.rank != 1:
             raise ValueError("multiples(n) is defined on Z")
         return cls(f"{n}Z", group, lambda g: g[0] % n == 0, lambda g: g[0] % n)
-
-    @classmethod
-    def heisenberg_center(cls, group: GroupSpec) -> "SubgroupSpec":
-        """The center <c> of H3, which is also its commutator subgroup."""
-        if not group.is_heisenberg:
-            raise ValueError("center subgroup is defined on the Heisenberg group")
-        return cls("<c>", group,
-                   lambda g: g[0] == 0 and g[1] == 0,
-                   lambda g: (g[0], g[1]))
 
 
 def conditional_expectation(x: CrossedElement, subgroup: SubgroupSpec) -> CrossedElement:

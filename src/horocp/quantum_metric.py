@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice, product
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -133,38 +133,25 @@ def af_level_triple(orders: Sequence[int], eigenvalues: Sequence[float]) -> Fini
 
 @dataclass(frozen=True)
 class StateSpec:
-    """A state evaluated against matrices: character, vector state, or density."""
+    """A vector state a -> <v, a v> evaluated against matrices: a character or
+    any unit vector."""
 
-    kind: str
-    vector: Optional[np.ndarray] = None
-    density: Optional[np.ndarray] = None
-    label: str = ""
+    vector: np.ndarray
 
     @classmethod
     def character(cls, order: int, index: int) -> "StateSpec":
         """The multiplicative character lambda_k -> exp(2 pi i j k / n)."""
         j = index % order
-        v = np.exp(-2j * np.pi * j * np.arange(order) / order) / math.sqrt(order)
-        return cls("character", vector=v, label=f"chi_{j}")
+        return cls(np.exp(-2j * np.pi * j * np.arange(order) / order) / math.sqrt(order))
 
     @classmethod
-    def vector_state(cls, vec: Sequence[complex], label: str = "vector") -> "StateSpec":
+    def vector_state(cls, vec: Sequence[complex]) -> "StateSpec":
         v = np.asarray(vec, dtype=complex)
         if not abs(np.linalg.norm(v) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("vector states need a unit vector")
-        return cls("vector", vector=v, label=label)
-
-    @classmethod
-    def density_matrix(cls, rho: np.ndarray, label: str = "density") -> "StateSpec":
-        rho = np.asarray(rho, dtype=complex)
-        if not (abs(np.trace(rho).real - 1.0) <= 1e-12
-                and np.max(np.abs(rho - rho.conj().T)) <= 1e-12):  # NaN fails too
-            raise ValueError("density matrices must be hermitian with unit trace")
-        return cls("density", density=rho, label=label)
+        return cls(v)
 
     def evaluate(self, mat: np.ndarray) -> complex:
-        if self.density is not None:
-            return complex(np.trace(self.density @ mat))
         v = self.vector
         return complex(np.vdot(v, mat @ v))
 

@@ -75,10 +75,6 @@ class DeviationReport:
     envelope: float
     points: int
 
-    @property
-    def within_envelope(self) -> bool:
-        return self.deviation <= self.envelope + 1e-12
-
 
 def uniform_deviation(g: Element, i: int, ball: BallTable, spec: LengthFunction,
                       functionals: Optional[Sequence[SupportFunctional]] = None

@@ -87,7 +87,7 @@ def test_conditional_expectation_trivial(len_z1, z1):
     x = CrossedElement.from_dict(z1, {(0,): [[1.0]], (2,): [[0.5]]})
     report = check_conditional_expectation(x, (0,), sub, [[1.0]], len_z1, act)
     assert report.passed and report.residual == 0.0
-    whole = SubgroupSpec.whole_group(z1)
+    whole = SubgroupSpec("G", z1, lambda g: True, lambda g: 0)
     report = check_conditional_expectation(x, (1,), whole, [[1.0]], len_z1, act)
     assert report.passed and report.residual == 0.0
 

@@ -302,6 +302,33 @@ def test_non_finite_triple_inputs_are_usage_errors(capsys, argv, message):
     assert "error:" in err and message in err and "Traceback" not in err
 
 
+SMALL_NCTORUS = ("nctorus", "--q", "3", "--radius", "2", "--n-min", "-1", "--n-max", "1")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (SMALL_NCTORUS + ("--norm", "l1"), "--norm l1"),
+    (("af-triple", "--orders", "2,2", "--eigenvalues", "0,1,2", "--group", "Z2"), "--group Z2"),
+    (("mk-distance", "--cyclic-order", "2", "--lengths", "0,1", "--state-a", "char:0",
+      "--state-b", "char:1", "--table", "central:10"), "--table central:10"),
+    (("facets", "--group", "Z2", "--table-file", "t.txt"), "--table-file t.txt"),
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(capsys, tmp_path, argv, flag):
+    # before, each was accepted and ignored: nctorus --norm l1 ran over Z's
+    # word length and exited 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"error: unrecognized arguments: {flag}" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(flag.lstrip("-").replace(" ", "=", 1) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv[:-2], "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "matches no flag" in err
+    # --seed and --cap stay on every subcommand: "inputs" prints them
+    code, out, _ = run_cli(capsys, *argv[:-2], "--seed", "3", "--cap", "1000")
+    assert code == 0
+    assert {k: json.loads(out)["inputs"][k] for k in ("seed", "cap")} == {"seed": 3, "cap": 1000}
+
+
 def test_conjugation_refuses_an_asymmetric_table(capsys, tmp_path):
     # l(-k) = k + 1: 4 lies in the radius-4 ball but -4 does not, so W(4^-1)
     # is not in the ball's stack

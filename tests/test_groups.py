@@ -23,7 +23,7 @@ from horocp import (
     central_heisenberg_table,
     hexagonal_generators,
 )
-from horocp.groups import rref
+from horocp.groups import FREE_ABELIAN, rref
 
 
 def test_heisenberg_product():
@@ -236,9 +236,9 @@ def test_free_abelian_times_cyclic_length():
 
 def test_generator_validation():
     with pytest.raises(ValueError):
-        GroupSpec.free_abelian(2, generators=[(1, 0), (0, 1)])  # not symmetric
+        GroupSpec(FREE_ABELIAN, rank=2, generators=((1, 0), (0, 1)))  # not symmetric
     with pytest.raises(ValueError):
-        GroupSpec.free_abelian(1, generators=[(0,), (1,), (-1,)])  # identity listed
+        GroupSpec(FREE_ABELIAN, rank=1, generators=((0,), (1,), (-1,)))  # identity listed
 
 
 def test_ball_cap_error_keeps_word_lengths_exact():

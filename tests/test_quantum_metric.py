@@ -129,37 +129,21 @@ def test_af_level_distance_runs():
     )
 
 
-def test_density_matrix_state():
-    triple = cyclic_triple(3, [0.0, 1.0, 1.0])
-    rho = np.eye(3) / 3
-    tracial = StateSpec.density_matrix(rho)
-    chi0 = StateSpec.character(3, 0)
-    result = mk_distance(triple, tracial, chi0)
-    assert result.lower_bound > 0
-
-
 def test_state_validation():
     with pytest.raises(ValueError):
         StateSpec.vector_state([1.0, 1.0])
-    with pytest.raises(ValueError):
-        StateSpec.density_matrix(np.eye(2))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_inputs_refused(bad):
-    # unrefused, NaN passed the unit-norm and unit-trace tests (a comparison
-    # with NaN is false) and the search failed with "SVD did not converge"
+    # unrefused, NaN passed the unit-norm test (a comparison with NaN is
+    # false) and the search failed with "SVD did not converge"
     with pytest.raises(ValueError, match="lengths must be finite"):
         cyclic_triple(3, [0.0, bad, 1.0])
     with pytest.raises(ValueError, match="eigenvalues must be finite"):
         af_level_triple((2, 2), [0.0, 1.0, bad])
     with pytest.raises(ValueError, match="unit vector"):
         StateSpec.vector_state([1.0, bad, 0.0])
-    for entry in [(0, 0), (0, 1)]:
-        rho = np.eye(2) / 2
-        rho[entry] = bad
-        with pytest.raises(ValueError, match="hermitian with unit trace"):
-            StateSpec.density_matrix(rho)
 
 
 def test_characters_multiplicative():
