@@ -30,7 +30,8 @@ Krylov-Schur Lanczos on T*T over the nonzero entries and reports an attained
 lower bound ||T y|| (y a unit Ritz vector) with the Schur upper bound
 sqrt(||T||_1 ||T||_inf); ``op_norm`` returns the lower bound.  Dense arrays
 keep ``op_norm``'s block power iteration, which runs on its input alone,
-conjugated in place and restored, with no adjoint copy.
+conjugated in place and restored, with no adjoint copy, and calls the LAPACK
+gufuncs behind ``np.linalg.qr`` and ``np.linalg.eigh`` directly.
 
 Compressions of a fixed finitely supported element have operator norms that
 increase monotonically in the ball radius, so every norm reported from a
@@ -48,6 +49,7 @@ from functools import cached_property
 from typing import Callable, Hashable, Mapping, Optional, Sequence
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .groups import BallTable, Element, GroupSpec, LengthFunction
 
@@ -616,6 +618,7 @@ def op_norm_certified(T: TruncatedOperator) -> OpNormResult:
     """
     n = T.dim
     rows, cols, values = T.entries()
+    _require_finite(values)
     if values.size == 0:
         return OpNormResult(0.0, 0.0, "empty", 0, 0.0)
     magnitudes = np.abs(values)
@@ -676,21 +679,54 @@ def op_norm_certified(T: TruncatedOperator) -> OpNormResult:
     return OpNormResult(lower, upper, "lanczos", products, residual)
 
 
+def _lapack_errors(message: str) -> np.errstate:
+    """The floating-point state numpy.linalg runs a LAPACK gufunc under: a
+    failure, which the gufunc signals as 'invalid', raises LinAlgError."""
+    def fail(err, flag):
+        raise np.linalg.LinAlgError(message)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+
+@_lapack_errors("Incorrect argument found while performing QR factorization")
+def _qr_q(w: np.ndarray) -> np.ndarray:
+    """Q of the reduced QR of a complex n x k array, bit for bit
+    ``np.linalg.qr(w)[0]``; w is overwritten with the Householder factors."""
+    tau = _umath_linalg.qr_r_raw(w, signature="D->D")
+    return _umath_linalg.qr_reduced(w, tau, signature="DD->D")
+
+
+@_lapack_errors("Eigenvalues did not converge")
+def _eigh(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a complex Hermitian array,
+    bit for bit ``np.linalg.eigh(h)``."""
+    return _umath_linalg.eigh_lo(h, signature="D->dD")
+
+
+def _require_finite(values: np.ndarray) -> None:
+    if not np.isfinite(values).all():
+        raise ValueError("an operator norm needs finite entries; got a nan or inf entry")
+
+
 def op_norm(T) -> float:
     """Largest singular value; a certified lower bound that is attained.
 
     A TruncatedOperator goes to ``op_norm_certified`` (Krylov-Schur Lanczos
     to a relative Ritz residual of NORM_TOL) and returns its attained
-    ``lower``.  A dense array (DenseCapError above DIM_CAP rows) that is zero or
-    a weighted partial permutation is read off its nonzero entries; any other
-    runs a block power iteration on T*T with matrix products.  It keeps no
+    ``lower``.  A nan or inf entry raises ValueError on either path before
+    any work.  A dense array (DenseCapError above DIM_CAP rows) that is zero
+    or a weighted partial permutation is read off its nonzero entries; any
+    other runs a block power iteration on T*T with matrix products, its QR
+    and Rayleigh-Ritz steps calling the LAPACK gufuncs behind
+    ``np.linalg.qr`` and ``np.linalg.eigh`` directly, with their bits and
+    their LinAlgError messages (checked on numpy 2.4.6 only).  It keeps no
     adjoint copy: it uses its argument as scratch, conjugated in place while
     it runs and restored bit for bit on return or error, so that array must
     not be shared with a concurrent reader (a read-only array is copied
-    first).  The iteration takes a deterministic start block
-    (all-ones plus leading coordinate vectors), one seeded random restart on
-    stagnation, and an error with the residual if that also fails to
-    converge within max(50,000, 100 n) steps for n rows; it can stop below
+    first).  The iteration takes a deterministic start block (all-ones plus
+    leading coordinate vectors) and one seeded random restart, taken on
+    stagnation or when T maps the start block to zero (it lies in T's
+    kernel), and raises an error with the residual if the restart also fails
+    to converge within max(50,000, 100 n) steps for n rows; it can stop below
     the largest singular value on a clustered top of the spectrum.  Values
     computed from compressions of a fixed element are monotone non-decreasing
     in the ball radius.
@@ -701,6 +737,7 @@ def op_norm(T) -> float:
     n = a.shape[0]
     if n > DIM_CAP:
         raise DenseCapError(f"dense dimension {n} exceeds the dense cap {DIM_CAP}")
+    _require_finite(a)
     if n == 0:
         return 0.0
     if n == 1:
@@ -729,8 +766,12 @@ def op_norm(T) -> float:
         w = gram(v)
         h = v.conj().T @ w
         h = (h + h.conj().T) / 2
-        vals, vecs = np.linalg.eigh(h)
-        return w, float(vals[-1]), v @ vecs[:, -1]
+        vals, vecs = _eigh(h)
+        return w, float(vals[-1]), vecs[:, -1]
+
+    def residual(v: np.ndarray, lam: float, coords: np.ndarray) -> float:
+        top_vec = v @ coords
+        return float(np.linalg.norm(gram(top_vec) - lam * top_vec))
 
     def iterate(v0: np.ndarray):
         # The top Ritz value of T*T increases essentially monotonically and
@@ -739,15 +780,16 @@ def op_norm(T) -> float:
         # eigenvalues is nearly degenerate the increments stagnate near ratio
         # 1 while the value already sits within that tiny spread of the
         # limit; a window-stagnation test accepts those runs.
-        v, _ = np.linalg.qr(v0)
+        v = _qr_q(v0)
         lam = 0.0
         prev_delta = None
         window = 128
         lam_checkpoint = -1.0
         for it in range(max_iter):
-            w, lam_new, top_vec = top_ritz(v)
-            if np.linalg.norm(w) == 0.0:
-                return 0.0, 0.0, it
+            w, lam_new, coords = top_ritz(v)
+            if it == 0 and not w.any():
+                # v spans a subspace of T's kernel; T != 0, so restart
+                return None, 0.0
             delta = abs(lam_new - lam)
             floor = NORM_TOL * max(abs(lam_new), 1e-300)
             converged = False
@@ -763,14 +805,12 @@ def op_norm(T) -> float:
                     converged = True
                 lam_checkpoint = lam_new
             if converged:
-                resid = float(np.linalg.norm(gram(top_vec) - lam_new * top_vec))
-                return lam_new, resid, it
-            v, _ = np.linalg.qr(w)
+                return lam_new, residual(v, lam_new, coords)
+            v = _qr_q(w)
             prev_delta = delta
             lam = lam_new
-        _, lam_new, top_vec = top_ritz(v)
-        resid = float(np.linalg.norm(gram(top_vec) - lam_new * top_vec))
-        return None, resid, max_iter
+        _, lam_new, coords = top_ritz(v)
+        return None, residual(v, lam_new, coords)
 
     start = np.zeros((n, block), dtype=complex)
     start[:, 0] = 1.0 / math.sqrt(n)
@@ -778,11 +818,11 @@ def op_norm(T) -> float:
         start[j - 1, j] = 1.0
     np.conjugate(a, out=a)
     try:
-        lam, resid, _ = iterate(start)
+        lam, resid = iterate(start)
         if lam is None:
             rng = np.random.default_rng(0xC0FFEE)
-            lam, resid, _ = iterate(rng.normal(size=(n, block))
-                                    + 1j * rng.normal(size=(n, block)))
+            lam, resid = iterate(rng.normal(size=(n, block))
+                                 + 1j * rng.normal(size=(n, block)))
             if lam is None:
                 raise OpNormConvergenceError(resid, max_iter)
     finally:

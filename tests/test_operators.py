@@ -1,6 +1,7 @@
 import functools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -183,6 +184,34 @@ def test_dense_op_norm_reads_zero_and_permutations_off_the_entries():
         assert op_norm(np.array(a, dtype=complex)) == pytest.approx(math.sqrt(2), rel=1e-12)
 
 
+def test_dense_op_norm_restarts_when_the_start_block_is_in_the_kernel():
+    # T = e_0 (e_3 - e_4)^T maps the all-ones vector and e_0, e_1, e_2 to zero;
+    # the zero first product used to return 0.0 as the norm
+    T = np.zeros((5, 5), dtype=complex)
+    T[0, 3], T[0, 4] = 1.0, -1.0
+    assert op_norm(T) == pytest.approx(np.linalg.norm(T, 2), rel=1e-12)
+    assert op_norm(T).hex() == two_buffer_op_norm(T).hex()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_op_norm_refuses_non_finite_entries(bad, len_z1, z1):
+    # both paths used to warn "invalid value" and then raise LinAlgError:
+    # "Eigenvalues did not converge"
+    mat = np.eye(6, dtype=complex) + 0.5
+    mat[2, 4] = bad
+    before = mat.copy()
+    x = CrossedElement.from_dict(z1, {(1,): [[1.0]], (-1,): [[bad]]})
+    act = ActionSpec.trivial(z1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite entries"):
+            op_norm(mat)
+        for radius in (5, 30):  # LAPACK and Lanczos
+            with pytest.raises(ValueError, match="finite entries"):
+                op_norm(realize(x, truncate(len_z1, radius), act))
+    np.testing.assert_array_equal(mat, before)
+
+
 def test_op_norm_matches_svd_oracle(len_z2, z2):
     rng = np.random.default_rng(7)
     act = ActionSpec.trivial(z2, 1)
@@ -242,8 +271,8 @@ def two_buffer_op_norm(mat):
         lam_checkpoint = -1.0
         for it in range(max_iter):
             w, lam_new, top_vec = top_ritz(v)
-            if np.linalg.norm(w) == 0.0:
-                return 0.0
+            if it == 0 and not w.any():
+                return None
             delta = abs(lam_new - lam)
             floor = operators.NORM_TOL * max(abs(lam_new), 1e-300)
             converged = False
@@ -328,18 +357,49 @@ def test_op_norm_restores_its_argument_after_a_raise(monkeypatch):
     mat = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
     mat[0, 1] = complex(-0.0, -0.0)
     before = mat.copy()
-    qr, calls = np.linalg.qr, []
+    qr_q, calls = operators._qr_q, []
 
-    def failing_qr(*args, **kwargs):
+    def failing_qr_q(w):
         calls.append(1)
         if len(calls) == 3:
             raise FloatingPointError("planted")
-        return qr(*args, **kwargs)
+        return qr_q(w)
 
-    monkeypatch.setattr(np.linalg, "qr", failing_qr)
+    monkeypatch.setattr(operators, "_qr_q", failing_qr_q)
     with pytest.raises(FloatingPointError, match="planted"):
         op_norm(mat)
     assert len(calls) == 3 and mat.tobytes() == before.tobytes()
+
+
+def lapack_bits(arr):
+    return np.ascontiguousarray(arr).tobytes()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("n", [2, 3, 5, 40, 545])
+def test_lapack_helpers_match_numpy_linalg(n, order):
+    rng = np.random.default_rng(n)
+    k = min(4, n)
+    w = np.asarray(rng.normal(size=(n, k)) + 1j * rng.normal(size=(n, k)), order=order)
+    w[0, -1] = complex(-0.0, -0.0)
+    expected = np.linalg.qr(w)[0]
+    q = operators._qr_q(w.copy(order="K"))
+    assert q.shape == (n, k) and lapack_bits(q) == lapack_bits(expected)
+    h = w.conj().T @ expected
+    h = np.asarray((h + h.conj().T) / 2, order=order)
+    vals, vecs = np.linalg.eigh(h)
+    got_vals, got_vecs = operators._eigh(h)
+    assert lapack_bits(got_vals) == lapack_bits(vals)
+    assert lapack_bits(got_vecs) == lapack_bits(vecs)
+
+
+def test_lapack_helpers_raise_numpy_linalg_errors():
+    h = np.full((3, 3), complex(math.nan, 0.0))
+    with pytest.raises(np.linalg.LinAlgError) as expected:
+        np.linalg.eigh(h)
+    with pytest.raises(np.linalg.LinAlgError) as got:
+        operators._eigh(h)
+    assert str(got.value) == str(expected.value) == "Eigenvalues did not converge"
 
 
 def test_op_norm_of_a_read_only_argument():
